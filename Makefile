@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke bench-campaign bench-federation bench-faults bench-timeseries bench-governor serve-smoke audit
+.PHONY: test bench bench-smoke bench-campaign bench-federation bench-faults bench-timeseries bench-governor serve-smoke audit perfbench
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -58,3 +58,9 @@ audit:
 	PYTHONPATH=src $(PYTHON) -m repro.audit src/repro
 	PYTHONPATH=src $(PYTHON) -m repro report --system CSCS-A100 \
 		--case "Subsonic Turbulence" --cards 8 --steps 10 --audit-strict
+
+# The repository's end-to-end benchmark (perfbench/README.md): all four
+# workloads, each in a fresh child process, with their correctness checks.
+# Add --trace 1 by hand for the per-layer breakdown.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 10

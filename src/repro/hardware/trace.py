@@ -9,10 +9,16 @@ integral with their own cadence and quantization.
 Traces are append-only (time moves forward) and integration is vectorized:
 breakpoints are kept in growable NumPy buffers and a cumulative-energy
 prefix array is cached and invalidated on append, so repeated queries over
-long runs stay O(log n).
+long runs stay O(log n).  Sensors, which sample a trace tick by tick as
+time moves forward, use :meth:`PowerTrace.sampler` instead: a scalar
+cursor walk that returns the same values as :meth:`PowerTrace.sample`.
 """
 
 from __future__ import annotations
+
+import math
+from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -136,6 +142,44 @@ class PowerTrace:
         np.clip(idx, 0, None, out=idx)
         return self._watts[: self._n][idx]
 
+    def sampler(self) -> Callable[[list[float]], list[float]]:
+        """A scalar :meth:`sample` for one reader whose times move forward.
+
+        The returned ``sample(times)`` takes a non-decreasing list of times
+        and returns the powers :meth:`sample` would return for them on the
+        trace as it stands at the call.  It keeps a cursor on the
+        breakpoint the reader last hit, so a catch-up of a few ticks costs
+        a few float comparisons instead of a vectorized binary search; a
+        list starting before the cursor restarts the walk from the first
+        breakpoint.
+        """
+        cursor = 0
+
+        def sample(times: list[float]) -> list[float]:
+            nonlocal cursor
+            n = self._n
+            # Memoryviews index to plain floats, far cheaper than NumPy
+            # scalars; they are taken per call because appends reallocate.
+            bp_times = memoryview(self._times)
+            bp_watts = memoryview(self._watts)
+            # A merge in set_power can drop the breakpoint the cursor held.
+            i = min(cursor, n - 1)
+            if times and times[0] < bp_times[i]:
+                i = 0
+            watts = bp_watts[i]
+            next_t = bp_times[i + 1] if i + 1 < n else math.inf
+            out = []
+            for t in times:
+                while t >= next_t:
+                    i += 1
+                    watts = bp_watts[i]
+                    next_t = bp_times[i + 1] if i + 1 < n else math.inf
+                out.append(watts)
+            cursor = i
+            return out
+
+        return sample
+
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only zero-copy views of the ``(times, watts)`` breakpoints.
 
@@ -200,3 +244,20 @@ class SummedPowerTrace:
         for tr in self._traces:
             total += tr.sample(times)
         return total
+
+    def sampler(self) -> Callable[[list[float]], list[float]]:
+        """Scalar :meth:`sample` for one forward-moving reader.
+
+        Sums the member samplers in the same order as :meth:`sample`
+        (constant first, then each trace), so the values are bit-identical.
+        """
+        samplers = [tr.sampler() for tr in self._traces]
+        constant = self._constant
+
+        def sample(times: list[float]) -> list[float]:
+            total = [constant] * len(times)
+            for member in samplers:
+                total = list(map(add, total, member(times)))
+            return total
+
+        return sample

@@ -15,7 +15,7 @@ sources per platform:
 
 Reads at identical simulated timestamps are cached per node, matching the
 fact that co-located ranks reading the same counter at the same instant
-see the same value.
+see the same value.  Each node keeps one slot: the freshest timestamp.
 
 By default every meter is wrapped in the resilient layer
 (:class:`~repro.pmt.backends.resilient.ResilientPMT` for PMT backends,
@@ -25,12 +25,16 @@ instead of aborting the run.  Glitch plausibility bounds come from the
 hardware specs' nominal peak powers.  Every mitigation is accounted: each
 :class:`FunctionEnergyRecord` carries the health-counter deltas that fired
 while the region was open, and :meth:`gather` emits one
-:class:`TelemetryHealthRecord` per node.  On a healthy run the resilient
-layer is value-transparent: all measured energies are bit-identical to an
-unwrapped run.
+:class:`TelemetryHealthRecord` per node.  The profiler owns its meters, so
+a node's health totals only change when the profiler reads one of that
+node's meters; it keeps the totals per node and re-sums them only after
+such a read.  On a healthy run the resilient layer is value-transparent:
+all measured energies are bit-identical to an unwrapped run.
 """
 
 from __future__ import annotations
+
+from operator import add, attrgetter
 
 from repro.config import SystemConfig
 from repro.errors import MeasurementError
@@ -55,6 +59,9 @@ from repro.sensors.resilient import (
     diff_counters,
 )
 from repro.sensors.telemetry import NodeTelemetry
+
+#: One meter's health counters as a tuple, in ``COUNTER_FIELDS`` order.
+_health_fields = attrgetter(*SensorHealth.COUNTER_FIELDS)
 
 
 class _SlurmNodeSource:
@@ -200,7 +207,13 @@ class EnergyProfiler:
         #: attaching it never perturbs a measurement.
         self.region_listener = None
 
-        self._node_cache: dict[tuple[int, float], dict[str, float]] = {}
+        #: Per node: ``(timestamp, counters)`` of the freshest snapshot.
+        self._node_cache: list[tuple[float, dict[str, float]] | None] = [
+            None
+        ] * num_nodes
+        #: Per node: the health totals, or ``None`` once a read may have
+        #: changed them.
+        self._health_totals: list[dict[str, float] | None] = [None] * num_nodes
         self._open: dict[
             int, tuple[float, dict[str, float], dict[str, float] | None]
         ] = {}
@@ -212,39 +225,30 @@ class EnergyProfiler:
 
     def _node_counters(self, node_index: int) -> dict[str, float]:
         """Node-shared counters (cached by simulated timestamp)."""
-        key = (node_index, self.clock.now)
-        cached = self._node_cache.get(key)
-        if cached is not None:
-            return cached
-        tel = self.telemetries[node_index]
-        out: dict[str, float] = {}
+        now = self.clock.now
+        cached = self._node_cache[node_index]
+        if cached is not None and cached[0] == now:
+            return cached[1]
+        self._health_totals[node_index] = None
+        out: dict[str, float]
         cray = self._cray[node_index]
         if cray is not None:
-            state = cray.read()
-            out["node"] = state.joules_of("node")
-            out["cpu"] = state.joules_of("cpu")
-            if "memory" in state.names():
-                out["memory"] = state.joules_of("memory")
-            for i in range(len(tel.node.cards)):
-                out[f"accel{i}"] = state.joules_of(f"accel{i}")
+            # The cray meter's measurement names are the counter names
+            # (node, cpu, memory if present, accel0..), in that order.
+            out = {m.name: m.joules for m in cray.read().measurements}
         else:
             rapl = self._rapl[node_index]
             node_src = self._node_source[node_index]
             assert rapl is not None and node_src is not None
-            out["cpu"] = rapl.read().joules
-            out["node"] = node_src.read(self.clock.now).joules
+            out = {"cpu": rapl.read().joules, "node": node_src.read(now).joules}
             # Per-card window counters are read at every boundary too: the
             # stuck detector needs a read cadence much finer than the app
             # window to catch a mid-run freeze before end_app().
             for i, src in enumerate(self._window_sources[node_index]):
-                out[f"accel{i}"] = src.read(self.clock.now).joules
-        # Only keep the freshest timestamp per node to bound memory.
-        self._node_cache = {
-            k: v for k, v in self._node_cache.items() if k[0] != node_index
-        }
-        self._node_cache[key] = out
+                out[f"accel{i}"] = src.read(now).joules
+        self._node_cache[node_index] = (now, out)
         if self.auditor is not None:
-            self.auditor.on_counters(node_index, self.clock.now, out)
+            self.auditor.on_counters(node_index, now, out)
         return out
 
     def snapshot(self, rank: int) -> dict[str, float]:
@@ -257,20 +261,34 @@ class EnergyProfiler:
         if self.system.pmt_backend == "cray":
             out["gpu"] = shared[f"accel{loc.card_index}"]
         else:
+            self._health_totals[loc.node_index] = None
             out["gpu"] = self._nvml[rank].read().joules
         return out
 
     # -- telemetry health -----------------------------------------------------------
 
     def _node_health_counters(self, node_index: int) -> dict[str, float]:
-        """Aggregate mitigation counters of every meter of one node."""
-        total = SensorHealth()
-        for _, source in self._health_sources[node_index]:
-            total.add(source.health)
-        counters = total.counters()
+        """Aggregate mitigation counters of every meter of one node.
+
+        Summed in wiring order, exactly as :meth:`SensorHealth.add` would,
+        and kept until the next read of one of the node's meters.  Every
+        node of a resilient profiler has at least one meter.
+        """
+        counters = self._health_totals[node_index]
+        if counters is not None:
+            return counters
+        rows = [
+            _health_fields(source.health)
+            for _, source in self._health_sources[node_index]
+        ]
+        total = rows[0]
+        for row in rows[1:]:
+            total = tuple(map(add, total, row))
+        counters = dict(zip(SensorHealth.COUNTER_FIELDS, total))
         raw = self._rapl_raw[node_index]
         if raw is not None:
             counters["suspect_intervals"] = float(raw.suspect_intervals)
+        self._health_totals[node_index] = counters
         return counters
 
     # -- region instrumentation ----------------------------------------------------

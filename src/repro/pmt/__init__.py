@@ -15,8 +15,9 @@ toolkit's Python bindings:
 
 Backends: ``cray`` (pm_counters), ``nvml``, ``rapl``, ``rocm``, ``dummy``.
 Each backend reads the simulated sensors through their native interfaces
-(virtual sysfs files or NVML-style calls), so it inherits their cadence,
-quantization, wraparound and attribution semantics.
+(virtual sysfs files, NVML-style calls, or for ``cray`` a typed read equal
+to the parsed files), so it inherits their cadence, quantization,
+wraparound and attribution semantics.
 """
 
 from repro.pmt.state import Measurement, State

@@ -5,9 +5,12 @@ energy from the same counters, but PMT reads *all* of them — node, CPU,
 memory and per-card accelerators — so a single ``read()`` carries the full
 device breakdown (Figure 2) in one state.
 
-The backend goes through the virtual sysfs string interface on purpose:
-parsing ``"284 W 1663261174293871 us"`` is exactly what the real backend
-does, and keeping that path honest means tests exercise the format too.
+A read takes one typed counter read per file stem
+(:meth:`~repro.sensors.pm_counters.PmCounters.read_file_values`) instead of
+formatting and parsing the two text files ``"284 W 1663261174293871 us"``
+the real backend reads.  The text files stay registered in the virtual
+sysfs as the fidelity reference: the tests check that every typed value
+equals ``parse_pm_file`` of its file, faults included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from repro.errors import BackendError
 from repro.pmt.base import PMT
 from repro.pmt.registry import register_backend
 from repro.pmt.state import Measurement, State
-from repro.sensors.pm_counters import PM_COUNTERS_DIR, parse_pm_file
 from repro.sensors.telemetry import NodeTelemetry
 
 
@@ -38,27 +40,21 @@ class CrayPMT(PMT):
             )
         super().__init__(telemetry.node.clock)
         self.telemetry = telemetry
-        self._sysfs = telemetry.sysfs
+        self._pm = telemetry.pm_counters
         stems = ["", "cpu"]
-        if telemetry.pm_counters.memory_counter is not None:
+        if self._pm.memory_counter is not None:
             stems.append("memory")
         stems += [f"accel{i}" for i in range(len(telemetry.node.cards))]
-        self._stems = stems
+        self._stems = [(stem, stem or "node") for stem in stems]
 
     def measurement_names(self) -> tuple[str, ...]:
-        return tuple(stem or "node" for stem in self._stems)
-
-    def _read_pair(self, stem: str) -> Measurement:
-        prefix = f"{PM_COUNTERS_DIR}/{stem}_" if stem else f"{PM_COUNTERS_DIR}/"
-        watts, w_unit, _ = parse_pm_file(self._sysfs.read(prefix + "power"))
-        joules, j_unit, _ = parse_pm_file(self._sysfs.read(prefix + "energy"))
-        if w_unit != "W" or j_unit != "J":
-            raise BackendError(
-                f"unexpected pm_counters units for {stem or 'node'}: "
-                f"{w_unit!r}/{j_unit!r}"
-            )
-        return Measurement(name=stem or "node", joules=joules, watts=watts)
+        return tuple(name for _, name in self._stems)
 
     def read_state(self) -> State:
-        measurements = tuple(self._read_pair(stem) for stem in self._stems)
-        return State(timestamp=self.clock.now, measurements=measurements)
+        t = self.clock.now
+        read = self._pm.read_file_values
+        measurements = []
+        for stem, name in self._stems:
+            watts, joules = read(stem, t)
+            measurements.append(Measurement(name=name, joules=joules, watts=watts))
+        return State(timestamp=t, measurements=tuple(measurements))

@@ -131,13 +131,13 @@ class ResilientPMT(PMT):
         if state is None:
             state = self._interpolate_state(t)
         else:
-            state = State(
-                timestamp=state.timestamp,
-                measurements=tuple(
-                    self._track_stuck(t, self._reject_glitch(m))
-                    for m in state.measurements
-                ),
+            measured = state.measurements
+            served = tuple(
+                self._track_stuck(t, self._reject_glitch(m)) for m in measured
             )
+            # A healthy read substitutes nothing: serve the inner state.
+            if any(s is not m for s, m in zip(served, measured)):
+                state = State(timestamp=state.timestamp, measurements=served)
         self._last_good = state
         self._prev_t = t
         return state

@@ -32,6 +32,7 @@ class PMT(ABC):
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
         self._start_state: State | None = None
+        self._end_state: State | None = None
 
     # -- backend primitive ----------------------------------------------------
 
@@ -56,7 +57,12 @@ class PMT(ABC):
         return self.read_state()
 
     def start(self) -> State:
-        """Begin a measured region; returns (and remembers) the start state."""
+        """Begin a measured region; returns (and remembers) the start state.
+
+        Forgets the previous region's end state, so :meth:`result` refuses
+        to pair the new start with a stale end.
+        """
+        self._end_state = None
         self._start_state = self.read()
         return self._start_state
 
@@ -70,7 +76,7 @@ class PMT(ABC):
 
     def result(self) -> tuple[float, float, float]:
         """``(seconds, joules, watts)`` of the last start/stop region."""
-        if self._start_state is None or not hasattr(self, "_end_state"):
+        if self._start_state is None or self._end_state is None:
             raise MeasurementError("no completed start()/stop() region")
         s, e = self._start_state, self._end_state
         return self.seconds(s, e), self.joules(s, e), self.watts(s, e)

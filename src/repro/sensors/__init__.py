@@ -12,7 +12,9 @@ deals with:
 
 Each concrete sensor family also exposes its native *file format* through a
 :class:`~repro.sensors.sysfs.VirtualSysfs`, so the PMT backends read strings
-from paths exactly the way the real toolkit reads ``/sys`` files.
+from paths exactly the way the real toolkit reads ``/sys`` files.  The one
+exception is pm_counters, whose backend takes a typed read equal to the
+parsed files (:meth:`~repro.sensors.pm_counters.PmCounters.read_file_values`).
 """
 
 from repro.sensors.base import SampledEnergyCounter, SensorReading

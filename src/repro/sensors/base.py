@@ -15,9 +15,13 @@ that pipeline over a ground-truth :class:`~repro.hardware.trace.PowerTrace`:
   data between ticks is invisible, which is exactly why short instrumented
   regions see quantization error.
 
-The per-tick quantized powers are cached in a growable prefix-sum buffer so
-reads may arrive in any time order (two MPI ranks sharing one card sensor
-read it at slightly different times).
+The per-tick quantized powers and the accumulator are cached in
+amortized-capacity buffers, so reads may arrive in any time order (two MPI
+ranks sharing one card sensor read it at slightly different times).  A read
+past the cached ticks *catches up* the missing ticks in one chunk with
+scalar arithmetic.  Each chunk's accumulator values are ``prev_cum`` plus a
+running sum that restarts at the chunk, so the chunk boundaries — which
+reads triggered a catch-up, and up to which tick — are part of the bits.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class SampledEnergyCounter:
     Parameters
     ----------
     trace:
-        Ground-truth power source; anything with a ``sample(times)`` method
+        Ground-truth power source; anything with a ``sampler()`` method
         (:class:`PowerTrace` or :class:`SummedPowerTrace`).
     refresh_period_s:
         Controller tick period in seconds.
@@ -69,6 +73,8 @@ class SampledEnergyCounter:
         driver load), not since the job started, so consumers must always
         difference two reads; a nonzero base catches code that forgets.
     """
+
+    _INITIAL_CAPACITY = 256
 
     def __init__(
         self,
@@ -99,9 +105,15 @@ class SampledEnergyCounter:
         self.noise_sigma_watts = float(noise_sigma_watts)
         self.wrap_joules = wrap_joules
         self._rng = np.random.default_rng(seed)
-        # Quantized tick powers and their running energy integral.
-        self._tick_watts = np.zeros(0, dtype=np.float64)
-        self._cum_joules = np.zeros(0, dtype=np.float64)
+        self._sample = trace.sampler()
+        # Quantized tick powers and their running energy integral; the
+        # first ``_ticks`` entries are valid, the rest is spare capacity.
+        self._tick_watts = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
+        self._cum_joules = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
+        self._ticks = 0
+        # The last reading served by each read path, keyed by tick index.
+        self._read_memo: tuple[int, SensorReading] | None = None
+        self._exact_memo: tuple[int, SensorReading] | None = None
 
     # -- internal ------------------------------------------------------------
 
@@ -109,29 +121,43 @@ class SampledEnergyCounter:
         """Extend the cached tick buffers through tick index ``upto_tick``.
 
         Tick ``k`` samples ground truth at ``k * period``; the accumulator
-        at tick ``k`` integrates powers of ticks ``0 .. k-1``.
+        at tick ``k`` integrates powers of ticks ``0 .. k-1``.  The new
+        ticks form one chunk: ``cum[k] = prev_cum + running``, where
+        ``running`` sums the chunk's increments from its first tick on.
         """
-        have = len(self._tick_watts)
+        have = self._ticks
         if upto_tick < have:
             return
-        new_ticks = np.arange(have, upto_tick + 1, dtype=np.float64)
-        times = new_ticks * self.refresh_period_s
-        watts = np.asarray(self._trace.sample(times), dtype=np.float64)
+        period = self.refresh_period_s
+        quantum = self.watts_quantum
+        watts = self._sample([k * period for k in range(have, upto_tick + 1)])
         if self.noise_sigma_watts > 0:
-            watts = watts + self._rng.normal(
-                0.0, self.noise_sigma_watts, size=watts.shape
-            )
-            np.clip(watts, 0.0, None, out=watts)
-        watts = np.round(watts / self.watts_quantum) * self.watts_quantum
-        prev_cum = self._cum_joules[-1] if have else 0.0
-        prev_watt = self._tick_watts[-1] if have else 0.0
-        # cum[k] = cum[k-1] + watts[k-1] * period
-        increments = np.empty(len(watts))
-        increments[0] = prev_watt * self.refresh_period_s if have else 0.0
-        increments[1:] = watts[:-1] * self.refresh_period_s
-        cum = prev_cum + np.cumsum(increments)
-        self._tick_watts = np.concatenate([self._tick_watts, watts])
-        self._cum_joules = np.concatenate([self._cum_joules, cum])
+            noise = self._rng.normal(0.0, self.noise_sigma_watts, size=len(watts))
+            watts = [w + e for w, e in zip(watts, noise.tolist())]
+            watts = [w if w > 0.0 else 0.0 for w in watts]
+        if have:
+            prev_cum = float(self._cum_joules[have - 1])
+            running = float(self._tick_watts[have - 1]) * period
+        else:
+            prev_cum = running = 0.0
+        quantized, cum = [], []
+        raw = level = None
+        for w in watts:
+            cum.append(prev_cum + running)
+            if w != raw:
+                # Power holds between breakpoints: quantize once per level.
+                raw, level = w, round(w / quantum) * quantum
+            quantized.append(level)
+            running += level * period
+        end = upto_tick + 1
+        if end > len(self._tick_watts):
+            # np.resize keeps the valid prefix; the rest is spare capacity.
+            capacity = max(end, 2 * len(self._tick_watts))
+            self._tick_watts = np.resize(self._tick_watts, capacity)
+            self._cum_joules = np.resize(self._cum_joules, capacity)
+        self._tick_watts[have:end] = quantized
+        self._cum_joules[have:end] = cum
+        self._ticks = end
 
     # -- public --------------------------------------------------------------
 
@@ -145,16 +171,21 @@ class SampledEnergyCounter:
     def read(self, t: float) -> SensorReading:
         """Read the sensor at simulated time ``t``."""
         k = self.tick_index(t)
+        memo = self._read_memo
+        if memo is not None and memo[0] == k:
+            return memo[1]
         self._ensure_ticks(k)
-        joules = self.initial_joules + self._cum_joules[k]
+        joules = self.initial_joules + float(self._cum_joules[k])
         joules = math.floor(joules / self.energy_quantum) * self.energy_quantum
         if self.wrap_joules is not None:
             joules = joules % self.wrap_joules
-        return SensorReading(
+        reading = SensorReading(
             timestamp=k * self.refresh_period_s,
             watts=float(self._tick_watts[k]),
             joules=float(joules),
         )
+        self._read_memo = (k, reading)
+        return reading
 
     def read_exact(self, t: float) -> SensorReading:
         """Read the sensor at ``t`` with the accumulator at full precision.
@@ -170,15 +201,20 @@ class SampledEnergyCounter:
         applies; only the ``energy_quantum`` floor is skipped.
         """
         k = self.tick_index(t)
+        memo = self._exact_memo
+        if memo is not None and memo[0] == k:
+            return memo[1]
         self._ensure_ticks(k)
-        joules = self.initial_joules + self._cum_joules[k]
+        joules = self.initial_joules + float(self._cum_joules[k])
         if self.wrap_joules is not None:
             joules = joules % self.wrap_joules
-        return SensorReading(
+        reading = SensorReading(
             timestamp=k * self.refresh_period_s,
             watts=float(self._tick_watts[k]),
             joules=float(joules),
         )
+        self._exact_memo = (k, reading)
+        return reading
 
     def true_energy(self, t: float) -> float:
         """Ground-truth energy on ``[0, t]`` (for validation tests)."""

@@ -132,6 +132,18 @@ class PmCounters:
 
     # -- direct reads ----------------------------------------------------------
 
+    def read_file_values(self, stem: str, t: float) -> tuple[float, float]:
+        """``(watts, joules)`` of one ``<stem>_power`` / ``<stem>_energy``
+        pair at time ``t``, as the two files report them.
+
+        One counter read serves both values, truncated to integers exactly
+        as :func:`_format_pm_file` renders them, so each equals
+        ``parse_pm_file(...)[0]`` of its file.  The counter is looked up at
+        read time, like the file readers, so injected faults apply.
+        """
+        reading = self.counters[stem].read(t)
+        return float(int(reading.watts)), float(int(reading.joules))
+
     def read_node(self, t: float) -> SensorReading:
         """Node-level counter state at time ``t``."""
         return self.node_counter.read(t)

@@ -143,3 +143,21 @@ class TestDummyBackend:
         meter = pmt.create("dummy")
         with pytest.raises(MeasurementError):
             meter.result()
+
+    @pytest.mark.parametrize("gap_s", [0.0, 2.0])
+    def test_restart_forgets_previous_end(self, gap_s):
+        # A new start() must not pair with the previous region's stop():
+        # later it reads as "end precedes start", at the same instant as a
+        # silent zero-length region.
+        clock = VirtualClock()
+        meter = pmt.create("dummy", clock=clock)
+        meter.start()
+        clock.advance(3.0)
+        meter.stop()
+        clock.advance(gap_s)
+        meter.start()
+        with pytest.raises(MeasurementError, match="no completed"):
+            meter.result()
+        clock.advance(1.5)
+        meter.stop()
+        assert meter.result() == (1.5, 0.0, 0.0)

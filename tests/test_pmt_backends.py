@@ -1,13 +1,17 @@
 """Tests for the concrete PMT backends against simulated hardware."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.pmt as pmt
 from repro.config import CSCS_A100, LUMI_G
-from repro.errors import BackendError
+from repro.errors import BackendError, SensorError
 from repro.hardware import Node, VirtualClock
 from repro.pmt import PMT, PmtSampler
+from repro.pmt.backends.cray import CrayPMT
 from repro.sensors import NodeTelemetry
+from repro.sensors.inject import FAULT_KINDS, inject_fault
+from repro.sensors.pm_counters import PM_COUNTERS_DIR, parse_pm_file
 
 
 @pytest.fixture
@@ -211,3 +215,80 @@ class TestSampler:
         sampler = PmtSampler(pmt.create("cray", telemetry=tel))
         with pytest.raises(Exception):
             sampler.stop()
+
+
+def _outcome(read):
+    """A read's values as exact hex strings, or the error type it raised."""
+    try:
+        values = read()
+    except SensorError:
+        return "SensorError"
+    return tuple(float(v).hex() for v in values)
+
+
+class TestCrayTypedRead:
+    """The typed counter read equals parsing the pm_counters text files."""
+
+    @given(
+        kind=st.sampled_from((None,) + FAULT_KINDS),
+        target=st.sampled_from(
+            ("node", "cpu", "memory", "gpu0", "gpu1", "gpu2", "gpu3")
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.5),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_typed_read_equals_parsed_files(self, kind, target, steps, seed):
+        clock = VirtualClock()
+        node = Node("n0", clock, LUMI_G.node_spec)
+        tel = NodeTelemetry(node, LUMI_G, clock, seed=seed)
+        if kind is not None:
+            inject_fault(
+                tel, kind, target, freeze_at=4.0, outage_start=3.0,
+                outage_end=8.0, probability=0.3, seed=seed,
+            )
+        pm = tel.pm_counters
+        meter = CrayPMT(tel)
+        for dt, load, typed_first in steps:
+            clock.advance(dt)
+            for gpu in node.gpus:
+                gpu.set_load(load, load)
+            node.cpu.set_load(1.0 - load, load)
+            files = {}
+            for stem in pm.counters:
+                prefix = f"{PM_COUNTERS_DIR}/{stem}_" if stem else f"{PM_COUNTERS_DIR}/"
+
+                def parsed():
+                    watts, w_unit, _ = parse_pm_file(tel.sysfs.read(prefix + "power"))
+                    joules, j_unit, _ = parse_pm_file(tel.sysfs.read(prefix + "energy"))
+                    assert (w_unit, j_unit) == ("W", "J")
+                    return watts, joules
+
+                def typed():
+                    return pm.read_file_values(stem, clock.now)
+
+                if typed_first:
+                    got, want = _outcome(typed), _outcome(parsed)
+                else:
+                    want, got = _outcome(parsed), _outcome(typed)
+                assert got == want
+                files[stem or "node"] = want
+            state = _outcome(
+                lambda: [
+                    v for m in meter.read_state().measurements
+                    for v in (m.watts, m.joules)
+                ]
+            )
+            if state == "SensorError":
+                assert "SensorError" in files.values()
+            else:
+                names = meter.measurement_names()
+                assert state == tuple(v for name in names for v in files[name])

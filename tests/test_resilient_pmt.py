@@ -215,6 +215,30 @@ class TestRocmResilient:
 class TestCrayResilient:
     """Cray pm_counters (LUMI-G): multi-measurement single meter."""
 
+    def test_healthy_read_serves_inner_state_unchanged(self):
+        clock, (cn, ct), _ = _pair(LUMI_G)
+        inner = pmt.create("cray", telemetry=ct)
+        inner_states = []
+        read_inner = inner.read_state
+
+        def recording_read_state():
+            inner_states.append(read_inner())
+            return inner_states[-1]
+
+        inner.read_state = recording_read_state
+        res = pmt.create(
+            "resilient", inner=inner, label="cray",
+            plausible_max_watts=GLITCH_MARGIN * LUMI_G.node_spec.peak_watts,
+        )
+        _load(cn)
+        states = []
+        for _ in range(3):
+            clock.advance(0.5)
+            states.append(res.read())
+        assert len(inner_states) == 3
+        assert all(s is i for s, i in zip(states, inner_states))
+        assert res.health.reads == 3 and not res.health.degraded
+
     def test_freeze_on_node_counter_isolated_per_measurement(self):
         clock, (cn, ct), (fn, ft) = _pair(LUMI_G)
         inject_fault(ft, "freeze", "node", freeze_at=10.0)

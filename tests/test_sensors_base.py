@@ -1,12 +1,105 @@
 """Tests for the core sampling energy counter."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SensorError
 from repro.hardware import PowerTrace
+from repro.hardware.trace import SummedPowerTrace
 from repro.sensors import SampledEnergyCounter
+from repro.sensors.base import SensorReading
+
+
+class VectorizedReferenceCounter:
+    """Frozen copy of the vectorized tick catch-up the counter once used.
+
+    One NumPy pass per catch-up: ``arange`` the new tick times, sample the
+    trace, add noise, clip, round, and append ``prev_cum + cumsum(...)``.
+    :class:`SampledEnergyCounter` must serve bit-identical readings for
+    any read sequence, so its catch-ups must happen at the same reads, up
+    to the same tick, with the same per-chunk association.
+    """
+
+    def __init__(
+        self,
+        trace,
+        refresh_period_s,
+        watts_quantum=1.0,
+        energy_quantum=1.0,
+        noise_sigma_watts=0.0,
+        wrap_joules=None,
+        seed=0,
+        initial_joules=0.0,
+    ):
+        self.initial_joules = float(initial_joules)
+        self._trace = trace
+        self.refresh_period_s = float(refresh_period_s)
+        self.watts_quantum = float(watts_quantum)
+        self.energy_quantum = float(energy_quantum)
+        self.noise_sigma_watts = float(noise_sigma_watts)
+        self.wrap_joules = wrap_joules
+        self._rng = np.random.default_rng(seed)
+        self._tick_watts = np.zeros(0, dtype=np.float64)
+        self._cum_joules = np.zeros(0, dtype=np.float64)
+
+    def _ensure_ticks(self, upto_tick):
+        have = len(self._tick_watts)
+        if upto_tick < have:
+            return
+        new_ticks = np.arange(have, upto_tick + 1, dtype=np.float64)
+        times = new_ticks * self.refresh_period_s
+        watts = np.asarray(self._trace.sample(times), dtype=np.float64)
+        if self.noise_sigma_watts > 0:
+            watts = watts + self._rng.normal(
+                0.0, self.noise_sigma_watts, size=watts.shape
+            )
+            np.clip(watts, 0.0, None, out=watts)
+        watts = np.round(watts / self.watts_quantum) * self.watts_quantum
+        prev_cum = self._cum_joules[-1] if have else 0.0
+        prev_watt = self._tick_watts[-1] if have else 0.0
+        increments = np.empty(len(watts))
+        increments[0] = prev_watt * self.refresh_period_s if have else 0.0
+        increments[1:] = watts[:-1] * self.refresh_period_s
+        cum = prev_cum + np.cumsum(increments)
+        self._tick_watts = np.concatenate([self._tick_watts, watts])
+        self._cum_joules = np.concatenate([self._cum_joules, cum])
+
+    def tick_index(self, t):
+        return int(math.floor(t / self.refresh_period_s + 1e-9))
+
+    def read(self, t):
+        k = self.tick_index(t)
+        self._ensure_ticks(k)
+        joules = self.initial_joules + self._cum_joules[k]
+        joules = math.floor(joules / self.energy_quantum) * self.energy_quantum
+        if self.wrap_joules is not None:
+            joules = joules % self.wrap_joules
+        return SensorReading(
+            timestamp=k * self.refresh_period_s,
+            watts=float(self._tick_watts[k]),
+            joules=float(joules),
+        )
+
+    def read_exact(self, t):
+        k = self.tick_index(t)
+        self._ensure_ticks(k)
+        joules = self.initial_joules + self._cum_joules[k]
+        if self.wrap_joules is not None:
+            joules = joules % self.wrap_joules
+        return SensorReading(
+            timestamp=k * self.refresh_period_s,
+            watts=float(self._tick_watts[k]),
+            joules=float(joules),
+        )
+
+
+def _bits(reading):
+    return tuple(
+        float(v).hex() for v in (reading.timestamp, reading.watts, reading.joules)
+    )
 
 
 def make_counter(trace=None, **kwargs):
@@ -156,3 +249,100 @@ class TestSampledEnergyCounter:
         # Left-rectangle error per breakpoint <= period * |power jump|.
         bound = 0.01 * (len(segments) + 1) * 500.0 + 0.01 * 500.0 + 1e-3
         assert abs(measured - truth) <= bound
+
+
+_power = st.floats(min_value=0.0, max_value=400.0)
+
+#: One step of a live run: append a breakpoint to one member trace
+#: (``dt`` after the previous one), or read at ``x`` refresh periods.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("set"),
+            st.integers(0, 2),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0)),
+            _power,
+        ),
+        st.tuples(
+            st.just("read"),
+            st.one_of(
+                st.integers(0, 400).map(float),
+                st.floats(min_value=0.0, max_value=400.0),
+            ),
+            st.booleans(),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestCatchUpMatchesVectorizedReference:
+    """The scalar catch-up is bit-identical to the vectorized one."""
+
+    @given(
+        summed=st.booleans(),
+        members=st.integers(1, 3),
+        initial=st.lists(_power, min_size=3, max_size=3),
+        constant=st.sampled_from([0.0, 37.5]),
+        period=st.sampled_from([0.1, 0.02, 1.0, 0.001]),
+        watts_quantum=st.sampled_from([1.0, 1e-3]),
+        energy_quantum=st.sampled_from([1.0, 1e-3, 15.3e-6]),
+        noise=st.sampled_from([0.0, 5.0]),
+        wrap=st.sampled_from([None, 97.0, 262143.328]),
+        initial_joules=st.sampled_from([0.0, 1234.5]),
+        seed=st.integers(0, 2**16),
+        ordered=st.booleans(),
+        ops=_ops,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reads_bitwise_equal(
+        self,
+        summed,
+        members,
+        initial,
+        constant,
+        period,
+        watts_quantum,
+        energy_quantum,
+        noise,
+        wrap,
+        initial_joules,
+        seed,
+        ordered,
+        ops,
+    ):
+        traces = [PowerTrace(initial_watts=w) for w in initial[:members]]
+        trace = SummedPowerTrace(traces, constant) if summed else traces[0]
+        params = dict(
+            refresh_period_s=period,
+            watts_quantum=watts_quantum,
+            energy_quantum=energy_quantum,
+            noise_sigma_watts=noise,
+            wrap_joules=wrap,
+            seed=seed,
+            initial_joules=initial_joules,
+        )
+        counter = SampledEnergyCounter(trace, **params)
+        reference = VectorizedReferenceCounter(trace, **params)
+        if ordered:
+            # Non-decreasing reads, breakpoints interleaved as in a run.
+            reads = sorted(op[1] for op in ops if op[0] == "read")
+            it = iter(reads)
+            ops = [
+                ("read", next(it), op[2]) if op[0] == "read" else op for op in ops
+            ]
+        last_bp = 0.0
+        for op in ops:
+            if op[0] == "set":
+                _, member, dt, watts = op
+                last_bp += dt
+                traces[member % members].set_power(last_bp, watts)
+                continue
+            _, x, exact = op
+            t = x * period
+            if exact:
+                got, want = counter.read_exact(t), reference.read_exact(t)
+            else:
+                got, want = counter.read(t), reference.read(t)
+            assert _bits(got) == _bits(want)

@@ -179,3 +179,65 @@ class TestSummedPowerTrace:
         summed = SummedPowerTrace([a], constant_watts=1.0)
         out = summed.sample(np.array([0.5, 1.5]))
         assert np.allclose(out, [3.0, 5.0])
+
+
+class TestSampler:
+    """``sampler()`` is a scalar :meth:`sample` for a forward-moving reader."""
+
+    def test_cursor_survives_merge_of_last_breakpoint(self):
+        tr = PowerTrace(initial_watts=10.0)
+        tr.set_power(1.0, 20.0)
+        tr.set_power(2.0, 30.0)
+        sample = tr.sampler()
+        assert sample([2.5]) == [30.0]
+        # Overwriting the last breakpoint back to the previous level merges
+        # it away; the cursor sat on the dropped breakpoint.
+        tr.set_power(2.0, 20.0)
+        assert tr.num_breakpoints == 2
+        assert sample([2.5, 3.0]) == [20.0, 20.0]
+
+    def test_reader_moving_backwards_restarts(self):
+        tr = PowerTrace(initial_watts=10.0)
+        tr.set_power(1.0, 20.0)
+        sample = tr.sampler()
+        assert sample([1.5]) == [20.0]
+        assert sample([0.5, 1.0]) == [10.0, 20.0]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("set"),
+                    st.integers(0, 1),
+                    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                    st.floats(0.0, 500.0),
+                ),
+                st.tuples(
+                    st.just("sample"),
+                    st.lists(st.floats(0.0, 3.0), min_size=0, max_size=8),
+                ),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 12.5]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_vectorized_sample(self, ops, constant):
+        traces = [PowerTrace(initial_watts=7.0), PowerTrace(initial_watts=3.0)]
+        summed = SummedPowerTrace(traces, constant_watts=constant)
+        readers = [(tr, tr.sampler()) for tr in traces]
+        readers.append((summed, summed.sampler()))
+        last_bp, reader_t = 0.0, 0.0
+        for op in ops:
+            if op[0] == "set":
+                _, member, dt, watts = op
+                last_bp += dt
+                traces[member].set_power(last_bp, watts)
+                continue
+            times = []
+            for dt in op[1]:
+                reader_t += dt
+                times.append(reader_t)
+            for trace, sample in readers:
+                want = trace.sample(np.array(times, dtype=np.float64)).tolist()
+                assert [w.hex() for w in sample(times)] == [w.hex() for w in want]

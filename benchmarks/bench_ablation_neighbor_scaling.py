@@ -1,16 +1,15 @@
-"""Ablation: neighbor-engine scaling — pairlist vs CSR vs CSR+C.
+"""Ablation: neighbor-engine scaling — CSR (NumPy) vs CSR+C.
 
-Sweeps the particle count on the turbulence box and reports, per engine,
-the achieved steps/sec and the peak Python-side allocation of one full
-propagator step (tracemalloc), up to the 10^6-particle target of the
-hot-path round-2 work.  The recorded reference point is the PR-1
-baseline at N = 27^3 = 19683 (0.347 steps/s, pairlist engine); the CSR
-engine with the compiled fast path must clear 10x that number.
+Sweeps the particle count on the turbulence box and reports, per
+accelerator, the achieved steps/sec and the peak Python-side allocation
+of one full propagator step (tracemalloc), up to the 10^6-particle target
+of the hot-path round-2 work.  The recorded reference point is the
+retired half-pair engine's baseline at N = 27^3 = 19683 (0.347 steps/s,
+kept as history; that engine no longer exists); the CSR engine with the
+compiled fast path must clear 10x that number.
 
-Engine caps are explicit, never silent:
+Size caps are explicit, never silent:
 
-* ``pairlist`` stops at N = 19683 — the half-pair materialization is the
-  O(N) memory hog this ablation exists to retire;
 * ``csr`` (pure NumPy) stops at N = 125000 — correct at any size, but
   the 10^6 rows belong to the compiled path that makes them tractable;
 * ``csr+c`` runs the full sweep including N = 10^6 (skipped cleanly when
@@ -36,8 +35,7 @@ BASELINE_N_SIDE = 27
 #: Full-sweep sizes (cubes, so the lattice stays uniform).
 N_SIDES = (12, 27, 50, 100)
 
-#: Documented per-engine size caps (see module docstring).
-PAIRLIST_MAX_N = 27**3
+#: Documented NumPy-path size cap (see module docstring).
 CSR_NUMPY_MAX_N = 50**3
 
 #: Allocation ceiling for one smoke-sized CSR step (tracemalloc peak).
@@ -48,7 +46,7 @@ SMOKE_ALLOC_BUDGET_BYTES = 448 * 2**20
 
 #: Verlet skin for this sweep, re-tuned for the round-2 engine: the
 #: compiled filter makes per-step queries cheap relative to rebuilds,
-#: moving the throughput optimum from the pairlist-era default 0.3 to
+#: moving the throughput optimum from the default 0.3 to
 #: 0.45 (measured on the 27^3 box).  Pair sets and physics are skin
 #: independent — every query re-filters to the exact cutoff.
 SKIN_FACTOR = 0.45
@@ -60,17 +58,14 @@ def _setup(n_side: int):
     return ps, box, TurbulenceDriver(box, seed=1)
 
 
-def _propagator(box, driver, engine: str, accel: str) -> Propagator:
-    return Propagator(
-        box, driver=driver, engine=engine, accel=accel,
-        skin_factor=SKIN_FACTOR,
-    )
+def _propagator(box, driver, accel: str, skin_factor=SKIN_FACTOR) -> Propagator:
+    return Propagator(box, driver=driver, accel=accel, skin_factor=skin_factor)
 
 
-def _throughput(n_side: int, engine: str, accel: str, *, warmup: int, steps: int):
+def _throughput(n_side: int, accel: str, *, warmup: int, steps: int):
     """steps/s over ``steps`` timed steps after ``warmup`` untimed ones."""
     ps, box, driver = _setup(n_side)
-    prop = _propagator(box, driver, engine, accel)
+    prop = _propagator(box, driver, accel)
     hooks = ProfilingHooks()
     for _ in range(warmup):
         prop.step(ps, hooks)
@@ -81,10 +76,10 @@ def _throughput(n_side: int, engine: str, accel: str, *, warmup: int, steps: int
     return steps / elapsed
 
 
-def _peak_alloc(n_side: int, engine: str, accel: str) -> int:
+def _peak_alloc(n_side: int, accel: str) -> int:
     """tracemalloc peak of one cold propagator step (list build + physics)."""
     ps, box, driver = _setup(n_side)
-    prop = _propagator(box, driver, engine, accel)
+    prop = _propagator(box, driver, accel)
     hooks = ProfilingHooks()
     tracemalloc.start()
     prop.step(ps, hooks)
@@ -94,18 +89,14 @@ def _peak_alloc(n_side: int, engine: str, accel: str) -> int:
 
 
 def _engines():
-    rows = [("pairlist", "pairlist", "numpy"), ("csr", "csr", "numpy")]
+    rows = [("csr", "numpy")]
     if csolver.load() is not None:
-        rows.append(("csr+c", "csr", "c"))
+        rows.append(("csr+c", "c"))
     return rows
 
 
 def _cap(label: str, n: int) -> bool:
-    if label == "pairlist":
-        return n > PAIRLIST_MAX_N
-    if label == "csr":
-        return n > CSR_NUMPY_MAX_N
-    return False
+    return label == "csr" and n > CSR_NUMPY_MAX_N
 
 
 def bench_neighbor_scaling(results_dir):
@@ -115,17 +106,17 @@ def bench_neighbor_scaling(results_dir):
         f"protocol: PR-1 baseline conditions (driver seed 1, IC seed 3), "
         f"skin_factor={SKIN_FACTOR}",
         f"PR-1 baseline: {BASELINE_PR1_STEPS_PER_SEC:.3f} steps/s at "
-        f"N={BASELINE_N_SIDE ** 3} (pairlist engine)",
+        f"N={BASELINE_N_SIDE ** 3} (retired half-pair engine)",
         f"{'engine':>9} {'N':>8} {'steps/s':>9} {'peak MiB':>9}",
     ]
     at_target = {}
-    for label, engine, accel in _engines():
+    for label, accel in _engines():
         for n_side in N_SIDES:
             n = n_side**3
             if _cap(label, n):
                 lines.append(
                     f"{label:>9} {n:>8} {'capped':>9} {'-':>9}  "
-                    f"(documented engine cap, see module docstring)"
+                    f"(documented size cap, see module docstring)"
                 )
                 continue
             # Fewer timed steps at the big sizes: one step is seconds to
@@ -133,8 +124,8 @@ def bench_neighbor_scaling(results_dir):
             # where the window is long enough to amortize list rebuilds.
             steps = 15 if n <= 27**3 else (3 if n <= 50**3 else 2)
             warmup = 2 if n <= 27**3 else 1
-            sps = _throughput(n_side, engine, accel, warmup=warmup, steps=steps)
-            peak = _peak_alloc(n_side, engine, accel)
+            sps = _throughput(n_side, accel, warmup=warmup, steps=steps)
+            peak = _peak_alloc(n_side, accel)
             lines.append(
                 f"{label:>9} {n:>8} {sps:>9.3f} {peak / 2**20:>9.1f}"
             )
@@ -152,7 +143,7 @@ def bench_neighbor_scaling(results_dir):
         )
     else:
         lines.append("csr+c: skipped (no C toolchain)")
-    # The pure-NumPy CSR engine must at least hold the pairlist baseline.
+    # The pure-NumPy CSR engine must at least hold half the baseline.
     assert at_target["csr"] > 0.5 * BASELINE_PR1_STEPS_PER_SEC
     write_result(results_dir, "ablation_neighbor_scaling", "\n".join(lines))
 
@@ -162,35 +153,37 @@ def bench_smoke_neighbor_scaling(results_dir):
 
     Pinned to ``accel="numpy"`` so the committed output is byte-identical
     on machines without a C toolchain; wall-clock throughput stays in the
-    full run.  The tracemalloc assertion is the allocation-regression
-    gate: the engine's step footprint is budgeted, not just its speed.
+    full run.  The skin-cached run is checked against a fresh search every
+    step (``skin_factor=0``).  The tracemalloc assertion is the
+    allocation-regression gate: the engine's step footprint is budgeted,
+    not just its speed.
     """
-    lines = ["neighbor-engine smoke: turbulence, engines agree, allocation "
-             "within budget"]
+    lines = ["neighbor-engine smoke: turbulence, skin cache agrees with "
+             "fresh search, allocation within budget"]
     for n_side in (8, 12):
         finals = {}
-        for engine in ("pairlist", "csr"):
+        for skin in (SKIN_FACTOR, 0.0):
             ps, box, driver = _setup(n_side)
-            prop = _propagator(box, driver, engine, "numpy")
+            prop = _propagator(box, driver, "numpy", skin_factor=skin)
             hooks = ProfilingHooks()
             stats = None
             for _ in range(3):
                 stats = prop.step(ps, hooks)
-            finals[engine] = (ps, stats)
-        ps_p, stats_p = finals["pairlist"]
-        ps_c, stats_c = finals["csr"]
+            finals[skin] = (ps, stats)
+        ps_c, stats_c = finals[SKIN_FACTOR]
+        ps_f, stats_f = finals[0.0]
         # Same pair sets, same physics (<= 1e-12 of the oracle either way).
-        assert stats_p.n_pairs == stats_c.n_pairs
+        assert stats_f.n_pairs == stats_c.n_pairs
         for field in ("pos", "vel", "u", "rho"):
-            a, b = getattr(ps_p, field), getattr(ps_c, field)
+            a, b = getattr(ps_f, field), getattr(ps_c, field)
             scale = max(float(np.max(np.abs(a))), 1e-300)
             assert float(np.max(np.abs(a - b))) / scale < 1e-12
         energy = float(np.sum(ps_c.mass * ps_c.u))
         lines.append(
             f"N={n_side ** 3}: pairs={stats_c.n_pairs} "
-            f"energy={energy:.9e} engines-agree=yes"
+            f"energy={energy:.9e} cache-agrees=yes"
         )
-    peak = _peak_alloc(12, "csr", "numpy")
+    peak = _peak_alloc(12, "numpy")
     assert peak < SMOKE_ALLOC_BUDGET_BYTES, (
         f"CSR step peak allocation {peak / 2**20:.0f} MiB exceeds the "
         f"{SMOKE_ALLOC_BUDGET_BYTES / 2**20:.0f} MiB budget"

@@ -1,11 +1,12 @@
-"""Ablation: the step-pipeline pair cache (Verlet skin + half pairs).
+"""Ablation: the step-pipeline pair cache (the CSR engine's Verlet skin).
 
-Sweeps the Verlet skin width on a turbulence box and reports, per skin
-setting, the achieved steps/sec, undirected pairs processed per second,
-and the neighbor-list rebuild fraction.  ``skin = 0`` is the pre-cache
-behaviour (a fresh neighbor search every step); widening the skin trades
-a few percent more candidate pairs for amortizing ``FindNeighbors`` —
-the dominant cost of the solver step — across many steps.
+Sweeps the Verlet skin width of the CSR step engine on a turbulence box
+and reports, per skin setting, the achieved steps/sec, undirected pairs
+processed per second, and the neighbor-list rebuild fraction.
+``skin = 0`` is the pre-cache behaviour (a fresh neighbor search every
+step); widening the skin trades a few percent more candidate pairs for
+amortizing ``FindNeighbors`` — the dominant cost of the solver step —
+across many steps.
 
 The physics is identical for every skin width (the Verlet query re-filters
 candidates to the exact per-pair cutoff), which the run asserts.
@@ -29,10 +30,7 @@ def _sweep(n_side: int, steps: int, skins=SKIN_FACTORS):
         ps, box = make_turbulence(n_side=n_side, seed=19)
         rng = np.random.default_rng(19)
         ps.vel = rng.normal(0.0, 0.08, size=ps.vel.shape)
-        # Pinned to the pairlist engine: this ablation isolates the Verlet
-        # skin of the half-pair pipeline; the CSR engine's scaling has its
-        # own sweep in bench_ablation_neighbor_scaling.py.
-        prop = Propagator(box, skin_factor=skin, engine="pairlist")
+        prop = Propagator(box, skin_factor=skin)
         sim = Simulation(ps, prop)
         t0 = time.perf_counter()
         history = sim.run(steps)

@@ -6,9 +6,9 @@ caught.  These benchmark the *actual solver* (the physics the scaled runs
 stand on), not the simulated cluster.
 
 ``bench_solver_kernels_table`` writes the committed
-``ablation_solver_kernels.txt``: per-kernel pairlist timings plus the
-whole-step cost of the CSR/SoA engine (NumPy and, when a toolchain is
-available, the compiled fast path) on one box.
+``ablation_solver_kernels.txt``: per-kernel timings of the directed
+reference kernels plus the whole-step cost of the CSR/SoA engine (NumPy
+and, when a toolchain is available, the compiled fast path) on one box.
 """
 
 import time
@@ -21,7 +21,7 @@ from repro.sph import csolver
 from repro.sph.gravity import BarnesHutGravity
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.initial_conditions import make_turbulence
-from repro.sph.neighbors import cell_list_pairs, find_neighbors
+from repro.sph.neighbors import find_neighbors
 from repro.sph.physics import (
     compute_density,
     compute_iad_and_divcurl,
@@ -48,7 +48,7 @@ def state():
 
 def bench_neighbor_search(benchmark, state):
     ps, box, _ = state
-    pairs = benchmark(cell_list_pairs, ps.pos, ps.h, box)
+    pairs = benchmark(find_neighbors, ps.pos, ps.h, box)
     assert pairs.n_pairs > 0
 
 
@@ -92,7 +92,7 @@ def _best_of(fn, repeats=5):
 
 
 def bench_solver_kernels_table(results_dir):
-    """The committed full result: pairlist kernels + CSR engine steps."""
+    """The full result: directed reference kernels + CSR engine steps."""
     ps, box = make_turbulence(n_side=N_SIDE, seed=5)
     rng = np.random.default_rng(5)
     ps.vel = rng.normal(0.0, 0.05, size=ps.vel.shape)
@@ -105,9 +105,9 @@ def bench_solver_kernels_table(results_dir):
     lines = [
         f"solver kernels: turbulence n={N_SIDE ** 3}, best-of-5 wall "
         "clock (ms)",
-        "pairlist kernels:",
+        "directed reference kernels:",
         f"  neighbor_search "
-        f"{_best_of(lambda: cell_list_pairs(ps.pos, ps.h, box)):>9.2f}",
+        f"{_best_of(lambda: find_neighbors(ps.pos, ps.h, box)):>9.2f}",
         f"  density         "
         f"{_best_of(lambda: compute_density(ps, pairs)):>9.2f}",
         f"  iad+divcurl     "
@@ -124,7 +124,7 @@ def bench_solver_kernels_table(results_dir):
         ps_e.vel = np.random.default_rng(5).normal(
             0.0, 0.05, size=ps_e.vel.shape
         )
-        prop = Propagator(box_e, engine="csr", accel=accel)
+        prop = Propagator(box_e, accel=accel)
         hooks = ProfilingHooks()
         for _ in range(2):  # build the list, warm the pools
             prop.step(ps_e, hooks)

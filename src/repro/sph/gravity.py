@@ -47,10 +47,10 @@ def direct_sum_potential(
 
 @dataclass
 class _BhNode:
-    """One Barnes-Hut node (center/half define its cube)."""
+    """One Barnes-Hut node (center/half_width define its cube)."""
 
     center: np.ndarray
-    half: float
+    half_width: float
     start: int
     end: int
     mass: float = 0.0
@@ -109,7 +109,7 @@ class BarnesHutGravity:
 
     def _build(self, indices: np.ndarray, center: np.ndarray, half: float) -> int:
         node_id = len(self.nodes)
-        node = _BhNode(center=center.copy(), half=half, start=0, end=len(indices))
+        node = _BhNode(center=center.copy(), half_width=half, start=0, end=len(indices))
         self.nodes.append(node)
         pts = self._pos[indices]
         m = self._mass[indices]
@@ -169,7 +169,7 @@ class BarnesHutGravity:
         delta = node.com[None, :] - pts[active]
         dist2 = np.einsum("ij,ij->i", delta, delta)
         dist = np.sqrt(dist2)
-        accepted = (2.0 * node.half) < (self.theta * dist)
+        accepted = (2.0 * node.half_width) < (self.theta * dist)
         if node.is_leaf:
             # Direct sum over the leaf's particles for everyone still here.
             rejected = active
@@ -204,7 +204,7 @@ class BarnesHutGravity:
         node = self.nodes[node_id]
         delta = node.com[None, :] - self._pos[active]
         dist2 = np.einsum("ij,ij->i", delta, delta)
-        accepted = (2.0 * node.half) ** 2 < (self.theta**2 * dist2)
+        accepted = (2.0 * node.half_width) ** 2 < (self.theta**2 * dist2)
         if node.is_leaf:
             src_idx = node._indices  # type: ignore[attr-defined]
             d = self._pos[src_idx][None, :, :] - self._pos[active][:, None, :]

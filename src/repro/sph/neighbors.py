@@ -1,8 +1,8 @@
-"""Neighbor search: flat CSR cell list, legacy pair lists, brute force.
+"""Neighbor search: flat CSR cell list, directed pair lists, brute force.
 
 Produces neighbor structures with separation below the pair cutoff
 ``2 * max(h_i, h_j)`` — the union support needed by symmetrized SPH sums
-(each term is then masked by its own kernel's compact support).  Three
+(each term is then masked by its own kernel's compact support).  Two
 representations exist:
 
 * :class:`CsrNeighborList` — the production structure: flat CSR
@@ -10,10 +10,10 @@ representations exist:
   gather target so physics kernels reduce whole segments with
   ``np.add.reduceat`` instead of scatter-adds.
 * :class:`PairList` — *directed* pairs ``(i, j)`` and ``(j, i)`` both
-  present.  This is the oracle representation the tests cross-validate
-  against, and the format every physics kernel accepted historically.
-* :class:`HalfPairList` — *undirected* pairs stored once with ``i < j``
-  (the pre-CSR cached path, kept for ablation benchmarking).
+  present.  This is the reference representation the tests
+  cross-validate the CSR engine against; :func:`find_neighbors` builds
+  it from the CSR cell list and :func:`brute_force_pairs` by O(N^2)
+  enumeration.
 
 The cell list is one code path for every particle count: candidates are
 counted and filled *per cell* (all particles in a cell share the same
@@ -98,43 +98,6 @@ class PairList:
         return np.bincount(self.i, minlength=self.n_particles)
 
 
-@dataclass(frozen=True)
-class HalfPairList:
-    """Undirected interacting pairs, stored once with ``i < j``.
-
-    Geometry follows the directed convention for the stored direction:
-    ``dx[k] = pos[i[k]] - pos[j[k]]`` (minimum image), ``r[k] = |dx[k]|``.
-    The mirrored pair ``(j, i)`` has displacement ``-dx``.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    dx: np.ndarray
-    r: np.ndarray
-    n_particles: int
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of undirected pairs (half the directed count)."""
-        return len(self.i)
-
-    def neighbor_counts(self) -> np.ndarray:
-        """Per-particle neighbor counts (each pair counts for both ends)."""
-        return np.bincount(self.i, minlength=self.n_particles) + np.bincount(
-            self.j, minlength=self.n_particles
-        )
-
-    def to_directed(self) -> PairList:
-        """Expand to the equivalent directed :class:`PairList`."""
-        return PairList(
-            i=np.concatenate([self.i, self.j]),
-            j=np.concatenate([self.j, self.i]),
-            dx=np.concatenate([self.dx, -self.dx]),
-            r=np.concatenate([self.r, self.r]),
-            n_particles=self.n_particles,
-        )
-
-
 @dataclass
 class CsrNeighborList:
     """Directed neighbors in CSR layout, grouped by gather target.
@@ -191,35 +154,28 @@ class CsrNeighborList:
         )
 
 
-def _pair_geometry(
-    pos: np.ndarray, h: np.ndarray, box: Box, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Filter candidate index pairs by the union cutoff; return geometry."""
-    dx = box.displacement(pos[i] - pos[j])
-    r2 = np.einsum("ij,ij->i", dx, dx)
-    cutoff = SUPPORT_RADIUS * np.maximum(h[i], h[j])
-    keep = r2 < cutoff**2
-    return i[keep], j[keep], dx[keep], np.sqrt(r2[keep])
-
-
-def brute_force_pairs(
-    pos: np.ndarray, h: np.ndarray, box: Box, half: bool = False
-) -> PairList | HalfPairList:
+def brute_force_pairs(pos: np.ndarray, h: np.ndarray, box: Box) -> PairList:
     """All-pairs O(N^2) neighbor search (test oracle, small N only).
 
     Enumerates only the strict upper triangle (``np.triu_indices``) and
-    mirrors the surviving half pairs when a directed list is requested —
-    half the candidate memory and distance work of the former full
-    ``meshgrid`` (which also carried the i == j diagonal).
+    mirrors the surviving pairs: the upper-triangle pairs come first,
+    then their mirrors ``(j, i)`` with displacement ``-dx``.
     """
     n = len(pos)
     if n != len(h):
         raise SimulationError("pos and h length mismatch")
-    iu, ju = np.triu_indices(n, k=1)
-    i, j, dx, r = _pair_geometry(pos, h, box, iu, ju)
-    if half:
-        return HalfPairList(i=i, j=j, dx=dx, r=r, n_particles=n)
-    return HalfPairList(i=i, j=j, dx=dx, r=r, n_particles=n).to_directed()
+    i, j = np.triu_indices(n, k=1)
+    dx = box.displacement(pos[i] - pos[j])
+    r2 = np.einsum("ij,ij->i", dx, dx)
+    keep = r2 < (SUPPORT_RADIUS * np.maximum(h[i], h[j])) ** 2
+    i, j, dx, r = i[keep], j[keep], dx[keep], np.sqrt(r2[keep])
+    return PairList(
+        i=np.concatenate([i, j]),
+        j=np.concatenate([j, i]),
+        dx=np.concatenate([dx, -dx]),
+        r=np.concatenate([r, r]),
+        n_particles=n,
+    )
 
 
 # -- the CSR cell-list engine --------------------------------------------------
@@ -600,37 +556,18 @@ def csr_neighbors(
     )
 
 
-def cell_list_pairs(
-    pos: np.ndarray, h: np.ndarray, box: Box, half: bool = False
-) -> PairList | HalfPairList:
-    """Cell-list neighbor search in the legacy pair-list formats.
+def find_neighbors(pos: np.ndarray, h: np.ndarray, box: Box) -> PairList:
+    """The production neighbor search in the directed :class:`PairList` format.
 
-    A thin adapter over :func:`csr_neighbors` — the CSR engine is the
-    single production code path; this keeps the historical ``PairList``
-    and ``HalfPairList`` consumers (and the ablation baseline) working.
+    A thin adapter over :func:`csr_neighbors` — the CSR cell list is the
+    single search code path at every N; this copies its arrays into the
+    reference format the directed kernels and the tests consume.
     """
     csr = csr_neighbors(pos, h, box)
-    i = csr.row.astype(np.int64)
-    j = csr.indices.astype(np.int64)
-    if half:
-        keep = i < j
-        return HalfPairList(
-            i=i[keep], j=j[keep], dx=csr.dx[keep], r=csr.r[keep],
-            n_particles=len(pos),
-        )
     return PairList(
-        i=i, j=j, dx=csr.dx.copy(), r=csr.r.copy(), n_particles=len(pos)
+        i=csr.row.astype(np.int64),
+        j=csr.indices.astype(np.int64),
+        dx=csr.dx.copy(),
+        r=csr.r.copy(),
+        n_particles=len(pos),
     )
-
-
-def find_neighbors(
-    pos: np.ndarray, h: np.ndarray, box: Box, half: bool = False
-) -> PairList | HalfPairList:
-    """The production neighbor search (CSR cell list, pair-list format).
-
-    Formerly dispatched to an O(N^2) brute force below a small-N
-    threshold; the cell list is now the single code path (the per-cell
-    candidate machinery makes it competitive at any N), and the brute
-    force survives only as the test oracle.
-    """
-    return cell_list_pairs(pos, h, box, half=half)

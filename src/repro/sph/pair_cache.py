@@ -1,35 +1,34 @@
 """The per-step pair pipeline cache (Verlet skin list + kernel memoization).
 
-Two generations of reuse layers sit between the neighbor search and the
-physics kernels, mirroring how SPH-EXA earns its throughput:
+One reuse layer sits between the neighbor search and the physics kernels,
+mirroring how SPH-EXA earns its throughput: the CSR/SoA engine
+(:class:`CsrVerletList` + :class:`CsrStepContext`), the only step path.
+Neighbors live in a flat CSR structure
+(:class:`~repro.sph.neighbors.CsrNeighborList`); per-pair kernel values
+and IAD gradient vectors are evaluated once per step into preallocated,
+reused buffers; per-particle sums run as *segment reductions*
+(``np.add.reduceat`` over the CSR offsets) instead of scatter-adds.  The
+skin-cached candidate structure survives the SFC relabeling of
+``DomainDecompAndSync`` by composing the per-step permutation into a
+build-label -> current-label map — an O(N) update — rather than
+re-sorting the O(N k) flat arrays.  Optionally the per-pair arrays are
+held in float32 while every segment reduction still accumulates in
+float64 (``pair_dtype="float32"``); the float64 default is gated by the
+1e-12 physics-oracle tolerance the tests enforce.
 
-* **The CSR/SoA engine** (:class:`CsrVerletList` + :class:`CsrStepContext`)
-  — the production hot path.  Neighbors live in a flat CSR structure
-  (:class:`~repro.sph.neighbors.CsrNeighborList`); per-pair kernel values
-  and IAD gradient vectors are evaluated once per step into preallocated,
-  reused buffers; per-particle sums run as *segment reductions*
-  (``np.add.reduceat`` over the CSR offsets) instead of scatter-adds.
-  The skin-cached candidate structure survives the SFC relabeling of
-  ``DomainDecompAndSync`` by composing the per-step permutation into a
-  build-label -> current-label map — an O(N) update — rather than
-  re-sorting the O(N k) flat arrays.  Optionally the per-pair arrays are
-  held in float32 while every segment reduction still accumulates in
-  float64 (``pair_dtype="float32"``); the float64 default is gated by the
-  1e-12 physics-oracle tolerance the tests enforce.
-* **Half-pair lists** (:class:`VerletList` + :class:`StepContext`) — the
-  previous generation, kept as the ablation baseline (`engine="pairlist"`)
-  and exercised by the equivalence tests.  Undirected pairs stored once;
-  consumers accumulate both gather targets with symmetric scatter-adds.
+The Verlet list's caching contract: the neighbor search runs with an
+inflated cutoff ``2 max(h_i, h_j) + skin`` and the candidate list is
+reused until particles have moved (or smoothing lengths have grown)
+enough to possibly change the answer — the classic ``max_disp > skin/2``
+criterion, extended with an ``h``-growth term so adaptive smoothing
+lengths can never invalidate the cache silently.  Each query re-filters
+the cached candidates against the *exact* per-pair cutoff, so the
+returned neighbor set is identical to a fresh search (the property tests
+assert this).
 
-Both Verlet lists implement the same caching contract: the neighbor
-search runs with an inflated cutoff ``2 max(h_i, h_j) + skin`` and the
-candidate list is reused until particles have moved (or smoothing
-lengths have grown) enough to possibly change the answer — the classic
-``max_disp > skin/2`` criterion, extended with an ``h``-growth term so
-adaptive smoothing lengths can never invalidate the cache silently.
-Each query re-filters the cached candidates against the *exact* per-pair
-cutoff, so the returned neighbor set is identical to a fresh search (the
-property tests assert this).
+:func:`scatter_sum` and :func:`scatter_sum_rows` serve the directed
+:class:`~repro.sph.neighbors.PairList` reference kernels the tests
+compare the engine against.
 """
 
 from __future__ import annotations
@@ -46,13 +45,10 @@ from repro.sph.kernels.cubic_spline import (
 from repro.sph.neighbors import (
     BufferPool,
     CsrNeighborList,
-    HalfPairList,
     _csr_candidates,
     _csr_filtered_fused,
     _filter_candidates,
-    _pair_geometry,
     csr_neighbors,
-    find_neighbors,
 )
 
 #: Default Verlet skin, as a fraction of the mean kernel support.
@@ -62,7 +58,7 @@ DEFAULT_SKIN_FACTOR = 0.3
 _PAIR_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
-# -- symmetric scatter-add helpers ---------------------------------------------
+# -- scatter-add helpers (the directed reference kernels) -----------------------
 
 
 def scatter_sum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -83,37 +79,7 @@ def scatter_sum_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(n, m)
 
 
-def scatter_sum_sym(
-    i: np.ndarray,
-    j: np.ndarray,
-    terms_i: np.ndarray,
-    terms_j: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Half-pair scalar accumulation: ``terms_i`` onto ``i``, ``terms_j``
-    onto ``j``, in a single pass."""
-    return np.bincount(
-        np.concatenate([i, j]),
-        weights=np.concatenate([terms_i, terms_j]),
-        minlength=n,
-    )
-
-
-def scatter_sum_sym_rows(
-    i: np.ndarray,
-    j: np.ndarray,
-    rows_i: np.ndarray,
-    rows_j: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Half-pair row accumulation: ``rows_i`` onto ``i``, ``rows_j`` onto
-    ``j``, in a single flattened pass."""
-    return scatter_sum_rows(
-        np.concatenate([i, j]), np.concatenate([rows_i, rows_j]), n
-    )
-
-
-# -- segment-reduction helpers -------------------------------------------------
+# -- segment-reduction plan ----------------------------------------------------
 
 
 def _nonempty_starts(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,54 +94,11 @@ def _nonempty_starts(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[nonempty], np.flatnonzero(nonempty)
 
 
-def segment_sum(
-    values: np.ndarray, offsets: np.ndarray, n: int,
-    targets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sum CSR segments into ``n`` float64 bins (empty segments -> 0).
-
-    ``targets`` maps segment number to output bin (identity if None).
-    Accumulation is always float64, regardless of the pair dtype.
-    """
-    idx, seg = _nonempty_starts(offsets)
-    out = np.zeros(n, dtype=np.float64)
-    if len(idx):
-        res = np.add.reduceat(values, idx, dtype=np.float64)
-        out[seg if targets is None else targets[seg]] = res
-    return out
+# -- the CSR Verlet skin list --------------------------------------------------
 
 
-def segment_sum_rows(
-    values: np.ndarray, offsets: np.ndarray, n: int,
-    targets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sum CSR segments of ``(nnz, m)`` rows into ``(n, m)`` float64."""
-    idx, seg = _nonempty_starts(offsets)
-    out = np.zeros((n, values.shape[1]), dtype=np.float64)
-    if len(idx):
-        res = np.add.reduceat(values, idx, axis=0, dtype=np.float64)
-        out[seg if targets is None else targets[seg]] = res
-    return out
-
-
-def segment_max(
-    values: np.ndarray, offsets: np.ndarray, n: int,
-    targets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-segment maximum into ``n`` bins (empty segments -> 0)."""
-    idx, seg = _nonempty_starts(offsets)
-    out = np.zeros(n, dtype=np.float64)
-    if len(idx):
-        res = np.maximum.reduceat(values, idx)
-        out[seg if targets is None else targets[seg]] = res
-    return out
-
-
-# -- the Verlet skin list (legacy half-pair generation) ------------------------
-
-
-class VerletList:
-    """Amortized neighbor search with a skin-inflated candidate cache.
+class CsrVerletList:
+    """Skin-cached CSR neighbor lists over preallocated, reused buffers.
 
     Parameters
     ----------
@@ -200,103 +123,9 @@ class VerletList:
     global maximum.  Shrinking ``h`` never forces a rebuild.
 
     A query against a valid cache re-filters the candidates by the exact
-    per-pair cutoff ``2 max(h_i, h_j)``, so the returned
-    :class:`~repro.sph.neighbors.HalfPairList` always equals a fresh
-    search's, independent of when the last rebuild happened.
-    """
-
-    def __init__(self, box: Box, skin_factor: float = DEFAULT_SKIN_FACTOR) -> None:
-        if skin_factor < 0:
-            raise SimulationError(
-                f"skin factor must be non-negative, got {skin_factor!r}"
-            )
-        self.box = box
-        self.skin_factor = skin_factor
-        #: Number of candidate-list (re)builds performed.
-        self.n_builds = 0
-        #: Number of queries served (builds + cache reuses).
-        self.n_queries = 0
-        self._cand_i: np.ndarray | None = None
-        self._cand_j: np.ndarray | None = None
-        self._ref_pos: np.ndarray | None = None
-        self._ref_h: np.ndarray | None = None
-        self._skin = 0.0
-
-    @property
-    def rebuild_fraction(self) -> float:
-        """Builds per query (1.0 = no amortization yet)."""
-        return self.n_builds / self.n_queries if self.n_queries else 0.0
-
-    def invalidate(self) -> None:
-        """Drop the cached candidate list (next query rebuilds)."""
-        self._cand_i = None
-        self._cand_j = None
-        self._ref_pos = None
-        self._ref_h = None
-
-    def reorder(self, order: np.ndarray) -> None:
-        """Follow a particle permutation (``new[k] = old[order[k]]``).
-
-        The SFC sort in ``DomainDecompAndSync`` relabels particles every
-        step; remapping the cached candidate indices through the inverse
-        permutation keeps the cache valid across sorts.
-        """
-        if self._cand_i is None:
-            return
-        if len(order) != len(self._ref_pos):
-            self.invalidate()
-            return
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order), dtype=order.dtype)
-        i = inverse[self._cand_i]
-        j = inverse[self._cand_j]
-        # Keep the i < j half-pair orientation after relabeling.
-        self._cand_i = np.minimum(i, j)
-        self._cand_j = np.maximum(i, j)
-        self._ref_pos = self._ref_pos[order]
-        self._ref_h = self._ref_h[order]
-
-    def query(self, pos: np.ndarray, h: np.ndarray) -> HalfPairList:
-        """Exact half-pair list for the current positions and supports."""
-        self.n_queries += 1
-        if self._needs_rebuild(pos, h):
-            self._build(pos, h)
-        i, j, dx, r = _pair_geometry(pos, h, self.box, self._cand_i, self._cand_j)
-        return HalfPairList(i=i, j=j, dx=dx, r=r, n_particles=len(pos))
-
-    def _needs_rebuild(self, pos: np.ndarray, h: np.ndarray) -> bool:
-        if self._cand_i is None or len(pos) != len(self._ref_pos):
-            return True
-        if self._skin <= 0.0:
-            return True
-        drift = self.box.displacement(pos - self._ref_pos)
-        effective = np.sqrt(np.einsum("ij,ij->i", drift, drift))
-        effective += SUPPORT_RADIUS * np.maximum(h - self._ref_h, 0.0)
-        return bool(effective.max() > 0.5 * self._skin)
-
-    def _build(self, pos: np.ndarray, h: np.ndarray) -> None:
-        self.n_builds += 1
-        self._skin = self.skin_factor * SUPPORT_RADIUS * float(np.mean(h))
-        # Inflating every h by skin/2h-units makes the per-pair candidate
-        # cutoff exactly 2 max(h_i, h_j) + skin.
-        h_search = h + self._skin / SUPPORT_RADIUS
-        candidates = find_neighbors(pos, h_search, self.box, half=True)
-        self._cand_i = candidates.i
-        self._cand_j = candidates.j
-        self._ref_pos = pos.copy()
-        self._ref_h = h.copy()
-
-
-# -- the CSR Verlet skin list --------------------------------------------------
-
-
-class CsrVerletList:
-    """Skin-cached CSR neighbor lists over preallocated, reused buffers.
-
-    Same caching contract as :class:`VerletList` (see its notes for the
-    rebuild criterion), but the candidate structure is flat CSR and every
-    query compacts the exact survivors into pooled buffers — steady-state
-    queries perform no O(pairs) allocations.
+    per-pair cutoff ``2 max(h_i, h_j)`` and compacts the survivors into
+    pooled buffers, so the returned list always equals a fresh search's
+    and steady-state queries perform no O(pairs) allocations.
 
     The candidate arrays are stored in *build labels*.  Each
     ``reorder(order)`` composes the step's SFC permutation into a
@@ -456,108 +285,14 @@ class CsrVerletList:
         self._trans_dirty = True
 
 
-# -- the per-step kernel cache (legacy half-pair generation) -------------------
-
-
-class StepContext:
-    """Memoized per-pair kernel quantities for one propagator step.
-
-    Wraps a :class:`~repro.sph.neighbors.HalfPairList` plus the smoothing
-    lengths the step runs with, and lazily evaluates (once each):
-
-    ``w_i``/``w_j``
-        ``W(r, h_i)`` and ``W(r, h_j)`` per pair — shared by ``Density``,
-        ``IADVelocityDivCurl`` and the IAD gradient vectors.
-    ``dwdh_i``/``dwdh_j``
-        ``dW/dh`` per pair, for the grad-h (Omega) correction.
-    :meth:`iad_vectors`
-        The corrected gradient vectors ``A_i``/``A_j``, keyed on the
-        identity of the ``c_iad`` matrix array so the cache can never
-        serve vectors computed from stale matrices (the distributed
-        driver refreshes halo matrices between IAD and MomentumEnergy,
-        producing a new array and therefore a recompute).
-    """
-
-    def __init__(
-        self,
-        pairs: HalfPairList,
-        h: np.ndarray,
-        kernel=CubicSplineKernel,
-    ) -> None:
-        self.pairs = pairs
-        self.h = h
-        self.kernel = kernel
-        self._w_i: np.ndarray | None = None
-        self._w_j: np.ndarray | None = None
-        self._dwdh_i: np.ndarray | None = None
-        self._dwdh_j: np.ndarray | None = None
-        self._iad_key: np.ndarray | None = None
-        self._iad: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def n_particles(self) -> int:
-        return self.pairs.n_particles
-
-    @property
-    def w_i(self) -> np.ndarray:
-        """``W(r, h_i)`` per half pair (memoized)."""
-        if self._w_i is None:
-            self._w_i = self.kernel.value(self.pairs.r, self.h[self.pairs.i])
-        return self._w_i
-
-    @property
-    def w_j(self) -> np.ndarray:
-        """``W(r, h_j)`` per half pair (memoized)."""
-        if self._w_j is None:
-            self._w_j = self.kernel.value(self.pairs.r, self.h[self.pairs.j])
-        return self._w_j
-
-    @property
-    def dwdh_i(self) -> np.ndarray:
-        """``dW/dh`` at ``h_i`` per half pair (memoized)."""
-        if self._dwdh_i is None:
-            from repro.sph.physics.grad_h import kernel_dh
-
-            self._dwdh_i = kernel_dh(self.pairs.r, self.h[self.pairs.i], self.kernel)
-        return self._dwdh_i
-
-    @property
-    def dwdh_j(self) -> np.ndarray:
-        """``dW/dh`` at ``h_j`` per half pair (memoized)."""
-        if self._dwdh_j is None:
-            from repro.sph.physics.grad_h import kernel_dh
-
-            self._dwdh_j = kernel_dh(self.pairs.r, self.h[self.pairs.j], self.kernel)
-        return self._dwdh_j
-
-    def iad_vectors(self, c_iad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``A_i,ij`` and ``A_j,ij`` per half pair (memoized per matrix set).
-
-        Both vectors point along ``x_j - x_i``; the mirrored pair's
-        vectors are their exact negatives, which is what makes the
-        symmetric momentum scatter conserve to round-off.
-        """
-        # Keyed by array *identity* (holding the reference, so a freed
-        # array's address can never be recycled into a false cache hit).
-        if self._iad is None or self._iad_key is not c_iad:
-            d = -self.pairs.dx  # x_j - x_i
-            a_i = np.einsum("kab,kb->ka", c_iad[self.pairs.i], d)
-            a_i *= self.w_i[:, None]
-            a_j = np.einsum("kab,kb->ka", c_iad[self.pairs.j], d)
-            a_j *= self.w_j[:, None]
-            self._iad = (a_i, a_j)
-            self._iad_key = c_iad
-        return self._iad
-
-
 # -- the CSR/SoA kernel engine -------------------------------------------------
 
 
 class CsrStepContext:
     """SoA kernel engine over one step's CSR neighbor list.
 
-    The CSR analogue of :class:`StepContext`: wraps a
-    :class:`~repro.sph.neighbors.CsrNeighborList` and lazily evaluates,
+    Wraps a :class:`~repro.sph.neighbors.CsrNeighborList` plus the
+    smoothing lengths the step runs with, and lazily evaluates,
     once per step into pooled buffers, the per-entry kernel values
     (``w_own`` = ``W(r, h_row)``, ``w_other`` = ``W(r, h_col)``), the
     ``dW/dh`` values, and the IAD gradient vectors.  Per-particle sums

@@ -9,9 +9,8 @@ union pair list can be used unmasked.
 
 Accepts a :class:`~repro.sph.pair_cache.CsrStepContext` (the production
 SoA path: one gather, one in-place multiply, one float64 segment
-reduction), a :class:`~repro.sph.pair_cache.StepContext` over a
-half-pair list (the previous cached generation), or a directed
-:class:`~repro.sph.neighbors.PairList` (the oracle path).
+reduction) or a directed :class:`~repro.sph.neighbors.PairList` (the
+reference path the tests compare against).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from repro.sph import csolver
 from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
 from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import CsrStepContext, StepContext, scatter_sum_sym
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 
 
@@ -36,28 +35,12 @@ def _density_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
     ps.rho = rho
 
 
-def _density_cached(ps: ParticleSet, ctx: StepContext) -> None:
-    hp = ctx.pairs
-    rho = scatter_sum_sym(
-        hp.i,
-        hp.j,
-        ps.mass[hp.j] * ctx.w_i,
-        ps.mass[hp.i] * ctx.w_j,
-        ps.n,
-    )
-    rho += ps.mass * ctx.kernel.value(np.zeros(ps.n), ps.h)
-    ps.rho = rho
-
-
 def compute_density(
-    ps: ParticleSet, pairs: PairList | StepContext, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
 ) -> None:
     """Fill ``ps.rho`` from the pair list."""
     if isinstance(pairs, CsrStepContext):
         _density_csr(ps, pairs)
-        return
-    if isinstance(pairs, StepContext):
-        _density_cached(ps, pairs)
         return
     w = kernel.value(pairs.r, ps.h[pairs.i])
     contrib = ps.mass[pairs.j] * w

@@ -13,6 +13,10 @@ For the cubic spline, with W = sigma/h^3 w(q) and q = r/h ::
 Omega ~= 1 for uniform particle distributions and deviates near strong
 density gradients (shocks, the Evrard center), where the correction
 measurably improves energy conservation — covered by the tests.
+
+:func:`compute_omega` accepts a :class:`~repro.sph.pair_cache.CsrStepContext`
+(the production path, reusing its memoized ``dW/dh`` buffer) or a
+directed :class:`~repro.sph.neighbors.PairList` (the reference path).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from repro.sph.kernels.cubic_spline import CubicSplineKernel, _SIGMA_3D
 from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import CsrStepContext, StepContext, scatter_sum_sym
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 
 
@@ -33,7 +37,7 @@ def kernel_dh(r: np.ndarray, h: np.ndarray, kernel=CubicSplineKernel) -> np.ndar
 
 
 def compute_omega(
-    ps: ParticleSet, pairs: PairList | StepContext, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
 ) -> np.ndarray:
     """The grad-h correction factor per particle (requires ``ps.rho``).
 
@@ -45,17 +49,6 @@ def compute_omega(
         terms = pairs.gather(ps.mass, "col", "ph_ghm")
         terms *= pairs.dwdh_own
         sums = pairs.reduce_sum(terms)
-        kernel = pairs.kernel
-    elif isinstance(pairs, StepContext):
-        hp = pairs.pairs
-        # Each end sums dW/dh at its own smoothing length (memoized).
-        sums = scatter_sum_sym(
-            hp.i,
-            hp.j,
-            ps.mass[hp.j] * pairs.dwdh_i,
-            ps.mass[hp.i] * pairs.dwdh_j,
-            ps.n,
-        )
         kernel = pairs.kernel
     else:
         dwdh = kernel_dh(pairs.r, ps.h[pairs.i], kernel)

@@ -14,11 +14,11 @@ This module also computes the velocity divergence and curl with the same
 corrected gradients (they feed the Balsara viscosity switch), matching
 SPH-EXA's fused ``IADVelocityDivCurl`` kernel.
 
-With a :class:`~repro.sph.pair_cache.StepContext`, every sum runs over
-the half-pair list with symmetric scatter-adds (the moment matrix kernel
-term is even under i <-> j; the div/curl terms pick up the sign flips of
-``x_j - x_i`` and ``v_j - v_i`` together), and the gradient vectors
-computed here are memoized for ``MomentumEnergy`` to reuse.
+With a :class:`~repro.sph.pair_cache.CsrStepContext` (the production
+path) every sum is a float64 segment reduction over the CSR offsets, and
+the gradient vectors computed here are memoized for ``MomentumEnergy`` to
+reuse; a directed :class:`~repro.sph.neighbors.PairList` runs the
+reference formulation the tests compare against.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ import numpy as np
 from repro.sph import csolver
 from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
 from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import (
-    CsrStepContext,
-    StepContext,
-    scatter_sum,
-    scatter_sum_rows,
-    scatter_sum_sym,
-    scatter_sum_sym_rows,
-)
+from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
 from repro.sph.particles import ParticleSet
 
 
@@ -131,65 +124,12 @@ def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
     ps.curl_v = np.linalg.norm(ctx.reduce_sum_rows(curl), axis=1)
 
 
-def _iad_and_divcurl_cached(ps: ParticleSet, ctx: StepContext) -> None:
-    hp = ctx.pairs
-    i, j = hp.i, hp.j
-    d = -hp.dx  # x_j - x_i
-
-    # The six unique tau entries as (n_pairs, 6) rows, one symmetric
-    # scatter: the geometric factor d_a d_b is even under i <-> j, only
-    # the volume-weighted kernel value differs per side.
-    vol_w_i = (ps.mass[j] / ps.rho[j]) * ctx.w_i  # gathers onto i
-    vol_w_j = (ps.mass[i] / ps.rho[i]) * ctx.w_j  # gathers onto j
-    geom = np.stack(
-        [
-            d[:, 0] * d[:, 0],
-            d[:, 0] * d[:, 1],
-            d[:, 0] * d[:, 2],
-            d[:, 1] * d[:, 1],
-            d[:, 1] * d[:, 2],
-            d[:, 2] * d[:, 2],
-        ],
-        axis=1,
-    )
-    entries = scatter_sum_sym_rows(
-        i, j, geom * vol_w_i[:, None], geom * vol_w_j[:, None], ps.n
-    )
-    ps.c_iad = _invert_tau(_assemble_tau(entries, ps.n))
-
-    # Velocity divergence and curl with corrected gradients.  For the
-    # mirrored pair both v_ji and A flip sign, so each target's term
-    # keeps the same form with its own gradient vector.
-    a_i, a_j = ctx.iad_vectors(ps.c_iad)
-    v_ji = ps.vel[j] - ps.vel[i]
-    m_over_rho_i = ps.mass[j] / ps.rho[i]
-    m_over_rho_j = ps.mass[i] / ps.rho[j]
-    ps.div_v = scatter_sum_sym(
-        i,
-        j,
-        m_over_rho_i * np.einsum("ka,ka->k", v_ji, a_i),
-        m_over_rho_j * np.einsum("ka,ka->k", v_ji, a_j),
-        ps.n,
-    )
-    curl = scatter_sum_sym_rows(
-        i,
-        j,
-        np.cross(v_ji, a_i) * m_over_rho_i[:, None],
-        np.cross(v_ji, a_j) * m_over_rho_j[:, None],
-        ps.n,
-    )
-    ps.curl_v = np.linalg.norm(curl, axis=1)
-
-
 def compute_iad_and_divcurl(
-    ps: ParticleSet, pairs: PairList | StepContext, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
 ) -> None:
     """Fill ``ps.c_iad``, ``ps.div_v`` and ``ps.curl_v``."""
     if isinstance(pairs, CsrStepContext):
         _iad_and_divcurl_csr(ps, pairs)
-        return
-    if isinstance(pairs, StepContext):
-        _iad_and_divcurl_cached(ps, pairs)
         return
     d = -pairs.dx  # x_j - x_i
     w = kernel.value(pairs.r, ps.h[pairs.i])

@@ -18,12 +18,12 @@ where ``xi`` is the pairwise-averaged Balsara factor.  Pairwise forces are
 exactly antisymmetric (each A flips sign under i<->j), so total momentum
 is conserved to round-off — one of the library's property tests.
 
-On the half-pair path (:class:`~repro.sph.pair_cache.StepContext`) each
-undirected pair's force term is computed once and scattered to both ends
-with opposite signs — antisymmetry holds *by construction*, not merely to
-evaluation-order round-off — and the IAD gradient vectors computed by
-``IADVelocityDivCurl`` earlier in the step are reused instead of being
-re-evaluated.
+On the production path (:class:`~repro.sph.pair_cache.CsrStepContext`)
+every per-particle sum is a float64 segment reduction, and the IAD
+gradient vectors computed by ``IADVelocityDivCurl`` earlier in the step
+are reused instead of being re-evaluated; a directed
+:class:`~repro.sph.neighbors.PairList` runs the reference formulation the
+tests compare against.
 
 The per-particle maximum signal velocity is stored for the subsequent
 ``Timestep`` function, mirroring SPH-EXA's kernel fusion.
@@ -36,14 +36,7 @@ import numpy as np
 from repro.sph import csolver
 from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
 from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import (
-    CsrStepContext,
-    StepContext,
-    scatter_sum,
-    scatter_sum_rows,
-    scatter_sum_sym,
-    scatter_sum_sym_rows,
-)
+from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
 from repro.sph.particles import ParticleSet
 from repro.sph.physics.iad import iad_vectors
 
@@ -73,7 +66,7 @@ def _pair_viscosity(
     """Per-pair AV strength ``Pi_ij`` and signal velocity ``v_sig``.
 
     Both are symmetric under i <-> j (``w = v_ij . dx / r`` flips both
-    factors), so the half-pair path evaluates them once per pair.
+    factors), so mirrored directed pairs get identical values.
     """
     r_safe = np.maximum(r, 1e-300)
     w_pair = np.einsum("ka,ka->k", v_ij, dx) / r_safe
@@ -181,68 +174,9 @@ def _momentum_energy_csr(
     ps.v_sig_max = np.maximum(ctx.reduce_max(v_sig), ps.c)
 
 
-def _momentum_energy_cached(
-    ps: ParticleSet,
-    ctx: StepContext,
-    av_alpha: float,
-    use_balsara: bool,
-    omega,
-) -> None:
-    hp = ctx.pairs
-    i, j = hp.i, hp.j
-    a_i, a_j = ctx.iad_vectors(ps.c_iad)
-    a_bar = 0.5 * (a_i + a_j)
-
-    if omega is None:
-        pr_i = ps.p[i] / ps.rho[i] ** 2
-        pr_j = ps.p[j] / ps.rho[j] ** 2
-    else:
-        pr_i = ps.p[i] / (omega[i] * ps.rho[i] ** 2)
-        pr_j = ps.p[j] / (omega[j] * ps.rho[j] ** 2)
-
-    v_ij = ps.vel[i] - ps.vel[j]
-    visc, v_sig = _pair_viscosity(
-        ps, i, j, v_ij, hp.dx, hp.r, av_alpha, use_balsara
-    )
-
-    # One force term per undirected pair; i gets -m_j T, j gets +m_i T
-    # (all A vectors flip sign under i <-> j, the scalar weights do not).
-    term = (
-        pr_i[:, None] * a_i + pr_j[:, None] * a_j + visc[:, None] * a_bar
-    )
-    ps.acc = scatter_sum_sym_rows(
-        i,
-        j,
-        -ps.mass[j][:, None] * term,
-        ps.mass[i][:, None] * term,
-        ps.n,
-    )
-
-    # Internal energy rate: each end pairs its own gradient vector with
-    # the shared viscous term (v_ij . A flips sign twice, so both ends'
-    # terms keep the same form).
-    grad_dot_i = np.einsum("ka,ka->k", v_ij, a_i)
-    grad_dot_j = np.einsum("ka,ka->k", v_ij, a_j)
-    grad_dot_bar = 0.5 * (grad_dot_i + grad_dot_j)
-    ps.du = scatter_sum_sym(
-        i,
-        j,
-        ps.mass[j] * (pr_i * grad_dot_i + 0.5 * visc * grad_dot_bar),
-        ps.mass[i] * (pr_j * grad_dot_j + 0.5 * visc * grad_dot_bar),
-        ps.n,
-    )
-
-    # Maximum signal velocity per particle, for the CFL condition.
-    v_sig_max = np.zeros(ps.n)
-    np.maximum.at(
-        v_sig_max, np.concatenate([i, j]), np.concatenate([v_sig, v_sig])
-    )
-    ps.v_sig_max = np.maximum(v_sig_max, ps.c)
-
-
 def compute_momentum_energy(
     ps: ParticleSet,
-    pairs: PairList | StepContext,
+    pairs: PairList | CsrStepContext,
     kernel=CubicSplineKernel,
     av_alpha: float = DEFAULT_AV_ALPHA,
     use_balsara: bool = True,
@@ -257,9 +191,6 @@ def compute_momentum_energy(
     """
     if isinstance(pairs, CsrStepContext):
         _momentum_energy_csr(ps, pairs, av_alpha, use_balsara, omega)
-        return
-    if isinstance(pairs, StepContext):
-        _momentum_energy_cached(ps, pairs, av_alpha, use_balsara, omega)
         return
 
     a_i, a_j = iad_vectors(ps, pairs, kernel)

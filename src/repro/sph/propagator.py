@@ -16,11 +16,10 @@ The step pipeline runs over the pair cache layer
 list (rebuilt only when particle drift or smoothing-length growth demands
 it, so its cost amortizes across steps) and hands the physics kernels a
 per-step context in which kernel values and IAD gradient vectors are each
-evaluated once and shared by every consumer.  The default ``engine="csr"``
-runs the flat CSR/SoA pipeline (:class:`~repro.sph.pair_cache.CsrVerletList`
-+ :class:`~repro.sph.pair_cache.CsrStepContext`) whose kernel buffers
-persist across steps; ``engine="pairlist"`` keeps the previous half-pair
-generation for ablation comparisons.
+evaluated once and shared by every consumer.  There is one step engine,
+the flat CSR/SoA pipeline (:class:`~repro.sph.pair_cache.CsrVerletList`
++ :class:`~repro.sph.pair_cache.CsrStepContext`), whose kernel buffers
+persist across steps.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.sph.box import Box
 from repro.sph.cornerstone.domain import DomainDecomposition
 from repro.sph.driving import TurbulenceDriver
@@ -37,13 +35,7 @@ from repro.sph.gravity import BarnesHutGravity
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.kernels.cubic_spline import CubicSplineKernel
 from repro.sph.neighbors import BufferPool
-from repro.sph.pair_cache import (
-    DEFAULT_SKIN_FACTOR,
-    CsrStepContext,
-    CsrVerletList,
-    StepContext,
-    VerletList,
-)
+from repro.sph.pair_cache import DEFAULT_SKIN_FACTOR, CsrStepContext, CsrVerletList
 from repro.sph.particles import ParticleSet
 from repro.sph.physics import (
     compute_density,
@@ -108,9 +100,6 @@ class Propagator:
     skin_factor:
         Verlet skin width as a fraction of the mean kernel support; 0
         rebuilds the neighbor list every step (the pre-cache behaviour).
-    engine:
-        ``"csr"`` (default) runs the flat CSR/SoA kernel engine;
-        ``"pairlist"`` the previous half-pair generation (ablations).
     pair_dtype:
         Dtype of the CSR engine's per-pair arrays (``"float64"`` or
         ``"float32"``); segment reductions accumulate in float64 either
@@ -124,6 +113,9 @@ class Propagator:
         oracle tolerance (associativity of tiny dot products differs),
         which is why the portable default stays ``"numpy"``.
     """
+
+    #: The step engine (CSR/SoA, the only one), recorded by run reports.
+    engine = "csr"
 
     def __init__(
         self,
@@ -140,18 +132,13 @@ class Propagator:
         use_grad_h: bool = False,
         kernel=CubicSplineKernel,
         skin_factor: float = DEFAULT_SKIN_FACTOR,
-        engine: str = "csr",
         pair_dtype: str = "float64",
         accel: str = "numpy",
     ) -> None:
-        if engine not in ("csr", "pairlist"):
-            raise SimulationError(
-                f"engine must be 'csr' or 'pairlist', got {engine!r}"
-            )
         from repro.sph import csolver
 
         self.accel = accel
-        self._cfast = csolver.resolve(accel) if engine == "csr" else None
+        self._cfast = csolver.resolve(accel)
         self.box = box
         self.domain = DomainDecomposition(box, n_ranks)
         self.gamma = gamma
@@ -164,16 +151,11 @@ class Propagator:
         self.gravity_eps = gravity_eps
         self.use_grad_h = use_grad_h
         self.kernel = kernel
-        self.engine = engine
         self.pair_dtype = pair_dtype
-        if engine == "csr":
-            self.neighbor_list = CsrVerletList(box, skin_factor, cfast=self._cfast)
-            # Kernel-engine buffers persist across steps (and substeps):
-            # each step's context reuses them instead of reallocating.
-            self._kernel_pool: BufferPool | None = BufferPool()
-        else:
-            self.neighbor_list = VerletList(box, skin_factor)
-            self._kernel_pool = None
+        self.neighbor_list = CsrVerletList(box, skin_factor, cfast=self._cfast)
+        # Kernel-engine buffers persist across steps (and substeps): each
+        # step's context reuses them instead of reallocating.
+        self._kernel_pool = BufferPool()
         self._step = 0
         self._dt_prev: float | None = None
 
@@ -196,14 +178,11 @@ class Propagator:
             if sync.order is not None:
                 self.neighbor_list.reorder(sync.order)
             pairs = self.neighbor_list.query(ps.pos, ps.h)
-            if self.engine == "csr":
-                ctx = CsrStepContext(
-                    pairs, ps.h, self.kernel,
-                    pool=self._kernel_pool, pair_dtype=self.pair_dtype,
-                    cfast=self._cfast,
-                )
-            else:
-                ctx = StepContext(pairs, ps.h, self.kernel)
+            ctx = CsrStepContext(
+                pairs, ps.h, self.kernel,
+                pool=self._kernel_pool, pair_dtype=self.pair_dtype,
+                cfast=self._cfast,
+            )
             ps.nc = pairs.neighbor_counts()
             rebuilt = self.neighbor_list.n_builds > builds_before
 
@@ -266,13 +245,11 @@ class Propagator:
 
         self._dt_prev = dt
         self._step += 1
-        # CSR stores directed entries; report undirected pairs like the
-        # half-pair engine so stats are comparable across engines.
-        n_pairs = pairs.n_pairs // 2 if self.engine == "csr" else pairs.n_pairs
         return StepStats(
             step=self._step,
             dt=dt,
-            n_pairs=n_pairs,
+            # CSR stores directed entries; stats count undirected pairs.
+            n_pairs=pairs.n_pairs // 2,
             mean_neighbors=float(np.mean(ps.nc)),
             totals=totals,
             neighbors_rebuilt=rebuilt,

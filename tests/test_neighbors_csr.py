@@ -269,6 +269,16 @@ class TestCsrVerletList:
         # The permutations alone never forced a rebuild.
         assert nlist.n_builds < nlist.n_queries
 
+    def test_large_moves_force_rebuild(self):
+        ps, box = make_case("turbulence")
+        nlist = CsrVerletList(box)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            got = nlist.query(ps.pos, ps.h)
+            assert_matches_oracle(got, brute_force_pairs(ps.pos, ps.h, box))
+            self.drift(ps, box, rng, 2.0 * float(np.mean(ps.h)))
+        assert nlist.n_builds == nlist.n_queries
+
     def test_growing_h_stays_exact(self):
         ps, box = make_case("turbulence")
         nlist = CsrVerletList(box)
@@ -326,7 +336,7 @@ class TestCsrVerletList:
 
 class TestFindNeighborsCompat:
     def test_adapter_equals_csr(self):
-        """cell_list_pairs/find_neighbors ride on the same CSR builder."""
+        """find_neighbors rides on the same CSR builder."""
         ps, box = make_case("turbulence")
         csr = csr_neighbors(ps.pos, ps.h, box)
         directed = find_neighbors(ps.pos, ps.h, box)

@@ -1,11 +1,13 @@
 """Property tests for the pair-cache layer.
 
-The half-pair + StepContext pipeline and the Verlet skin list must be
-*exact* reformulations of the directed brute-force oracle: identical pair
-sets after arbitrary movement, physics fields equal to <= 1e-12 relative
-error, and momentum conservation to round-off — across turbulence and
-Sedov configurations, periodic and open boxes, serial and distributed
-drivers.
+The Verlet skin list and the physics chain run over its cached pairs must
+be *exact* reformulations of the directed brute-force oracle: identical
+pair sets after arbitrary movement, physics fields equal to <= 1e-12
+relative error, and momentum conservation to round-off — across
+turbulence and Sedov configurations, periodic and open boxes, serial and
+distributed drivers.  The shared fixtures here (:func:`clone`,
+:func:`make_case`, :func:`run_oracle`) also feed the CSR engine's oracle
+tests in ``tests/test_neighbors_csr.py``.
 """
 
 import numpy as np
@@ -15,14 +17,12 @@ from repro.errors import SimulationError
 from repro.sph.box import Box
 from repro.sph.distributed import DistributedHydro
 from repro.sph.initial_conditions import make_sedov, make_turbulence
-from repro.sph.neighbors import brute_force_pairs, find_neighbors
-from repro.sph.pair_cache import (
-    StepContext,
-    VerletList,
-    scatter_sum_rows,
-    scatter_sum_sym,
-    scatter_sum_sym_rows,
+from repro.sph.neighbors import (
+    brute_force_pairs,
+    csr_neighbors,
+    find_neighbors,
 )
+from repro.sph.pair_cache import CsrStepContext, CsrVerletList, scatter_sum_rows
 from repro.sph.particles import ParticleSet
 from repro.sph.physics import (
     compute_density,
@@ -79,11 +79,24 @@ def run_oracle(ps, box):
     return ps
 
 
+def drifted(ps, box):
+    """Nudge every particle by a small fixed random step, well inside the
+    skin, so a cached neighbor list stays valid."""
+    rng = np.random.default_rng(13)
+    sigma = 0.001 * float(np.mean(ps.h))
+    ps.pos = box.wrap(ps.pos + rng.normal(0.0, sigma, size=ps.pos.shape))
+    return ps
+
+
 def run_cached(ps, box):
-    """The same chain through a StepContext over the half-pair list."""
-    half = find_neighbors(ps.pos, ps.h, box, half=True)
-    ctx = StepContext(half, ps.h)
-    ps.nc = half.neighbor_counts()
+    """The same chain through a CsrStepContext over pairs that a skin
+    cache serves from its candidates rather than from a fresh search."""
+    nlist = CsrVerletList(box)
+    nlist.query(ps.pos, ps.h)
+    csr = nlist.query(drifted(ps, box).pos, ps.h)
+    assert nlist.n_builds == 1  # the second query came from the cache
+    ctx = CsrStepContext(csr, ps.h)
+    ps.nc = csr.neighbor_counts()
     compute_density(ps, ctx)
     ideal_gas_eos(ps)
     compute_iad_and_divcurl(ps, ctx)
@@ -93,14 +106,17 @@ def run_cached(ps, box):
 
 
 class TestHalfPairEquivalence:
-    """StepContext physics == directed oracle physics, to <= 1e-12."""
+    """Physics over skin-cached pairs == directed oracle physics, to
+    <= 1e-12.  (The class keeps the name of the half-pair engine it first
+    covered; the cached path it checks is now the CSR one.)"""
 
     @pytest.mark.parametrize("case", ["turbulence", "sedov", "open"])
     def test_full_chain_matches_oracle(self, case):
         ps, box = make_case(case)
-        oracle = run_oracle(clone(ps), box)
+        oracle = run_oracle(drifted(clone(ps), box), box)
         cached = run_cached(clone(ps), box)
 
+        assert np.array_equal(oracle.pos, cached.pos)
         assert np.array_equal(oracle.nc, cached.nc)
         for field in ("rho", "p", "c", "div_v", "curl_v", "du", "v_sig_max"):
             a, b = getattr(oracle, field), getattr(cached, field)
@@ -117,15 +133,6 @@ class TestHalfPairEquivalence:
         scale = np.sum(np.abs(cached.mass[:, None] * cached.acc)) + 1e-300
         assert np.abs(net).max() < 1e-13 * scale * 10
 
-    def test_half_list_is_half(self):
-        ps, box = make_case("turbulence")
-        full = find_neighbors(ps.pos, ps.h, box)
-        half = find_neighbors(ps.pos, ps.h, box, half=True)
-        assert 2 * half.n_pairs == full.n_pairs
-        assert np.all(half.i < half.j)
-        assert pair_set(half) == pair_set(full)
-        assert np.array_equal(half.neighbor_counts(), full.neighbor_counts())
-
 
 class TestVerletList:
     """The skin cache must reproduce the fresh search exactly, always."""
@@ -136,14 +143,16 @@ class TestVerletList:
     @pytest.mark.parametrize("case", ["turbulence", "sedov", "open"])
     def test_matches_oracle_after_movement(self, case):
         ps, box = make_case(case)
-        nlist = VerletList(box)
+        nlist = CsrVerletList(box)
         rng = np.random.default_rng(17)
         sigma = 0.002 * float(np.mean(ps.h))
         for _ in range(8):
-            got = nlist.query(ps.pos, ps.h)
-            want = brute_force_pairs(ps.pos, ps.h, box, half=True)
-            assert pair_set(got) == pair_set(want)
-            # Same geometry, not just the same index set.
+            got = nlist.query(ps.pos, ps.h).to_directed()
+            assert pair_set(got) == pair_set(
+                brute_force_pairs(ps.pos, ps.h, box)
+            )
+            # Same geometry as a fresh search, not just the same index set.
+            want = csr_neighbors(ps.pos, ps.h, box).to_directed()
             order_g = np.lexsort((got.j, got.i))
             order_w = np.lexsort((want.j, want.i))
             assert np.allclose(got.r[order_g], want.r[order_w], rtol=0, atol=0)
@@ -156,68 +165,57 @@ class TestVerletList:
         assert nlist.n_builds < nlist.n_queries
         assert nlist.rebuild_fraction < 1.0
 
-    def test_large_moves_force_rebuild(self):
-        ps, box = make_case("turbulence")
-        nlist = VerletList(box)
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            got = nlist.query(ps.pos, ps.h)
-            want = brute_force_pairs(ps.pos, ps.h, box, half=True)
-            assert pair_set(got) == pair_set(want)
-            self.drift(ps, box, rng, 2.0 * float(np.mean(ps.h)))
-        assert nlist.n_builds == nlist.n_queries
-
     def test_growing_h_stays_exact(self):
         """Smoothing-length growth beyond the skin cannot be missed."""
         ps, box = make_case("turbulence")
-        nlist = VerletList(box)
+        nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
         ps.h = ps.h * 1.5  # new pairs appear without any movement
-        got = nlist.query(ps.pos, ps.h)
-        want = brute_force_pairs(ps.pos, ps.h, box, half=True)
+        got = nlist.query(ps.pos, ps.h).to_directed()
+        want = brute_force_pairs(ps.pos, ps.h, box)
         assert pair_set(got) == pair_set(want)
         assert nlist.n_builds == 2
 
     def test_shrinking_h_reuses_cache(self):
         ps, box = make_case("turbulence")
-        nlist = VerletList(box)
+        nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
         ps.h = ps.h * 0.9
-        got = nlist.query(ps.pos, ps.h)
-        want = brute_force_pairs(ps.pos, ps.h, box, half=True)
+        got = nlist.query(ps.pos, ps.h).to_directed()
+        want = brute_force_pairs(ps.pos, ps.h, box)
         assert pair_set(got) == pair_set(want)
         assert nlist.n_builds == 1  # the cached candidates still cover it
 
     def test_reorder_preserves_cache(self):
         ps, box = make_case("turbulence")
-        nlist = VerletList(box)
+        nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
         rng = np.random.default_rng(29)
         order = rng.permutation(ps.n)
         ps.reorder(order)
         nlist.reorder(order)
-        got = nlist.query(ps.pos, ps.h)
-        want = brute_force_pairs(ps.pos, ps.h, box, half=True)
+        got = nlist.query(ps.pos, ps.h).to_directed()
+        want = brute_force_pairs(ps.pos, ps.h, box)
         assert pair_set(got) == pair_set(want)
         assert nlist.n_builds == 1  # permutation alone never rebuilds
 
     def test_zero_skin_rebuilds_every_query(self):
         ps, box = make_case("turbulence")
-        nlist = VerletList(box, skin_factor=0.0)
+        nlist = CsrVerletList(box, skin_factor=0.0)
         for _ in range(3):
             nlist.query(ps.pos, ps.h)
         assert nlist.n_builds == 3
 
     def test_negative_skin_rejected(self):
         with pytest.raises(SimulationError):
-            VerletList(Box(length=1.0), skin_factor=-0.1)
+            CsrVerletList(Box(length=1.0), skin_factor=-0.1)
 
     def test_particle_count_change_invalidates(self):
         ps, box = make_case("turbulence")
-        nlist = VerletList(box)
+        nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
-        got = nlist.query(ps.pos[:-10], ps.h[:-10])
-        want = brute_force_pairs(ps.pos[:-10], ps.h[:-10], box, half=True)
+        got = nlist.query(ps.pos[:-10], ps.h[:-10]).to_directed()
+        want = brute_force_pairs(ps.pos[:-10], ps.h[:-10], box)
         assert pair_set(got) == pair_set(want)
         assert nlist.n_builds == 2
 
@@ -231,28 +229,14 @@ class TestScatterHelpers:
         np.add.at(want, idx, rows)
         assert np.allclose(scatter_sum_rows(idx, rows, 50), want, rtol=1e-14)
 
-    def test_symmetric_scatter_matches_two_pass(self):
-        rng = np.random.default_rng(37)
-        i = rng.integers(0, 40, size=300)
-        j = rng.integers(0, 40, size=300)
-        ti = rng.normal(size=300)
-        tj = rng.normal(size=300)
-        want = np.bincount(i, weights=ti, minlength=40) + np.bincount(
-            j, weights=tj, minlength=40
-        )
-        assert np.allclose(scatter_sum_sym(i, j, ti, tj, 40), want, rtol=1e-13)
-        rows_i = rng.normal(size=(300, 3))
-        rows_j = rng.normal(size=(300, 3))
-        want_rows = np.zeros((40, 3))
-        np.add.at(want_rows, i, rows_i)
-        np.add.at(want_rows, j, rows_j)
-        assert np.allclose(
-            scatter_sum_sym_rows(i, j, rows_i, rows_j, 40), want_rows,
-            rtol=1e-13,
-        )
-
 
 class TestPropagatorIntegration:
+    def test_csr_is_the_only_engine(self):
+        box = Box(length=1.0)
+        assert Propagator(box).engine == "csr"
+        with pytest.raises(TypeError):
+            Propagator(box, engine="csr")
+
     def test_verlet_propagator_matches_no_skin(self):
         """Caching must not change the trajectory (same pair sets, so any
         difference is accumulation-order round-off)."""

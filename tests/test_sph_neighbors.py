@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sph.box import Box
-from repro.sph.neighbors import (
-    brute_force_pairs,
-    cell_list_pairs,
-    find_neighbors,
-)
+from repro.sph.neighbors import brute_force_pairs, find_neighbors
 
 
 def pair_set(pairs):
@@ -79,6 +75,20 @@ class TestNeighborSearch:
         k = np.where((pairs.i == 0) & (pairs.j == 1))[0][0]
         assert np.allclose(pairs.dx[k], [1.0, 0.0, 0.0])
 
+    def test_brute_force_lists_upper_triangle_then_mirror(self):
+        """The oracle's order: i < j pairs in triu order, then mirrors."""
+        box = Box(length=1.0, periodic=True)
+        pos, h = random_particles(60, box, 0.1, seed=7)
+        pairs = brute_force_pairs(pos, h, box)
+        k = pairs.n_pairs // 2
+        assert 2 * k == pairs.n_pairs
+        assert np.all(np.diff(pairs.i[:k] * 60 + pairs.j[:k]) > 0)
+        assert np.all(pairs.i[:k] < pairs.j[:k])
+        assert np.array_equal(pairs.i[k:], pairs.j[:k])
+        assert np.array_equal(pairs.j[k:], pairs.i[:k])
+        assert np.array_equal(pairs.dx[k:], -pairs.dx[:k])
+        assert np.array_equal(pairs.r[k:], pairs.r[:k])
+
     def test_neighbor_counts(self):
         box = Box(length=10.0, periodic=False)
         pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [9.0, 0.0, 0.0]])
@@ -90,14 +100,14 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=False)
         pos, h = random_particles(400, box, 0.06, seed=1)
         bf = brute_force_pairs(pos, h, box)
-        cl = cell_list_pairs(pos, h, box)
+        cl = find_neighbors(pos, h, box)
         assert pair_set(bf) == pair_set(cl)
 
     def test_cell_list_matches_brute_force_periodic(self):
         box = Box(length=1.0, periodic=True)
         pos, h = random_particles(400, box, 0.06, seed=2)
         bf = brute_force_pairs(pos, h, box)
-        cl = cell_list_pairs(pos, h, box)
+        cl = find_neighbors(pos, h, box)
         assert pair_set(bf) == pair_set(cl)
 
     def test_cell_list_small_periodic_box_stencil_dedup(self):
@@ -107,7 +117,7 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=True)
         pos, h = random_particles(50, box, 0.25, seed=3)  # huge cutoff
         bf = brute_force_pairs(pos, h, box)
-        cl = cell_list_pairs(pos, h, box)
+        cl = find_neighbors(pos, h, box)
         assert pair_set(bf) == pair_set(cl)
 
     def test_find_neighbors_is_cell_list(self):
@@ -133,22 +143,8 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=periodic)
         pos, h = random_particles(n, box, h_value, seed)
         bf = brute_force_pairs(pos, h, box)
-        cl = cell_list_pairs(pos, h, box)
+        cl = find_neighbors(pos, h, box)
         assert pair_set(bf) == pair_set(cl)
-
-    def test_half_list_matches_directed(self):
-        """half=True stores each undirected pair exactly once, i < j."""
-        box = Box(length=1.0, periodic=True)
-        for n in (64, 512):
-            pos, h = random_particles(n, box, 0.07, seed=n)
-            full = find_neighbors(pos, h, box)
-            half = find_neighbors(pos, h, box, half=True)
-            assert np.all(half.i < half.j)
-            assert 2 * half.n_pairs == full.n_pairs
-            assert pair_set(half.to_directed()) == pair_set(full)
-            assert np.array_equal(
-                half.neighbor_counts(), full.neighbor_counts()
-            )
 
     def test_single_code_path_across_sizes(self):
         """The cell list is the only production path; it must agree with
@@ -166,9 +162,9 @@ class TestNeighborSearch:
         identical pair geometry whether or not a far-away particle exists."""
         box = Box(length=2.0, periodic=False)
         pos, h = random_particles(200, box, 0.1, seed=6)
-        base = cell_list_pairs(pos, h, box)
+        base = find_neighbors(pos, h, box)
         # The grid origin is the box bound, not the particle minimum.
-        shifted = cell_list_pairs(pos - 0.01, h, box)
+        shifted = find_neighbors(pos - 0.01, h, box)
         assert pair_set(base) == pair_set(
             brute_force_pairs(pos, h, box)
         )
@@ -182,7 +178,7 @@ class TestNeighborSearch:
         pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]] * 100)
         h = np.full(len(pos), 1e-8)
         with pytest.raises(SimulationError, match="overflow"):
-            cell_list_pairs(pos, h, box)
+            find_neighbors(pos, h, box)
 
     @given(
         st.integers(min_value=2, max_value=60),

@@ -21,7 +21,7 @@ bench:
 bench-smoke:
 	$(PYTEST) benchmarks -q -k smoke
 
-# Campaign engine smoke: cache-hit speedup and serial==sharded equality.
+# Campaign engine smoke: cache-hit speedup and serial==parallel equality.
 bench-campaign:
 	$(PYTEST) benchmarks/bench_campaign.py -q
 

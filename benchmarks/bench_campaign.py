@@ -1,11 +1,12 @@
-"""Campaign engine: cache-hit speedup and serial≡sharded equality.
+"""Campaign engine: cache-hit speedup and serial≡parallel equality.
 
-The acceptance properties of the sharded campaign engine:
+The acceptance properties of the campaign engine:
 
 * a repeated sweep is pure cache hits — zero simulation steps executed
   and at least a 5x wall-clock speedup over the cold sweep;
-* a ``workers=4`` sharded sweep merges bit-identically (energies, EDP,
-  rendered tables) to the serial ``workers=1`` sweep;
+* a ``workers=4`` sweep (four local lease-queue workers) merges
+  bit-identically (energies, EDP, rendered tables) to the serial
+  ``workers=1`` sweep;
 * a killed sweep resumes: pre-populating part of the cache leaves only
   the missing points to execute.
 
@@ -45,7 +46,7 @@ def bench_smoke_campaign(results_dir, tmp_path):
     serial, serial_stats = execute(keys, workers=1)
     assert serial_stats.misses == len(keys)
 
-    # Sharded cold sweep, populating the cache.
+    # Parallel cold sweep, populating the cache.
     t0 = time.perf_counter()
     sharded, cold_stats = execute(keys, store=store, workers=4)
     cold_seconds = time.perf_counter() - t0

@@ -98,9 +98,9 @@ def _run_federation(results_dir, tmp_path, name, seeds, side):
     # 4-worker federated drain of the same spec into a fresh cache.
     fed_store = ResultStore(tmp_path / "federated")
     federated, fed_stats = execute(
-        keys, store=fed_store, federate=WORKERS, federation=_config()
+        keys, store=fed_store, workers=WORKERS, federation=_config()
     )
-    assert fed_stats.federated
+    assert fed_stats.workers == WORKERS
     assert fed_stats.misses == len(keys)
     assert federated == serial, "federated sweep diverged from serial"
     assert _store_bytes(fed_store) == _store_bytes(serial_store), (
@@ -120,7 +120,7 @@ def _run_federation(results_dir, tmp_path, name, seeds, side):
     # Warm federated drain: pure hits, zero steps, bytes untouched.
     before = _store_bytes(fed_store)
     warm, warm_stats = execute(
-        keys, store=fed_store, federate=WORKERS, federation=_config()
+        keys, store=fed_store, workers=WORKERS, federation=_config()
     )
     assert warm_stats.hits == len(keys)
     assert warm_stats.executed_steps == 0

@@ -1,4 +1,4 @@
-"""Sharded campaign engine with a content-addressed result cache.
+"""Campaign engine with a content-addressed result cache.
 
 The campaign layer turns the paper's headline experiments — frequency ×
 test-case × system sweeps of independent instrumented runs — into one
@@ -10,14 +10,15 @@ shared execution substrate:
   cache hash (config content + code version);
 * :mod:`~repro.campaign.store` — atomic on-disk result cache, so
   re-running a campaign only executes misses and a killed sweep resumes;
-* :mod:`~repro.campaign.executor` — serial, ``multiprocessing``-sharded,
-  or federated execution with deterministic per-run seeding;
+* :mod:`~repro.campaign.executor` — serial execution, or ``workers=N``
+  local workers draining the lease queue, with deterministic per-run
+  seeding;
 * :mod:`~repro.campaign.queue` — the coordinator-free lease queue:
   any number of workers on any hosts drain one spec against one shared
   store, with heartbeat leases, failure records, and cache GC;
 * :mod:`~repro.campaign.merge` — order-independent merges back into the
   exact structures the serial experiment functions return;
-* :mod:`~repro.campaign.report` — execution stats and per-shard
+* :mod:`~repro.campaign.report` — execution stats and per-run
   telemetry health.
 """
 

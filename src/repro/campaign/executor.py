@@ -1,25 +1,27 @@
-"""Campaign execution: cache lookup, worker shards, result collection.
+"""Campaign execution: cache lookup, local queue workers, result collection.
 
 :func:`execute` is the one substrate every sweep in the repo runs on.
 It partitions the expanded keys into cache hits and misses, executes the
-misses — serially for ``workers=1`` (the degenerate case, retained as
-the reference path), across ``multiprocessing`` shards for
-``workers=N``, or through the lease-based federated work queue
-(``federate=N``, any number of extra ``repro campaign work`` processes
-on any number of hosts welcome) — and archives each completed run
-before moving on, so a killed sweep resumes from the completed subset.
+misses — serially in-process for ``workers=1`` (the reference path), or
+for ``workers=N`` through ``min(N, misses)`` local workers draining the
+lease-based work queue (any number of extra ``repro campaign work``
+processes on any number of hosts welcome) — and archives each completed
+run before moving on, so a killed sweep resumes from the completed
+subset.
 
 Worker failures never abort a sweep: each failing key is recorded (a
 typed :class:`~repro.campaign.queue.RunFailure`, archived next to the
 results when a store is attached), every other key keeps draining, and
 one :class:`~repro.errors.CampaignExecutionError` summarizing the
 failed keys is raised at the end — with the completed results attached.
+The serial path records one attempt per key; queue workers retry a
+failing key until it is poisoned (``FederationConfig.max_attempts``).
 
-Sharding cannot change results: every run is an independent simulation
-driven by its own :class:`~repro.hardware.clock.VirtualClock` and seeded
-entirely from its :class:`~repro.campaign.keys.RunKey` (never from
-worker identity or execution order), so sharded *and* federated sweeps
-are bit-identical to the serial one by construction.  The property tests
+Parallelism cannot change results: every run is an independent
+simulation driven by its own :class:`~repro.hardware.clock.VirtualClock`
+and seeded entirely from its :class:`~repro.campaign.keys.RunKey` (never
+from worker identity or execution order), so a queue-drained sweep is
+bit-identical to the serial one by construction.  The property tests
 and the campaign/federation benchmarks enforce this.
 """
 
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,8 +62,6 @@ class CampaignStats:
     #: Keys whose execution failed (their runs are *not* in the results;
     #: the summarizing CampaignExecutionError carries the details).
     failed: int = 0
-    #: Whether the misses drained through the federated lease queue.
-    federated: bool = False
     #: Post-hoc energy-audit coverage (``audit=`` on :func:`execute`):
     #: invariant evaluations run and findings raised across all results,
     #: cache hits included.
@@ -106,30 +108,15 @@ def execute_key(key: RunKey) -> CampaignResult:
     )
 
 
-def _worker(
-    key: RunKey,
-) -> tuple[RunKey, CampaignResult | None, tuple[str, str] | None]:
-    """One pool shard's unit of work: never lets an exception escape.
-
-    A raised exception inside ``imap_unordered`` would abort the whole
-    sweep and discard the in-flight shards' progress; instead the error
-    is shipped back as ``(type name, message)`` and handled per-key.
-    """
-    try:
-        return key, execute_key(key), None
-    except Exception as exc:
-        return key, None, (type(exc).__name__, str(exc))
-
-
 def _record_failures(
     store: ResultStore | None,
-    failed: list[tuple[RunKey, str, str]],
+    failed: list[tuple[RunKey, Exception]],
 ) -> tuple:
     """Archive failures next to the results; returns RunFailure objects.
 
     With a store attached the records go through the shared
     :class:`~repro.campaign.queue.FailureLog`, so attempt counts
-    accumulate across re-runs of the same spec and federated workers see
+    accumulate across re-runs of the same spec and queue workers see
     the same record; without one they only live in the raised error.
     """
     if not failed:
@@ -139,18 +126,16 @@ def _record_failures(
     profile = WorkerProfile.local()
     log = FailureLog(store.root) if store is not None else None
     failures = []
-    for key, error_type, message in failed:
+    for key, exc in failed:
         digest = run_key_hash(key)
         if log is not None:
-            failure = log.record_raw(
-                key, digest, error_type, message, profile.worker_id
-            )
+            failure = log.record(key, digest, exc, profile.worker_id)
         else:
             failure = RunFailure(
                 digest=digest,
                 key=key,
-                error_type=error_type,
-                message=message,
+                error_type=type(exc).__name__,
+                message=str(exc),
                 attempts=1,
                 poisoned=False,
                 worker=profile.worker_id,
@@ -185,7 +170,7 @@ def _federated_child(
     systems: tuple[str, ...],
     token: str,
 ) -> None:
-    """One local federated worker process (module-level: picklable)."""
+    """One local queue worker process (module-level: picklable)."""
     from repro.campaign.queue import WorkerProfile, drain
 
     profile = WorkerProfile.local(systems=systems, token=token)
@@ -195,24 +180,26 @@ def _federated_child(
 def _execute_federated(
     misses: list[RunKey],
     store: ResultStore,
-    federate: int,
+    workers: int,
     federation,
     profile_systems: tuple[str, ...],
     collect: Callable[[RunKey, CampaignResult], None],
-) -> tuple:
-    """Drain the misses through ``federate`` local queue workers.
+) -> tuple[tuple, str | None]:
+    """Drain the misses through ``min(workers, misses)`` local queue workers.
 
-    Returns the failures (empty on a clean drain).  The parent never
-    executes runs itself: it spawns the workers, watches the store for
-    completions (for live progress), and collects/validates at the end.
-    Extra ``repro campaign work`` processes — on this host or any other
-    sharing the cache root — join the same drain transparently.
+    Returns the failures (empty on a clean drain) and, if a worker died
+    without recording why some keys stayed unresolved, a description of
+    that crash (else ``None``).  The parent never executes runs itself:
+    it spawns the workers, watches the store for completions (for live
+    progress), and collects/validates at the end.  Extra ``repro
+    campaign work`` processes — on this host or any other sharing the
+    cache root — join the same drain transparently.
     """
     from repro.campaign.queue import FailureLog, FederationConfig
 
     config = federation if federation is not None else FederationConfig()
     ctx = multiprocessing.get_context()
-    tokens = [f"fed{i}-{os.getpid()}" for i in range(federate)]
+    tokens = [f"fed{i}-{os.getpid()}" for i in range(min(workers, len(misses)))]
     procs = [
         ctx.Process(
             target=_federated_child,
@@ -245,22 +232,23 @@ def _execute_federated(
             del pending[key]
             collect(key, result)
 
-    if not pending:
-        return ()
     log = FailureLog(store.root, config=config)
-    failures = []
+    failures, lost = [], []
     for key in pending:
         failure = log.load(run_key_hash(key))
         if failure is not None:
             failures.append(failure)
         else:  # worker died without recording (crashed drain itself)
-            codes = sorted({proc.exitcode for proc in procs})
-            raise CampaignExecutionError(
-                f"federated drain left {len(pending)} keys unresolved with "
-                f"no failure record (worker exit codes {codes}); "
-                f"first: {key.label}"
-            )
-    return tuple(failures)
+            lost.append(key)
+    crash = None
+    if lost:
+        codes = sorted({proc.exitcode for proc in procs})
+        crash = (
+            f"local drain left {len(lost)} keys unresolved with no "
+            f"failure record (worker exit codes {codes}); "
+            f"first: {lost[0].label}"
+        )
+    return tuple(failures), crash
 
 
 def execute(
@@ -269,7 +257,6 @@ def execute(
     workers: int = 1,
     progress: ProgressFn | None = None,
     audit: bool | str | None = None,
-    federate: int | None = None,
     federation=None,
     profile_systems: tuple[str, ...] = (),
 ) -> tuple[dict[RunKey, CampaignResult], CampaignStats]:
@@ -277,24 +264,26 @@ def execute(
 
     Returns the per-key results and the execution stats.  With a
     ``store``, every fresh run is archived the moment it completes.
-    ``workers`` > 1 fans the cache misses out over that many OS
-    processes; results are collected in completion order but keyed by
-    :class:`RunKey`, so downstream merges are order-independent.
 
-    ``federate=N`` drains the misses through the lease-based federated
-    work queue instead: N worker processes (plus any number of external
-    ``repro campaign work`` participants sharing the cache root) claim
-    keys via atomic lease files, steal stale leases of dead workers, and
-    archive into the shared store.  Requires ``store``.  ``federation``
-    (a :class:`~repro.campaign.queue.FederationConfig`) tunes lease TTL
-    and retry policy; ``profile_systems`` sets the spawned workers'
-    placement preference.
+    ``workers=1`` executes the misses serially in this process.
+    ``workers=N`` drains them through ``min(N, misses)`` local worker
+    processes on the lease-based work queue (plus any number of
+    external ``repro campaign work`` participants sharing the cache
+    root): workers claim keys via atomic lease files, steal stale
+    leases of dead workers, and archive into the shared store.  Without
+    a ``store`` the drain runs over a temporary store deleted on return.
+    Results are collected in completion order but keyed by
+    :class:`RunKey`, so downstream merges are order-independent.
+    ``federation`` (a :class:`~repro.campaign.queue.FederationConfig`)
+    tunes lease TTL and retry policy; ``profile_systems`` sets the
+    spawned workers' placement preference.
 
     Failed keys never abort the drain: the rest of the sweep completes
     and one :class:`~repro.errors.CampaignExecutionError` is raised at
     the end, carrying the completed results, the stats, and the typed
     failures (archived in ``<root>/failures/`` when a store is
-    attached).
+    attached).  Serially a failing key is attempted once; queue workers
+    retry it until it is poisoned.
 
     ``audit`` runs the post-hoc energy-accounting audit over *every*
     result — cache hits included, since the checkers work from the
@@ -307,20 +296,10 @@ def execute(
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    if federate is not None and federate < 1:
-        raise ConfigurationError("federate must be >= 1")
-    if federate is not None and store is None:
-        raise ConfigurationError(
-            "federated execution needs a shared result store"
-        )
     if len(set(keys)) != len(keys):
         raise ConfigurationError("duplicate run keys in campaign")
 
-    stats = CampaignStats(
-        total=len(keys),
-        workers=federate if federate is not None else workers,
-        federated=federate is not None,
-    )
+    stats = CampaignStats(total=len(keys), workers=workers)
     results: dict[RunKey, CampaignResult] = {}
 
     misses = []
@@ -345,38 +324,39 @@ def execute(
         results[key] = result
         stats.misses += 1
         stats.executed_steps += result.run.num_steps
-        if store is not None and not stats.federated:
-            store.put(key, result)
         if progress is not None:
             progress(stats, key)
 
     failures: tuple = ()
-    if federate is not None and misses:
-        failures = _execute_federated(
-            misses, store, federate, federation, profile_systems, _collect
-        )
-    elif federate is not None:
-        pass  # fully cached: nothing to drain, no workers to spawn
-    elif workers == 1 or len(misses) <= 1:
-        failed: list[tuple[RunKey, str, str]] = []
+    if workers == 1:
+        failed: list[tuple[RunKey, Exception]] = []
         for key in misses:
             try:
                 result = execute_key(key)
             except Exception as exc:
-                failed.append((key, type(exc).__name__, str(exc)))
+                failed.append((key, exc))
                 continue
+            if store is not None:
+                store.put(key, result)
             _collect(key, result)
         failures = _record_failures(store, failed)
-    else:
-        failed = []
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=min(workers, len(misses))) as pool:
-            for key, result, error in pool.imap_unordered(_worker, misses):
-                if error is not None:
-                    failed.append((key, error[0], error[1]))
-                    continue
-                _collect(key, result)
-        failures = _record_failures(store, failed)
+    elif misses:
+        # Without a store the workers drain into a throwaway one.
+        scratch = tempfile.TemporaryDirectory() if store is None else nullcontext()
+        with scratch as root:
+            failures, crash = _execute_federated(
+                misses,
+                store if store is not None else ResultStore(root),
+                workers,
+                federation,
+                profile_systems,
+                _collect,
+            )
+        if crash is not None:
+            stats.failed = len(failures)
+            raise CampaignExecutionError(
+                crash, failures=failures, results=results, stats=stats
+            )
 
     if failures:
         _raise_failures(failures, results, stats)

@@ -3,7 +3,7 @@
 Each merge consumes the ``{RunKey: CampaignResult}`` mapping the executor
 returns and produces *exactly* the structure the corresponding serial
 experiment function has always returned — iteration is over the sorted
-key space, never over completion order, so a sweep sharded across any
+key space, never over completion order, so a sweep drained by any
 number of workers merges to the same object as the serial sweep.
 """
 

@@ -402,27 +402,13 @@ class FailureLog:
         self, key: RunKey, digest: str, exc: BaseException, worker: str
     ) -> RunFailure:
         """Archive one more failed attempt; poisons on the last one."""
-        return self.record_raw(
-            key, digest, type(exc).__name__, str(exc), worker
-        )
-
-    def record_raw(
-        self, key: RunKey, digest: str, error_type: str, message: str,
-        worker: str,
-    ) -> RunFailure:
-        """Like :meth:`record`, from an already-serialized error.
-
-        Pool shards ship exceptions back as ``(type name, message)``
-        tuples (exception objects may not pickle); this entry point
-        archives those with the same attempt accounting.
-        """
         previous = self.load(digest)
         attempts = (previous.attempts if previous is not None else 0) + 1
         failure = RunFailure(
             digest=digest,
             key=key,
-            error_type=error_type,
-            message=message,
+            error_type=type(exc).__name__,
+            message=str(exc),
             attempts=attempts,
             poisoned=attempts >= self.config.max_attempts,
             worker=worker,

@@ -1,4 +1,4 @@
-"""Campaign summaries: execution stats plus per-shard telemetry health.
+"""Campaign summaries: execution stats plus per-run telemetry health.
 
 The summary answers the two questions a sweep owner has after a run:
 *how much did the cache save* (points, hits, misses, simulation steps
@@ -21,11 +21,10 @@ def campaign_summary(
     results: dict[RunKey, CampaignResult],
 ) -> str:
     """Render one campaign execution's summary block."""
-    mode = "federated worker" if stats.federated else "worker"
     lines = [
         f"Campaign {name!r}: {stats.total} points "
         f"({stats.hits} cached, {stats.misses} executed, "
-        f"{stats.workers} {mode}{'s' if stats.workers != 1 else ''})",
+        f"{stats.workers} worker{'s' if stats.workers != 1 else ''})",
         f"Simulation steps executed: {stats.executed_steps}",
     ]
     if stats.failed:

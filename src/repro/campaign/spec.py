@@ -8,7 +8,7 @@ product and resolves every point to a fully-determined
 filled in from the test-case defaults), in a deterministic order that is
 independent of worker count or cache state.
 
-Execution settings (worker shards, cache directory, progress reporting)
+Execution settings (worker count, cache directory, progress reporting)
 deliberately do not appear here: they belong to the executor, so they can
 never leak into the content-addressed run identity.
 """

@@ -40,7 +40,7 @@ class AccountingSummary:
 
     Everything ``sacct`` reports except the in-memory ``app_result``
     back-reference and the process-global ``job_id`` (normalized to 0 so
-    serial and sharded executions serialize identically).
+    serial and parallel executions serialize identically).
     """
 
     name: str

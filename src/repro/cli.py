@@ -18,7 +18,7 @@ Every paper artifact is reachable from the shell:
   (framed-protocol stream port + HTTP query/metrics/watch port);
 * ``publish`` — run a case and stream its telemetry to a ``serve``
   instance with zero measurement perturbation;
-* ``campaign`` — sharded or federated sweep execution
+* ``campaign`` — sweep execution, serial or through local queue workers
   (``run``/``work``/``status``/``gc``/``clean``) with a
   content-addressed result cache shared by any number of workers on any
   hosts, so repeated sweeps only pay for cache misses;
@@ -615,7 +615,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             workers=args.workers if args.workers is not None else settings.workers,
             progress=progress,
             audit=audit_mode,
-            federate=args.federate,
             federation=settings.federation(),
             profile_systems=settings.worker_systems,
         )
@@ -991,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="sharded sweep execution with a content-addressed result cache",
+        help="sweep execution with a content-addressed result cache",
     )
     action = p.add_subparsers(dest="action", required=True)
 
@@ -1039,16 +1038,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker shards for cache misses "
-        "(default: $REPRO_CAMPAIGN_WORKERS or serial)",
-    )
-    cp.add_argument(
-        "--federate",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drain misses with N federated lease-queue workers instead "
-        "of sharding (byte-identical results either way)",
+        help="local lease-queue workers draining the cache misses "
+        "(default: $REPRO_CAMPAIGN_WORKERS or serial; byte-identical "
+        "results either way)",
     )
     cp.add_argument(
         "--no-cache",

@@ -441,8 +441,8 @@ class CampaignSettings:
 
     #: Root directory of the content-addressed result cache.
     cache_dir: str = ".repro-cache"
-    #: Worker shards executing cache misses; 1 is the serial reference
-    #: path (bit-identical to any sharded execution by construction).
+    #: Local lease-queue workers draining cache misses; 1 is the serial
+    #: reference path (bit-identical to any parallel drain by construction).
     workers: int = 1
     #: Federated lease time-to-live: a lease whose heartbeat is older
     #: than this is considered abandoned and may be stolen.

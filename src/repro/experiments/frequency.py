@@ -6,7 +6,7 @@ frequencies), Subsonic Turbulence, 91 M particles per GPU (450^3) down to
 
 Both figures are *campaigns*: the sweep is declared as a
 :class:`~repro.campaign.spec.CampaignSpec`, expanded to independent run
-keys, executed on the shared campaign engine (optionally sharded across
+keys, executed on the shared campaign engine (optionally drained by local
 worker processes and backed by the content-addressed result cache), and
 merged back into the same structures the serial implementations always
 returned.  ``workers=1`` without a store is the serial degenerate case.

@@ -8,7 +8,7 @@ simulated runs are to ideal weak scaling and where the deviation comes
 from (the log p collectives and growing halo surfaces).
 
 The sweep itself runs on the campaign engine: each card count is one
-independent run key, executed serially or across worker shards and
+independent run key, executed serially or by local queue workers and
 cached content-addressed, then merged back in card-count order.
 """
 

@@ -1,11 +1,11 @@
-"""Campaign engine: spec expansion, content-addressed caching, sharding.
+"""Campaign engine: spec expansion, content-addressed caching, parallelism.
 
 The load-bearing properties:
 
 * the cache key commits to every physics- and measurement-relevant
   configuration field (changing one invalidates the entry) but to no
   cosmetic execution setting (cache location, worker count);
-* a sharded sweep is bit-identical to the serial ``workers=1`` sweep;
+* a ``workers=N`` sweep is bit-identical to the serial ``workers=1`` one;
 * merges are order-independent and reproduce exactly what the serial
   experiment loops used to return;
 * a fully-cached re-run executes zero simulation steps.

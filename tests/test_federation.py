@@ -327,17 +327,21 @@ class TestFailureHandling:
         archived = FailureLog(tmp_path).all_failures()
         assert {f.error_type for f in archived} == {"RuntimeError"}
 
-    def test_pool_sweep_survives_failures(self, tmp_path, monkeypatch):
+    def test_parallel_sweep_survives_failures(self, tmp_path, monkeypatch):
         import repro.campaign.executor as executor_mod
 
         monkeypatch.setattr(executor_mod, "execute_key", _fail_on_odd_seed)
         store = ResultStore(tmp_path)
         keys = expand(small_spec(seeds=(0, 1, 2, 3)))
+        config = fast_config()
         with pytest.raises(CampaignExecutionError) as excinfo:
-            execute(keys, store=store, workers=2)
+            execute(keys, store=store, workers=2, federation=config)
         err = excinfo.value
         assert {f.key.seed for f in err.failures} == {1, 3}
         assert len(err.results) == 2
+        # Queue workers retry a failing key until it is poisoned.
+        assert all(f.attempts == config.max_attempts for f in err.failures)
+        assert all(f.poisoned for f in err.failures)
 
     def test_failures_without_store_still_raise(self, monkeypatch):
         import repro.campaign.executor as executor_mod
@@ -457,6 +461,15 @@ def _drain_child(root: str, keys, config, token):
     drain(keys, ResultStore(root), config=config, profile=profile)
 
 
+def _crashing_child(keys, root, config, systems, token):
+    """A local queue worker that drains one key, then dies unrecorded."""
+    drain(
+        keys[:1], ResultStore(root), config=config,
+        profile=WorkerProfile.local(systems=systems, token=token),
+    )
+    os._exit(3)
+
+
 def _blocker_child(root: str, digest: str, ready):
     """Acquire one lease, signal readiness, then hang without heartbeats.
 
@@ -478,9 +491,9 @@ class TestFederatedDrain:
 
         fed = ResultStore(tmp_path / "fed")
         fed_results, stats = execute(
-            keys, store=fed, federate=2, federation=fast_config()
+            keys, store=fed, workers=2, federation=fast_config()
         )
-        assert stats.federated
+        assert stats.workers == 2
         assert stats.misses == len(keys)
         assert fed_results == serial_results
         assert store_bytes(fed) == store_bytes(serial)
@@ -495,7 +508,7 @@ class TestFederatedDrain:
         execute(keys, store=store)
         before = store_bytes(store)
         results, stats = execute(
-            keys, store=store, federate=3, federation=fast_config()
+            keys, store=store, workers=3, federation=fast_config()
         )
         assert stats.hits == len(keys)
         assert stats.misses == 0
@@ -567,15 +580,29 @@ class TestFederatedDrain:
         assert len(digests) == len(set(digests)) == len(keys)  # no dupes
         assert not lease_path.exists()
 
-    def test_federate_requires_a_store(self):
-        with pytest.raises(ConfigurationError):
-            execute(expand(small_spec(seeds=(0,))), federate=2)
-        with pytest.raises(ConfigurationError):
+    def test_parallel_drain_without_store_equals_serial(self):
+        keys = expand(small_spec(seeds=(0, 1, 2)))
+        results, stats = execute(keys, workers=2, federation=fast_config())
+        assert stats.misses == len(keys)
+        assert results == execute(keys)[0]
+
+    def test_crashed_drain_keeps_collected_results(self, tmp_path, monkeypatch):
+        """A worker dying without a failure record still hands back the
+        results the parent already collected, with the stats."""
+        import repro.campaign.executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "_federated_child", _crashing_child)
+        keys = expand(small_spec(seeds=(0, 1, 2)))
+        with pytest.raises(CampaignExecutionError) as excinfo:
             execute(
-                expand(small_spec(seeds=(0,))),
-                store=ResultStore("/tmp/x"),
-                federate=0,
+                keys, store=ResultStore(tmp_path), workers=2,
+                federation=fast_config(),
             )
+        err = excinfo.value
+        assert "no failure record" in str(err)
+        assert set(err.results) == {keys[0]}
+        assert err.stats is not None
+        assert err.stats.misses == 1
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -585,17 +612,17 @@ class TestFederatedDrain:
             max_size=4,
             unique=True,
         ),
-        federate=st.integers(min_value=1, max_value=3),
+        workers=st.integers(min_value=1, max_value=3),
     )
     def test_property_federated_equivalence(self, tmp_path_factory, seeds,
-                                            federate):
+                                            workers):
         """Any spec, any worker count: federated ≡ serial, byte-for-byte."""
         tmp_path = tmp_path_factory.mktemp("prop")
         keys = expand(small_spec(seeds=tuple(seeds)))
         serial = ResultStore(tmp_path / "serial")
         execute(keys, store=serial)
         fed = ResultStore(tmp_path / "fed")
-        execute(keys, store=fed, federate=federate, federation=fast_config())
+        execute(keys, store=fed, workers=workers, federation=fast_config())
         assert store_bytes(fed) == store_bytes(serial)
 
 
@@ -661,20 +688,32 @@ class TestCli:
         assert "1 executed" in out
         assert "0 failures" in out
 
+    # 100^3: large enough for a positive baseline EDP (30^3 is not).
+    RUNNABLE = ["fig4", "--sides", "100", "--freqs", "1410", "--steps", "2"]
+
     def test_run_federated(self, tmp_path, capsys):
         code = main(
             [
-                "campaign", "run", *self.CAMPAIGN, "--federate", "2",
+                "campaign", "run", *self.RUNNABLE, "--workers", "2",
                 "--cache-dir", str(tmp_path), "--quiet",
             ]
         )
-        # fig4 rendering needs the baseline frequency only; EDP of the
-        # 30^3 toy run may degenerate, so accept the summary either way.
-        out = capsys.readouterr().out + capsys.readouterr().err
-        if code == 0:
-            assert "federated worker" in out
+        assert code == 0
+        assert "2 workers" in capsys.readouterr().out
         store = ResultStore(tmp_path)
         assert store.stats()["entries"] == 1
+
+    def test_run_parallel_without_cache_leaves_no_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        code = main(
+            [
+                "campaign", "run", *self.RUNNABLE, "--workers", "2",
+                "--no-cache", "--cache-dir", str(cache), "--quiet",
+            ]
+        )
+        assert code == 0
+        assert "2 workers" in capsys.readouterr().out
+        assert not cache.exists()
 
     def test_status_reports_federation_state(self, tmp_path, capsys):
         main(["campaign", "work", *self.CAMPAIGN, "--cache-dir", str(tmp_path)])

@@ -39,10 +39,11 @@ N_SIDES = (12, 27, 50, 100)
 CSR_NUMPY_MAX_N = 50**3
 
 #: Allocation ceiling for one smoke-sized CSR step (tracemalloc peak).
-#: The measured peak is ~335 MiB — dominated by the engine's fixed-size
-#: chunk buffers, not by N — so a regression past this budget means a
-#: new unbounded temporary slipped into the hot path.
-SMOKE_ALLOC_BUDGET_BYTES = 448 * 2**20
+#: The measured peak is ~81 MiB — the kernel slot table's per-entry
+#: columns plus the Verlet list's kept entries; the streamed candidate
+#: blocks and filter chunks add only a few MiB — so a regression past
+#: this budget means a new unbounded temporary slipped into the hot path.
+SMOKE_ALLOC_BUDGET_BYTES = 160 * 2**20
 
 #: Verlet skin for this sweep, re-tuned for the round-2 engine: the
 #: compiled filter makes per-step queries cheap relative to rebuilds,

@@ -16,15 +16,21 @@ representations exist:
   enumeration.
 
 The cell list is one code path for every particle count: candidates are
-counted and filled *per cell* (all particles in a cell share the same
-stencil), so the per-axis stencil offsets collapse to ``{0}`` or
-``{0, 1}`` on periodic axes with fewer than three cells and the old
-small-box brute-force fallback is gone.  The O(N^2) brute force survives
-only as the test oracle.
+counted *per cell* (all particles in a cell share the same stencil), so
+the per-axis stencil offsets collapse to ``{0}`` or ``{0, 1}`` on
+periodic axes with fewer than three cells and the old small-box
+brute-force fallback is gone.  The O(N^2) brute force survives only as
+the test oracle.
+
+The raw candidates outnumber the kept neighbors about ten to one, so
+they are never materialized: they stream in blocks of at most
+:data:`_CHUNK` rows, each filtered as it is generated, and only the
+survivors are stored — a search's scratch is O(kept + chunk).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +45,17 @@ from repro.sph.kernels.cubic_spline import SUPPORT_RADIUS
 #: so the cell list refuses instead (see :func:`_grid_shape`).
 _MAX_TOTAL_CELLS = 2**62
 
-#: Candidate rows processed per chunk in the cutoff filter.  Bounds the
-#: size of the filter's temporaries to O(chunk), independent of the
-#: total candidate count.
-_FILTER_CHUNK = 1 << 22
+#: Rows per chunk of the candidate stream and of the cutoff filter.  A
+#: few MiB of filter temporaries (cache-sized, not candidate-sized) bound
+#: the scratch memory of a neighbor search independently of N; the
+#: filter's output does not depend on it (elementwise tests, integer
+#: counts), so any positive value gives bitwise-identical results.
+_CHUNK = 1 << 16
+
+#: A filter's output: ``(counts, row, cand, dx, r)``, geometry optional.
+_Filtered = tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
+]
 
 
 class BufferPool:
@@ -50,8 +63,9 @@ class BufferPool:
 
     ``get`` returns a view of exactly the requested size over a cached
     backing buffer that only ever grows (by 25% headroom), so steady-state
-    queries perform no large allocations.  Views are valid until the same
-    name is requested again with a larger size.
+    queries perform no large allocations.  A view is valid until the same
+    name is requested again — *any* later request, not only a larger one,
+    since every request hands out the same backing memory.
     """
 
     def __init__(self) -> None:
@@ -65,6 +79,18 @@ class BufferPool:
             buf = np.empty(cap, dtype=dtype)
             self._bufs[name] = buf
         return buf[:size]
+
+    def grow(self, name: str, size: int, dtype, keep: int) -> np.ndarray:
+        """Like :meth:`get`, but the first ``keep`` elements survive.
+
+        For outputs appended to piece by piece, whose final size is only
+        known once the last piece is in.
+        """
+        old = self._bufs.get(name)
+        view = self.get(name, size, dtype)
+        if keep and self._bufs[name] is not old:
+            view[:keep] = old[:keep]
+        return view
 
     def rows(self, name: str, size: int, width: int, dtype) -> np.ndarray:
         """A ``(size, width)`` view of the named buffer."""
@@ -306,17 +332,24 @@ def _cell_bins(
     return ncell, flat, order, occ, cellstart
 
 
-def _stencil_counts(
-    ncell: np.ndarray, occ: np.ndarray, flat: np.ndarray, periodic: bool
-) -> np.ndarray:
-    """Per-particle stencil-occupancy counts (the raw candidate counts)."""
-    per_cell = np.zeros(len(occ), dtype=np.int64)
+def _stencil_table(
+    ncell: np.ndarray, occ: np.ndarray, periodic: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell stencil: neighbor-cell ids and their occupancies.
+
+    Both arrays are ``(cells, S)`` with one column per stencil offset, in
+    :func:`_neighbor_cells` order; an open-box edge cell's missing
+    neighbors have occupancy 0.  Row sums are the per-cell raw candidate
+    counts.
+    """
+    ids, lens = [], []
     for nb, valid in _neighbor_cells(ncell, periodic):
         contrib = occ[nb]
         if valid is not None:
             contrib = np.where(valid, contrib, 0)
-        per_cell += contrib
-    return per_cell[flat]
+        ids.append(nb)
+        lens.append(contrib)
+    return np.stack(ids, axis=1), np.stack(lens, axis=1)
 
 
 def _csr_filtered_fused(
@@ -328,18 +361,17 @@ def _csr_filtered_fused(
     *,
     want_geometry: bool,
     out_prefix: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> _Filtered:
     """Compiled fused candidate generation + exact self-excluding filter.
 
     Walks each particle's stencil cells in C and applies the cutoff
-    test inline, producing output bitwise identical to
-    :func:`_csr_candidates` + :func:`_filter_candidates` while never
-    materializing the O(27 nnz) raw candidate arrays.  Same return
-    shape as :func:`_filter_candidates`.
+    test inline, producing output bitwise identical to the NumPy stream
+    (:func:`_csr_filtered` without ``cfast``).  Its outputs are sized to
+    the raw candidate count, the one scratch that still scales with it.
     """
     n = len(pos)
     ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
-    nnz = int(_stencil_counts(ncell, occ, flat, box.periodic).sum())
+    nnz = int(_stencil_table(ncell, occ, box.periodic)[1].sum(axis=1)[flat].sum())
     out_row = pool.get(out_prefix + "row", nnz, np.int32)
     out_cand = pool.get(out_prefix + "cand", nnz, np.int32)
     out_dx = pool.rows(out_prefix + "dx", nnz, 3, np.float64) if want_geometry else None
@@ -359,44 +391,153 @@ def _csr_filtered_fused(
 
 
 def _csr_candidates(
-    pos: np.ndarray, h_search: np.ndarray, box: Box, pool: BufferPool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unfiltered CSR candidates from the cell grid.
+    pos: np.ndarray, h_search: np.ndarray, box: Box
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Unfiltered CSR candidates from the cell grid, streamed in blocks.
 
-    Returns ``(cand_offsets, row, cand)``: for each particle, the
-    occupants of its stencil cells (including itself), counted and
-    filled *per cell* — particles sharing a cell share the stencil, so
-    counting runs over the (much smaller) cell arrays and the fill is a
-    handful of vectorized range concatenations per stencil offset.
+    Yields ``(row, cand)`` int32 arrays for consecutive blocks of
+    particles: for each particle, in particle order, the occupants of its
+    stencil cells (itself included), cell by cell in stencil order and
+    cell-sorted within a cell.  Concatenated, the blocks are the flat
+    candidate list in the order the compiled fused walk emits.  A block
+    holds whole particles and at most :data:`_CHUNK` candidates (a
+    particle with more is a block of its own), so the O(27 nnz) raw list
+    is never materialized.
     """
     n = len(pos)
     ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
-    cand_counts = _stencil_counts(ncell, occ, flat, box.periodic)
-    cand_off = pool.get("cs_off", n + 1, np.int64)
-    cand_off[0] = 0
-    np.cumsum(cand_counts, out=cand_off[1:])
-    nnz = int(cand_off[-1])
-
-    cand = pool.get("cs_cand", nnz, np.int32)
-    row = pool.get("cs_row", nnz, np.int32)
+    nb_ids, nb_occ = _stencil_table(ncell, occ, box.periodic)
+    counts = nb_occ.sum(axis=1)[flat]
+    ends = np.cumsum(counts)
     order32 = order.astype(np.int32)
-    fill = np.zeros(n, dtype=np.int64)
-    for nb, valid in _neighbor_cells(ncell, box.periodic):
-        nbp = nb[flat]
-        lens = occ[nbp]
-        if valid is not None:
-            lens = np.where(valid[flat], lens, 0)
-        total = int(lens.sum())
-        if total:
-            shift = np.cumsum(lens) - lens
-            within = np.arange(total, dtype=np.int64) - np.repeat(shift, lens)
-            dest = np.repeat(cand_off[:-1] + fill, lens) + within
-            src = np.repeat(cellstart[nbp], lens) + within
-            cand[dest] = order32[src]
-        fill += lens
-    row_fill = np.repeat(np.arange(n, dtype=np.int32), cand_counts)
-    row[: len(row_fill)] = row_fill
-    return cand_off, row, cand
+    p0 = 0
+    while p0 < n:
+        base = int(ends[p0 - 1]) if p0 else 0
+        p1 = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), p0 + 1)
+        cells = flat[p0:p1]
+        lens = nb_occ[cells].ravel()
+        # Candidate t of stencil group g reads sorted slot
+        # cellstart[g] + (t - first index of g).
+        shift = np.cumsum(lens) - lens
+        src = np.repeat(cellstart[nb_ids[cells]].ravel() - shift, lens)
+        src += np.arange(len(src))
+        row = np.repeat(np.arange(p0, p1, dtype=np.int32), counts[p0:p1])
+        yield row, order32[src]
+        p0 = p1
+
+
+class _CutoffFilter:
+    """The exact union-cutoff filter, fed candidate arrays piece by piece.
+
+    Each :meth:`feed` tests its rows in :data:`_CHUNK`-row chunks over
+    pooled ``fc_*`` temporaries and appends the survivors — and, when
+    ``want_geometry``, their minimum-image ``dx`` and ``r`` — to pooled
+    ``out_prefix`` buffers grown to what is kept (:meth:`BufferPool.grow`),
+    so scratch is O(kept + chunk), never O(candidates fed).  Counts are
+    per-segment surviving-entry counts.
+    """
+
+    def __init__(
+        self,
+        pos: np.ndarray,
+        h: np.ndarray,
+        box: Box,
+        pool: BufferPool,
+        *,
+        exclude_self: bool,
+        out_prefix: str,
+        want_geometry: bool,
+    ) -> None:
+        self.px = [np.ascontiguousarray(pos[:, a]) for a in range(3)]
+        self.h = h
+        self.box = box
+        self.pool = pool
+        self.exclude_self = exclude_self
+        self.prefix = out_prefix
+        self.want_geometry = want_geometry
+        self.counts = np.zeros(len(pos), dtype=np.int64)
+        self.size = 0
+        self._extend(0)
+
+    def _extend(self, k: int) -> None:
+        """Make room for ``k`` more survivors, keeping those already in."""
+        lo, hi = self.size, self.size + k
+        pool, p = self.pool, self.prefix
+        self.row = pool.grow(p + "row", hi, np.int32, lo)
+        self.cand = pool.grow(p + "cand", hi, np.int32, lo)
+        if self.want_geometry:
+            self.dx = pool.grow(p + "dx", 3 * hi, np.float64, 3 * lo).reshape(hi, 3)
+            self.r = pool.grow(p + "r", hi, np.float64, lo)
+
+    def feed(
+        self, row: np.ndarray, cand: np.ndarray, count_idx: np.ndarray | None = None
+    ) -> None:
+        """Filter ``(row, cand)``; counts bin over ``count_idx`` when given."""
+        nnz = len(cand)
+        box, h, px = self.box, self.h, self.px
+        m_max = min(nnz, _CHUNK)
+        d = [self.pool.get(f"fc_d{a}", m_max, np.float64) for a in range(3)]
+        r2 = self.pool.get("fc_r2", m_max, np.float64)
+        ha = self.pool.get("fc_ha", m_max, np.float64)
+        hb = self.pool.get("fc_hb", m_max, np.float64)
+        inv_len = 1.0 / box.length
+        for start in range(0, nnz, _CHUNK):
+            stop = min(start + _CHUNK, nnz)
+            m = stop - start
+            rc = row[start:stop]
+            cc = cand[start:stop]
+            r2c = r2[:m]
+            r2c[:] = 0.0
+            for a in range(3):
+                da = d[a][:m]
+                np.take(px[a], rc, out=da, mode="clip")
+                np.subtract(da, px[a][cc], out=da)
+                if box.periodic:
+                    t = ha[:m]
+                    np.multiply(da, inv_len, out=t)
+                    np.rint(t, out=t)
+                    t *= -box.length
+                    da += t
+                r2c += da * da
+            hac = ha[:m]
+            hbc = hb[:m]
+            np.take(h, rc, out=hac, mode="clip")
+            np.take(h, cc, out=hbc, mode="clip")
+            np.maximum(hac, hbc, out=hac)
+            hac *= SUPPORT_RADIUS
+            hac *= hac
+            keep = r2c < hac
+            if self.exclude_self:
+                keep &= rc != cc
+            kept_rows = np.compress(keep, rc)
+            k = len(kept_rows)
+            if not k:
+                continue
+            if count_idx is None:
+                binned = kept_rows
+            else:
+                binned = np.compress(keep, count_idx[start:stop])
+            # Bin over the chunk's label span only: streamed rows are
+            # sorted, so this is O(chunk), not O(N), per chunk.
+            lo = int(binned.min())
+            span = np.bincount(binned - lo)
+            self.counts[lo : lo + len(span)] += span
+            self._extend(k)
+            lo, hi = self.size, self.size + k
+            self.row[lo:hi] = kept_rows
+            self.cand[lo:hi] = np.compress(keep, cc)
+            if self.want_geometry:
+                for a in range(3):
+                    self.dx[lo:hi, a] = np.compress(keep, d[a][:m])
+                np.sqrt(np.compress(keep, r2c), out=self.r[lo:hi])
+            self.size = hi
+
+    def result(self) -> _Filtered:
+        """``(counts, row, cand, dx, r)`` of everything fed so far."""
+        k = self.size
+        dx = self.dx[:k] if self.want_geometry else None
+        r = self.r[:k] if self.want_geometry else None
+        return self.counts, self.row[:k], self.cand[:k], dx, r
 
 
 def _filter_candidates(
@@ -409,18 +550,16 @@ def _filter_candidates(
     *,
     exclude_self: bool,
     out_prefix: str,
-    in_place: bool,
     want_geometry: bool,
     count_idx: np.ndarray | None = None,
     cfast=None,
     label: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Keep candidate rows within the exact union cutoff.
+) -> _Filtered:
+    """Keep the rows of flat candidate arrays within the exact union cutoff.
 
-    Processes the flat candidate arrays in constant-size chunks (bounding
-    every temporary to O(chunk)), compacting the survivors — and, when
-    ``want_geometry``, their minimum-image ``dx`` and ``r`` — into pool
-    buffers (or into ``row``/``cand`` themselves when ``in_place``).
+    The NumPy path is one :class:`_CutoffFilter` feed: survivors land in
+    pooled ``out_prefix`` buffers sized to what is kept, and every
+    temporary is O(:data:`_CHUNK`).
 
     Returns ``(counts, out_row, out_cand, out_dx, out_r)`` where
     ``counts`` is the per-segment surviving-entry count, binned over
@@ -430,91 +569,70 @@ def _filter_candidates(
 
     ``cfast`` is an optional :mod:`repro.sph.csolver` library handle; the
     compiled filter performs the identical IEEE operations in the
-    identical order, so its output is bitwise equal to the NumPy path.
-    ``label`` (compiled path only) translates build-time labels in
-    ``row``/``cand`` to current particle indices on the fly, so the
+    identical order, so its output is bitwise equal to the NumPy path
+    (its outputs are sized to ``len(cand)``, an upper bound on what is
+    kept).  ``label`` (compiled path only) translates build-time labels
+    in ``row``/``cand`` to current particle indices on the fly, so the
     caller need not materialize the translated arrays.
     """
     if label is not None and cfast is None:
         raise SimulationError("label translation requires the compiled filter")
-    n = len(pos)
+    if cfast is None:
+        filt = _CutoffFilter(
+            pos, h, box, pool, exclude_self=exclude_self,
+            out_prefix=out_prefix, want_geometry=want_geometry,
+        )
+        filt.feed(row, cand, count_idx)
+        return filt.result()
+
     nnz = len(cand)
-    if in_place:
-        out_row, out_cand = row, cand
-    else:
-        out_row = pool.get(out_prefix + "row", nnz, np.int32)
-        out_cand = pool.get(out_prefix + "cand", nnz, np.int32)
+    out_row = pool.get(out_prefix + "row", nnz, np.int32)
+    out_cand = pool.get(out_prefix + "cand", nnz, np.int32)
     out_dx = pool.rows(out_prefix + "dx", nnz, 3, np.float64) if want_geometry else None
     out_r = pool.get(out_prefix + "r", nnz, np.float64) if want_geometry else None
-    counts = np.zeros(n, dtype=np.int64)
-
-    if cfast is not None:
-        cursor = csolver.filter_candidates(
-            cfast,
-            np.ascontiguousarray(pos, dtype=np.float64),
-            np.ascontiguousarray(h, dtype=np.float64),
-            box.length, box.periodic, SUPPORT_RADIUS,
-            row, cand, counts, out_row, out_cand, out_dx, out_r,
-            count_idx, exclude_self, label,
-        )
-        out_dx = out_dx[:cursor] if want_geometry else None
-        out_r = out_r[:cursor] if want_geometry else None
-        return counts, out_row[:cursor], out_cand[:cursor], out_dx, out_r
-
-    px = [np.ascontiguousarray(pos[:, a]) for a in range(3)]
-    d = [pool.get(f"fc_d{a}", min(nnz, _FILTER_CHUNK), np.float64) for a in range(3)]
-    r2 = pool.get("fc_r2", min(nnz, _FILTER_CHUNK), np.float64)
-    ha = pool.get("fc_ha", min(nnz, _FILTER_CHUNK), np.float64)
-    hb = pool.get("fc_hb", min(nnz, _FILTER_CHUNK), np.float64)
-    inv_len = 1.0 / box.length
-    cursor = 0
-    for start in range(0, nnz, _FILTER_CHUNK):
-        stop = min(start + _FILTER_CHUNK, nnz)
-        m = stop - start
-        rc = row[start:stop]
-        cc = cand[start:stop]
-        r2c = r2[:m]
-        r2c[:] = 0.0
-        for a in range(3):
-            da = d[a][:m]
-            np.take(px[a], rc, out=da, mode="clip")
-            np.subtract(da, px[a][cc], out=da)
-            if box.periodic:
-                t = ha[:m]
-                np.multiply(da, inv_len, out=t)
-                np.rint(t, out=t)
-                t *= -box.length
-                da += t
-            r2c += da * da
-        hac = ha[:m]
-        hbc = hb[:m]
-        np.take(h, rc, out=hac, mode="clip")
-        np.take(h, cc, out=hbc, mode="clip")
-        np.maximum(hac, hbc, out=hac)
-        hac *= SUPPORT_RADIUS
-        hac *= hac
-        keep = r2c < hac
-        if exclude_self:
-            keep &= rc != cc
-        kept_rows = np.compress(keep, rc)
-        k = len(kept_rows)
-        if k:
-            if count_idx is None:
-                counts += np.bincount(kept_rows, minlength=n)
-            else:
-                counts += np.bincount(
-                    np.compress(keep, count_idx[start:stop]), minlength=n
-                )
-            out_row[cursor : cursor + k] = kept_rows
-            out_cand[cursor : cursor + k] = np.compress(keep, cc)
-            if want_geometry:
-                for a in range(3):
-                    out_dx[cursor : cursor + k, a] = np.compress(keep, d[a][:m])
-                np.sqrt(np.compress(keep, r2c), out=out_r[cursor : cursor + k])
-            cursor += k
+    counts = np.zeros(len(pos), dtype=np.int64)
+    cursor = csolver.filter_candidates(
+        cfast,
+        np.ascontiguousarray(pos, dtype=np.float64),
+        np.ascontiguousarray(h, dtype=np.float64),
+        box.length, box.periodic, SUPPORT_RADIUS,
+        row, cand, counts, out_row, out_cand, out_dx, out_r,
+        count_idx, exclude_self, label,
+    )
     out_dx = out_dx[:cursor] if want_geometry else None
     out_r = out_r[:cursor] if want_geometry else None
     return counts, out_row[:cursor], out_cand[:cursor], out_dx, out_r
+
+
+def _csr_filtered(
+    pos: np.ndarray,
+    h_search: np.ndarray,
+    box: Box,
+    pool: BufferPool,
+    cfast=None,
+    *,
+    want_geometry: bool,
+    out_prefix: str,
+) -> _Filtered:
+    """Self-excluding exact neighbors of every particle within ``h_search``.
+
+    The NumPy path filters each block of the :func:`_csr_candidates`
+    stream as it is generated, so its scratch is O(kept + chunk); with
+    ``cfast`` the compiled fused walk runs instead (bitwise identical).
+    Same return shape as :func:`_filter_candidates`, counts per particle.
+    """
+    if cfast is not None:
+        return _csr_filtered_fused(
+            pos, h_search, box, pool, cfast,
+            want_geometry=want_geometry, out_prefix=out_prefix,
+        )
+    filt = _CutoffFilter(
+        pos, h_search, box, pool, exclude_self=True,
+        out_prefix=out_prefix, want_geometry=want_geometry,
+    )
+    for row, cand in _csr_candidates(pos, h_search, box):
+        filt.feed(row, cand)
+    return filt.result()
 
 
 def csr_neighbors(
@@ -528,26 +646,17 @@ def csr_neighbors(
 
     The returned arrays are views into ``pool`` (a private pool when
     ``None``), valid until the pool's next search.  ``cfast`` optionally
-    routes the cutoff filter through the compiled fast path (bitwise
-    identical output; see :mod:`repro.sph.csolver`).
+    routes the search through the compiled fast path (bitwise identical
+    output; see :mod:`repro.sph.csolver`).
     """
     n = len(pos)
     if n != len(h):
         raise SimulationError("pos and h length mismatch")
     if pool is None:
         pool = BufferPool()
-    if cfast is not None:
-        counts, row, cand, dx, r = _csr_filtered_fused(
-            pos, h, box, pool, cfast,
-            want_geometry=True, out_prefix="cs_q",
-        )
-    else:
-        _, row, cand = _csr_candidates(pos, h, box, pool)
-        counts, row, cand, dx, r = _filter_candidates(
-            pos, h, box, row, cand, pool,
-            exclude_self=True, out_prefix="cs_q", in_place=True,
-            want_geometry=True,
-        )
+    counts, row, cand, dx, r = _csr_filtered(
+        pos, h, box, pool, cfast, want_geometry=True, out_prefix="cs_q"
+    )
     offsets = pool.get("cs_qoff", n + 1, np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])

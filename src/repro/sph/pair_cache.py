@@ -45,8 +45,7 @@ from repro.sph.kernels.cubic_spline import (
 from repro.sph.neighbors import (
     BufferPool,
     CsrNeighborList,
-    _csr_candidates,
-    _csr_filtered_fused,
+    _csr_filtered,
     _filter_candidates,
     csr_neighbors,
 )
@@ -122,9 +121,14 @@ class CsrVerletList:
     "``h`` grew past the cached cutoff" exactly rather than via the
     global maximum.  Shrinking ``h`` never forces a rebuild.
 
-    A query against a valid cache re-filters the candidates by the exact
-    per-pair cutoff ``2 max(h_i, h_j)`` and compacts the survivors into
-    pooled buffers, so the returned list always equals a fresh search's
+    A build streams the raw cell-grid candidates in blocks, filtering
+    each by the inflated cutoff as it is generated, so the cached arrays
+    (pool ``vl_b*``) and every scratch buffer are sized to the kept
+    candidates plus one fixed chunk, never to the ~10x larger raw
+    candidate count.  A query against a valid cache re-filters the
+    candidates by the exact per-pair cutoff ``2 max(h_i, h_j)`` and
+    compacts the survivors into pooled buffers sized to what is kept
+    (``vl_q*``), so the returned list always equals a fresh search's
     and steady-state queries perform no O(pairs) allocations.
 
     The candidate arrays are stored in *build labels*.  Each
@@ -235,9 +239,8 @@ class CsrVerletList:
             count_idx, targets = self._row, self._cur_label
         counts, qrow, qcand, qdx, qr = _filter_candidates(
             pos, h, self.box, row_cur, cand_cur, self.pool,
-            exclude_self=False, out_prefix="vl_q", in_place=False,
-            want_geometry=True, count_idx=count_idx, cfast=self.cfast,
-            label=label,
+            exclude_self=False, out_prefix="vl_q", want_geometry=True,
+            count_idx=count_idx, cfast=self.cfast, label=label,
         )
         offsets = self.pool.get("vl_qoff", self._n + 1, np.int64)
         offsets[0] = 0
@@ -267,18 +270,10 @@ class CsrVerletList:
         # Inflating every h by skin/2h-units makes the per-pair candidate
         # cutoff exactly 2 max(h_i, h_j) + skin.
         h_search = h + self._skin / SUPPORT_RADIUS
-        if self.cfast is not None:
-            _, self._row, self._cand, _, _ = _csr_filtered_fused(
-                pos, h_search, self.box, self.pool, self.cfast,
-                want_geometry=False, out_prefix="vl_b",
-            )
-        else:
-            _, row, cand = _csr_candidates(pos, h_search, self.box, self.pool)
-            _, self._row, self._cand, _, _ = _filter_candidates(
-                pos, h_search, self.box, row, cand, self.pool,
-                exclude_self=True, out_prefix="vl_b", in_place=True,
-                want_geometry=False,
-            )
+        _, self._row, self._cand, _, _ = _csr_filtered(
+            pos, h_search, self.box, self.pool, self.cfast,
+            want_geometry=False, out_prefix="vl_b",
+        )
         self._ref_pos = pos.copy()
         self._ref_h = h.copy()
         self._cur_label = None
@@ -314,6 +309,38 @@ class CsrStepContext:
 
     (algebraically identical to the piecewise definition on [0, 2] and
     zero beyond); other kernels fall back to their ``value`` method.
+
+    Per-entry buffers come from a small table of pool slots shared by
+    liveness rather than one name per temporary.  A slot's view is valid
+    until the slot is requested again, so each slot has one owner at a
+    time:
+
+    ============  =====  ================================================
+    slot          cols   holds
+    ============  =====  ================================================
+    ct_wown        1     ``w_own`` (memoized for the step)
+    ct_woth        1     ``w_other`` (memoized)
+    ct_dhown       1     ``dwdh_own`` (memoized; grad-h runs only)
+    ct_d           3     ``d`` (memoized)
+    ct_aown/aoth   3+3   the IAD vectors (memoized per matrix set)
+    ct_dx32/r32    3+1   float32 casts of ``dx``/``r`` (float32 runs only)
+    ct_t0..ct_t3   1     temporaries of one kernel evaluation
+    ct_cb          9     the matrix gather of :meth:`iad_vectors`; lent
+                         to IADVelocityDivCurl's tau geometry (6 cols),
+                         which is reduced before the vectors are built
+    ph_s0..ph_s6   1     a physics function's per-entry scalars
+    ph_v0, ph_v1   3     its per-entry vectors
+    ph_vt          3     a gathered vector operand consumed by the next
+                         operation, or a term folded into a reduction
+    ph_g           1     a gathered scalar operand consumed by the next
+                         operation
+    ============  =====  ================================================
+
+    Memoized quantities own their slots for the whole step; ``ct_t*`` and
+    ``ct_cb`` live only inside one memo evaluation, which uses no
+    ``ph_*`` slot, so a memo may be evaluated lazily in the middle of a
+    physics function.  ``ph_*`` slots live only inside one physics
+    function; each function's slot assignment is commented at its use.
     """
 
     def __init__(
@@ -436,10 +463,10 @@ class CsrStepContext:
 
     def _kernel_value(self, side: str, name: str) -> np.ndarray:
         """``W(r, h_side)`` per entry into the named buffer."""
-        hb = self.gather(self.h, side, name + "_h")
         out = self.pool.get(name, self.nnz, self.fdtype)
         if self.kernel is CubicSplineKernel:
-            t1 = self.pool.get(name + "_t", self.nnz, self.fdtype)
+            hb = self.gather(self.h, side, "ct_t0")
+            t1 = self.pool.get("ct_t1", self.nnz, self.fdtype)
             q = out
             np.divide(self.r_f, hb, out=q)
             np.subtract(1.0, q, out=t1)
@@ -467,10 +494,10 @@ class CsrStepContext:
                 self.csr.r, np.take(self.h, self._idx(side)), self.kernel
             )
             return out
-        hb = self.gather(self.h, side, name + "_h")
-        q = self.pool.get(name + "_q", self.nnz, self.fdtype)
-        t1 = self.pool.get(name + "_t1", self.nnz, self.fdtype)
-        t2 = self.pool.get(name + "_t2", self.nnz, self.fdtype)
+        hb = self.gather(self.h, side, "ct_t0")
+        q = self.pool.get("ct_t1", self.nnz, self.fdtype)
+        t1 = self.pool.get("ct_t2", self.nnz, self.fdtype)
+        t2 = self.pool.get("ct_t3", self.nnz, self.fdtype)
         np.divide(self.r_f, hb, out=q)
         np.subtract(1.0, q, out=t1)
         np.maximum(t1, 0.0, out=t1)

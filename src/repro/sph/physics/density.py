@@ -8,9 +8,10 @@ The kernel's compact support makes out-of-range pair terms vanish, so the
 union pair list can be used unmasked.
 
 Accepts a :class:`~repro.sph.pair_cache.CsrStepContext` (the production
-SoA path: one gather, one in-place multiply, one float64 segment
-reduction) or a directed :class:`~repro.sph.neighbors.PairList` (the
-reference path the tests compare against).
+SoA path: one gather into the scalar slot ``ph_s0``, one in-place
+multiply by the memoized kernel values, one float64 segment reduction)
+or a directed :class:`~repro.sph.neighbors.PairList` (the reference path
+the tests compare against).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _density_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
     if ctx.cfast is not None:
         rho = csolver.density(ctx.cfast, ctx, ps.mass, _SIGMA_3D)
     else:
-        contrib = ctx.gather(ps.mass, "col", "ph_mj")
+        contrib = ctx.gather(ps.mass, "col", "ph_s0")
         contrib *= ctx.w_own
         rho = ctx.reduce_sum(contrib)
     rho += ps.mass * ctx.kernel.value(np.zeros(ps.n), ps.h)

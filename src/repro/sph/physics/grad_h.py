@@ -46,7 +46,7 @@ def compute_omega(
     same way to keep the equations well-posed.
     """
     if isinstance(pairs, CsrStepContext):
-        terms = pairs.gather(ps.mass, "col", "ph_ghm")
+        terms = pairs.gather(ps.mass, "col", "ph_s0")
         terms *= pairs.dwdh_own
         sums = pairs.reduce_sum(terms)
         kernel = pairs.kernel

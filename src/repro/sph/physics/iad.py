@@ -18,7 +18,11 @@ With a :class:`~repro.sph.pair_cache.CsrStepContext` (the production
 path) every sum is a float64 segment reduction over the CSR offsets, and
 the gradient vectors computed here are memoized for ``MomentumEnergy`` to
 reuse; a directed :class:`~repro.sph.neighbors.PairList` runs the
-reference formulation the tests compare against.
+reference formulation the tests compare against.  The per-entry
+temporaries use the context's shared slots (two scalars, a vector, the
+gathered operand ``ph_g`` and ``ph_vt``), and the six-column tau
+geometry borrows the matrix-gather slot ``ct_cb``, which it vacates
+before the gradient vectors are built.
 """
 
 from __future__ import annotations
@@ -90,10 +94,12 @@ def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
 
     # Volume-weighted kernel value per entry, then the six unique tau
     # entries in one (nnz, 6) buffer and one float64 segment reduction.
-    vol_w = ctx.gather(ps.mass, "col", "ph_vw")
-    vol_w /= ctx.gather(ps.rho, "col", "ph_rj")
+    # The geometry borrows ct_cb: it is reduced before iad_vectors
+    # gathers the matrices there.
+    vol_w = ctx.gather(ps.mass, "col", "ph_s0")
+    vol_w /= ctx.gather(ps.rho, "col", "ph_g")
     vol_w *= ctx.w_own
-    geom = ctx.scratch("ph_geom", 6)
+    geom = ctx.scratch("ct_cb", 6)
     np.multiply(d[:, 0], d[:, 0], out=geom[:, 0])
     np.multiply(d[:, 0], d[:, 1], out=geom[:, 1])
     np.multiply(d[:, 0], d[:, 2], out=geom[:, 2])
@@ -105,15 +111,15 @@ def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
 
     # Velocity divergence and curl with corrected gradients.
     a_own, _ = ctx.iad_vectors(ps.c_iad)
-    v_ji = ctx.gather_rows(ps.vel, "col", "ph_vji")
-    v_ji -= ctx.gather_rows(ps.vel, "row", "ph_vrow")
-    m_over_rho = ctx.gather(ps.mass, "col", "ph_mor")
-    m_over_rho /= ctx.gather(ps.rho, "row", "ph_ri")
-    div_terms = ctx.scratch("ph_divt")
+    v_ji = ctx.gather_rows(ps.vel, "col", "ph_v0")
+    v_ji -= ctx.gather_rows(ps.vel, "row", "ph_vt")
+    m_over_rho = ctx.gather(ps.mass, "col", "ph_s0")  # vol_w is dead
+    m_over_rho /= ctx.gather(ps.rho, "row", "ph_g")
+    div_terms = ctx.scratch("ph_s1")
     np.einsum("ka,ka->k", v_ji, a_own, out=div_terms)
     div_terms *= m_over_rho
     ps.div_v = ctx.reduce_sum(div_terms)
-    curl = ctx.scratch("ph_curl", 3)
+    curl = ctx.scratch("ph_vt", 3)
     np.multiply(v_ji[:, 1], a_own[:, 2], out=curl[:, 0])
     curl[:, 0] -= v_ji[:, 2] * a_own[:, 1]
     np.multiply(v_ji[:, 2], a_own[:, 0], out=curl[:, 1])

@@ -23,7 +23,10 @@ every per-particle sum is a float64 segment reduction, and the IAD
 gradient vectors computed by ``IADVelocityDivCurl`` earlier in the step
 are reused instead of being re-evaluated; a directed
 :class:`~repro.sph.neighbors.PairList` runs the reference formulation the
-tests compare against.
+tests compare against.  Its per-entry temporaries reuse the context's
+shared slots by liveness (seven scalars, two vectors and the gathered
+operands ``ph_g``/``ph_vt``; the assignment is commented in the code),
+so the kernel pool holds no column that is dead for the whole step.
 
 The per-particle maximum signal velocity is stored for the subsequent
 ``Timestep`` function, mirroring SPH-EXA's kernel fusion.
@@ -108,7 +111,7 @@ def _momentum_energy_csr(
         return
 
     a_own, a_oth = ctx.iad_vectors(ps.c_iad)
-    a_bar = ctx.scratch("ph_abar", 3)
+    a_bar = ctx.scratch("ph_v0", 3)
     np.add(a_own, a_oth, out=a_bar)
     a_bar *= 0.5
 
@@ -118,29 +121,29 @@ def _momentum_energy_csr(
         pr = ps.p / ps.rho**2
     else:
         pr = ps.p / (omega * ps.rho**2)
-    pr_own = ctx.gather(pr, "row", "ph_prown")
-    pr_oth = ctx.gather(pr, "col", "ph_proth")
+    pr_own = ctx.gather(pr, "row", "ph_s0")
+    pr_oth = ctx.gather(pr, "col", "ph_s1")
 
-    v_ij = ctx.gather_rows(ps.vel, "row", "ph_vij")
-    v_ij -= ctx.gather_rows(ps.vel, "col", "ph_vcol")
+    v_ij = ctx.gather_rows(ps.vel, "row", "ph_v1")
+    v_ij -= ctx.gather_rows(ps.vel, "col", "ph_vt")
 
     # Per-entry AV strength and signal velocity (Monaghan + Balsara).
-    w_pair = ctx.scratch("ph_wpair")
+    w_pair = ctx.scratch("ph_s2")
     np.einsum("ka,ka->k", v_ij, ctx.dx_f, out=w_pair)
     w_pair /= np.maximum(ctx.r_f, 1e-300)
-    v_sig = ctx.gather(ps.c, "row", "ph_vsig")
-    v_sig += ctx.gather(ps.c, "col", "ph_cj")
+    v_sig = ctx.gather(ps.c, "row", "ph_s3")
+    v_sig += ctx.gather(ps.c, "col", "ph_g")
     v_sig -= 3.0 * w_pair
-    rho_bar = ctx.gather(ps.rho, "row", "ph_rbar")
-    rho_bar += ctx.gather(ps.rho, "col", "ph_rhoj")
+    rho_bar = ctx.gather(ps.rho, "row", "ph_s4")
+    rho_bar += ctx.gather(ps.rho, "col", "ph_g")
     rho_bar *= 0.5
-    visc = ctx.scratch("ph_visc")
+    visc = ctx.scratch("ph_s5")
     np.multiply(v_sig, w_pair, out=visc)
     visc *= -0.5 * av_alpha
     if use_balsara:
         bal = balsara_factor(ps)
-        xi = ctx.gather(bal, "row", "ph_xi")
-        xi += ctx.gather(bal, "col", "ph_xij")
+        xi = ctx.gather(bal, "row", "ph_s6")
+        xi += ctx.gather(bal, "col", "ph_g")
         xi *= 0.5
         visc *= xi
     visc /= rho_bar
@@ -148,19 +151,21 @@ def _momentum_energy_csr(
 
     # Force term per entry; the mirrored entry negates every A vector
     # and keeps the scalar weights, so momentum conserves to round-off.
-    term = ctx.scratch("ph_term", 3)
+    # From here w_pair, rho_bar and xi (ph_s2, s4, s6) are dead, and
+    # pr_oth (ph_s1) once the term has it.
+    term = ctx.scratch("ph_vt", 3)
     np.multiply(pr_own[:, None], a_own, out=term)
     term += pr_oth[:, None] * a_oth
     term += visc[:, None] * a_bar
-    m_j = ctx.gather(ps.mass, "col", "ph_mj2")
+    m_j = ctx.gather(ps.mass, "col", "ph_s1")
     term *= m_j[:, None]
     np.negative(term, out=term)
     ps.acc = ctx.reduce_sum_rows(term)
 
     # Internal energy rate, oracle formulation per entry.
-    grad_dot_own = ctx.scratch("ph_gdo")
+    grad_dot_own = ctx.scratch("ph_s2")
     np.einsum("ka,ka->k", v_ij, a_own, out=grad_dot_own)
-    grad_dot_bar = ctx.scratch("ph_gdb")
+    grad_dot_bar = ctx.scratch("ph_s4")
     np.einsum("ka,ka->k", v_ij, a_bar, out=grad_dot_bar)
     du = grad_dot_own
     du *= pr_own

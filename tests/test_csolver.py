@@ -24,6 +24,7 @@ from repro.sph.initial_conditions import make_sedov, make_turbulence
 from repro.sph.neighbors import (
     BufferPool,
     _csr_candidates,
+    _csr_filtered,
     _csr_filtered_fused,
     _filter_candidates,
 )
@@ -43,6 +44,15 @@ CASES = ("turbulence", "sedov", "open")
 
 def _search_radii(ps):
     return ps.h * 1.0  # the filter scales by SUPPORT_RADIUS internally
+
+
+def _flat_candidates(pos, h_search, box):
+    """The NumPy candidate stream concatenated into flat arrays."""
+    blocks = list(_csr_candidates(pos, h_search, box))
+    return (
+        np.concatenate([row for row, _ in blocks]),
+        np.concatenate([cand for _, cand in blocks]),
+    )
 
 
 class TestResolve:
@@ -73,12 +83,11 @@ class TestLabelGuard:
         ps, box = make_case("turbulence")
         pool = BufferPool()
         h_search = _search_radii(ps)
-        _, row, cand = _csr_candidates(ps.pos, h_search, box, pool)
+        row, cand = _flat_candidates(ps.pos, h_search, box)
         with pytest.raises(SimulationError):
             _filter_candidates(
                 ps.pos, ps.h, box, row, cand, pool,
-                exclude_self=True, out_prefix="t_",
-                in_place=False, want_geometry=False,
+                exclude_self=True, out_prefix="t_", want_geometry=False,
                 cfast=None, label=np.arange(len(ps.pos), dtype=np.int32),
             )
 
@@ -93,17 +102,17 @@ class TestFilterBitwise:
         h_search = _search_radii(ps)
         ref_pool, c_pool = BufferPool(), BufferPool()
 
-        _, row_n, cand_n = _csr_candidates(ps.pos, h_search, box, ref_pool)
+        row_n, cand_n = _flat_candidates(ps.pos, h_search, box)
         ref = _filter_candidates(
-            ps.pos, ps.h, box, row_n.copy(), cand_n.copy(), ref_pool,
-            exclude_self=True, out_prefix="r_", in_place=False,
-            want_geometry=True, cfast=None,
+            ps.pos, ps.h, box, row_n, cand_n, ref_pool,
+            exclude_self=True, out_prefix="r_", want_geometry=True,
+            cfast=None,
         )
-        _, row_c, cand_c = _csr_candidates(ps.pos, h_search, box, c_pool)
+        row_c, cand_c = _flat_candidates(ps.pos, h_search, box)
         got = _filter_candidates(
-            ps.pos, ps.h, box, row_c.copy(), cand_c.copy(), c_pool,
-            exclude_self=True, out_prefix="c_", in_place=False,
-            want_geometry=True, cfast=LIB,
+            ps.pos, ps.h, box, row_c, cand_c, c_pool,
+            exclude_self=True, out_prefix="c_", want_geometry=True,
+            cfast=LIB,
         )
         for r, g in zip(ref, got):
             assert np.array_equal(r, g)
@@ -114,11 +123,9 @@ class TestFilterBitwise:
         h_search = _search_radii(ps)
         ref_pool, c_pool = BufferPool(), BufferPool()
 
-        _, row_n, cand_n = _csr_candidates(ps.pos, h_search, box, ref_pool)
-        ref = _filter_candidates(
-            ps.pos, ps.h, box, row_n, cand_n, ref_pool,
-            exclude_self=True, out_prefix="r_", in_place=False,
-            want_geometry=True, cfast=None,
+        ref = _csr_filtered(
+            ps.pos, h_search, box, ref_pool,
+            want_geometry=True, out_prefix="r_",
         )
         got = _csr_filtered_fused(
             ps.pos, h_search, box, c_pool, LIB,

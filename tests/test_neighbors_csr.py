@@ -171,8 +171,8 @@ class TestCsrBuilder:
             csr = csr_neighbors(pos, h, box, pool=pool)
             assert_matches_oracle(csr, brute_force_pairs(pos, h, box))
             if trial == 2:
-                warm = pool.nbytes
-        assert pool.nbytes == warm
+                warm = pool.nbytes()
+        assert pool.nbytes() == warm
 
 
 class TestCsrPhysics:
@@ -327,11 +327,11 @@ class TestCsrVerletList:
         for _ in range(3):  # warm up (includes at least one build)
             nlist.query(ps.pos, ps.h)
             self.drift(ps, box, rng, sigma)
-        warm = nlist.pool.nbytes
+        warm = nlist.pool.nbytes()
         for _ in range(5):
             nlist.query(ps.pos, ps.h)
             self.drift(ps, box, rng, sigma)
-        assert nlist.pool.nbytes == warm
+        assert nlist.pool.nbytes() == warm
 
 
 class TestFindNeighborsCompat:

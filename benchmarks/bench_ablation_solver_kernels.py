@@ -75,10 +75,13 @@ def bench_barnes_hut(benchmark):
     mass = np.full(4096, 1.0 / 4096)
 
     def build_and_evaluate():
-        return BarnesHutGravity(pos, mass, theta=0.6, eps=0.02).acceleration()
+        # What the Gravity region runs per step: build, forces, potential.
+        tree = BarnesHutGravity(pos, mass, theta=0.6, eps=0.02)
+        return tree.acceleration(), tree.potential()
 
-    acc = benchmark(build_and_evaluate)
+    acc, potential = benchmark(build_and_evaluate)
     assert np.all(np.isfinite(acc))
+    assert potential < 0
 
 
 def _best_of(fn, repeats=5):

@@ -2,11 +2,12 @@
 
 The Evrard collapse needs self-gravity.  SPH-EXA computes it with a
 multipole traversal over the cornerstone octree; we implement the
-Barnes-Hut monopole variant with a group-vectorized traversal: each tree
-node is tested against *all* still-unresolved target particles at once
+Barnes-Hut monopole variant as a group walk (Barnes, J. Comput. Phys. 87,
+1990): each node is tested against *all* still-unresolved targets at once
 (opening criterion ``2 * half_width / distance < theta``), accepted
-targets receive the node's monopole contribution in one vector operation,
-and only the rejected subset recurses into children.  Plummer softening
+targets take its monopole in one vector operation, and only the rest
+recurse.  One walk yields acceleration and potential together, over x/y/z
+rows and C-contiguous (sources x targets) leaf blocks.  Plummer softening
 ``eps`` regularizes close encounters, as in production SPH codes.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sph.neighbors import BufferPool
 
 #: Gravitational constant in code units (G = 1 for the Evrard test).
 G_CODE = 1.0
@@ -51,8 +53,7 @@ class _BhNode:
 
     center: np.ndarray
     half_width: float
-    start: int
-    end: int
+    indices: np.ndarray  # source particles inside the cube
     mass: float = 0.0
     com: np.ndarray = field(default_factory=lambda: np.zeros(3))
     children: list[int] = field(default_factory=list)
@@ -68,7 +69,7 @@ class BarnesHutGravity:
     Parameters
     ----------
     pos, mass:
-        Particle positions and masses (the tree copies sorted views).
+        Particle positions and masses (the tree keeps copies).
     theta:
         Opening angle; smaller is more accurate (0.5 is the classic value).
     eps:
@@ -95,13 +96,14 @@ class BarnesHutGravity:
         self.G = G
         self.leaf_size = max(int(leaf_size), 1)
 
-        # Sort particles into tree order once; remember the permutation.
         center = 0.5 * (pos.min(axis=0) + pos.max(axis=0))
         half = 0.5 * float(np.max(pos.max(axis=0) - pos.min(axis=0)))
         half = max(half * 1.0001, 1e-12)
-        self._order = np.arange(len(pos))
         self._pos = pos.copy()
+        self._xyz = np.ascontiguousarray(self._pos.T)  # SoA rows x, y, z
         self._mass = mass.copy()
+        self._self_sums: tuple[np.ndarray, np.ndarray] | None = None
+        self._pool = BufferPool()
         self.nodes: list[_BhNode] = []
         self._build(np.arange(len(pos)), center, half)
 
@@ -109,7 +111,7 @@ class BarnesHutGravity:
 
     def _build(self, indices: np.ndarray, center: np.ndarray, half: float) -> int:
         node_id = len(self.nodes)
-        node = _BhNode(center=center.copy(), half_width=half, start=0, end=len(indices))
+        node = _BhNode(center=center.copy(), half_width=half, indices=indices)
         self.nodes.append(node)
         pts = self._pos[indices]
         m = self._mass[indices]
@@ -119,25 +121,13 @@ class BarnesHutGravity:
             if node.mass > 0
             else center.copy()
         )
-        node.start, node.end = 0, len(indices)
-        node._indices = indices  # type: ignore[attr-defined]
         if len(indices) > self.leaf_size and half > 1e-9:
-            octant = (
-                (pts[:, 0] >= center[0]).astype(np.int64) * 4
-                + (pts[:, 1] >= center[1]).astype(np.int64) * 2
-                + (pts[:, 2] >= center[2]).astype(np.int64)
-            )
+            octant = (pts >= center) @ np.array([4, 2, 1])
             for o in range(8):
                 sub = indices[octant == o]
                 if len(sub) == 0:
                     continue
-                offset = np.array(
-                    [
-                        half / 2 if o & 4 else -half / 2,
-                        half / 2 if o & 2 else -half / 2,
-                        half / 2 if o & 1 else -half / 2,
-                    ]
-                )
+                offset = np.where([o & 4, o & 2, o & 1], half / 2, -half / 2)
                 child_id = self._build(sub, center + offset, half / 2)
                 node.children.append(child_id)
         return node_id
@@ -153,86 +143,95 @@ class BarnesHutGravity:
         """Gravitational acceleration at the target positions.
 
         ``targets`` defaults to the tree's own particles (with
-        self-interaction excluded inside leaves via zero-distance masking).
+        self-interaction excluded inside leaves via zero-distance masking);
+        that walk also yields :meth:`potential`.
         """
-        pts = self._pos if targets is None else np.asarray(targets, dtype=np.float64)
-        acc = np.zeros_like(pts)
-        self._traverse(0, np.arange(len(pts)), pts, acc)
-        return acc
-
-    def _traverse(
-        self, node_id: int, active: np.ndarray, pts: np.ndarray, acc: np.ndarray
-    ) -> None:
-        if len(active) == 0:
-            return
-        node = self.nodes[node_id]
-        delta = node.com[None, :] - pts[active]
-        dist2 = np.einsum("ij,ij->i", delta, delta)
-        dist = np.sqrt(dist2)
-        accepted = (2.0 * node.half_width) < (self.theta * dist)
-        if node.is_leaf:
-            # Direct sum over the leaf's particles for everyone still here.
-            rejected = active
-            self._leaf_direct(node, rejected, pts, acc)
-            return
-        take = active[accepted]
-        if len(take):
-            d = delta[accepted]
-            d2 = dist2[accepted] + self.eps**2
-            acc[take] += self.G * node.mass * d / d2[:, None] ** 1.5
-        remain = active[~accepted]
-        for child in node.children:
-            self._traverse(child, remain, pts, acc)
+        if targets is None:
+            return self._walk_self()[0].copy()
+        xyz = np.ascontiguousarray(np.asarray(targets, dtype=np.float64).T)
+        acc = np.zeros(xyz.shape)
+        self._walk(0, xyz, acc, None)
+        return np.ascontiguousarray(acc.T)
 
     def potential(self) -> float:
-        """Total gravitational potential energy via the tree (monopole).
-
-        Same opening criterion as :meth:`acceleration`, so the Evrard
-        diagnostic no longer needs the O(N^2) direct sum in the hot loop
-        (:func:`direct_sum_potential` remains the test oracle).  Returns
-        ``0.5 * sum_i m_i phi_i`` with Plummer-softened ``phi``.
+        """Total gravitational potential energy via the tree (monopole):
+        ``0.5 * sum_i m_i phi_i`` with Plummer-softened ``phi``, read from
+        the walk :meth:`acceleration` runs, so the Evrard diagnostic costs
+        no second traversal (:func:`direct_sum_potential` is the oracle).
         """
-        phi = np.zeros(len(self._pos))
-        self._traverse_potential(0, np.arange(len(self._pos)), phi)
-        return float(0.5 * np.sum(self._mass * phi))
+        return float(0.5 * np.sum(self._mass * self._walk_self()[1]))
 
-    def _traverse_potential(
-        self, node_id: int, active: np.ndarray, phi: np.ndarray
-    ) -> None:
-        if len(active) == 0:
-            return
+    def _walk_self(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._self_sums is None:
+            acc, phi = np.zeros(self._xyz.shape), np.zeros(len(self._mass))
+            self._walk(0, self._xyz, acc, phi)
+            self._self_sums = (np.ascontiguousarray(acc.T), phi)
+        return self._self_sums
+
+    def _walk(self, node_id: int, xyz: np.ndarray, acc, phi) -> None:
+        """Add node ``node_id``'s pull on the targets ``xyz`` (3, a) to their
+        running sums ``acc`` (3, a) and/or ``phi`` (a,); ``None`` skips one.
+        Each target takes its terms in depth-first order and in the former
+        array-of-structs arithmetic, bit for bit (DESIGN.md, "Gravity walk").
+        """
         node = self.nodes[node_id]
-        delta = node.com[None, :] - self._pos[active]
-        dist2 = np.einsum("ij,ij->i", delta, delta)
-        accepted = (2.0 * node.half_width) ** 2 < (self.theta**2 * dist2)
-        if node.is_leaf:
-            src_idx = node._indices  # type: ignore[attr-defined]
-            d = self._pos[src_idx][None, :, :] - self._pos[active][:, None, :]
-            d2 = np.einsum("ijk,ijk->ij", d, d)
-            self_mask = d2 < 1e-24
-            inv_d = (d2 + self.eps**2) ** -0.5
-            inv_d[self_mask] = 0.0
-            phi[active] += -self.G * inv_d @ self._mass[src_idx]
+        G, eps2 = self.G, self.eps**2
+        if node.is_leaf:  # direct sum over the leaf for every target still here
+            src, m, pool = node.indices, self._mass[node.indices], self._pool
+            s, a = len(src), xyz.shape[1]
+            d, sq = pool.get("d", 6 * s * a, np.float64).reshape(2, 3, s, a)
+            np.subtract(self._xyz[:, src, None], xyz[:, None, :], out=d)
+            np.multiply(d, d, out=sq)
+            d2 = np.add(sq[0], sq[2], out=pool.rows("d2", s, a, np.float64))
+            d2 += sq[1]  # the einsum's order: (dx*dx + dz*dz) + dy*dy
+            self_mask = np.less(d2, 1e-24, out=pool.rows("mask", s, a, np.bool_))
+            d2 += eps2
+            w = sq[0]
+            if acc is not None:
+                np.power(d2, -1.5, out=w)
+                w[self_mask] = 0.0
+                if a == 1:  # a lone target: the AoS einsum has its own order
+                    w1, d1 = np.ascontiguousarray(w.T), np.ascontiguousarray(d.T)
+                    f = np.einsum("ij,j,ijk->ik", w1, m, d1).T
+                else:  # sources summed in sequence, as the AoS einsum did
+                    w *= m[:, None]
+                    f = np.einsum("ji,kji->ki", w, d)
+                acc += G * f
+            if phi is not None:
+                np.power(d2, -0.5, out=w)
+                w[self_mask] = 0.0
+                # C-ordered (targets x sources): the former BLAS gemv call.
+                phi += np.multiply(w.T, -G, out=pool.rows("wt", a, s, np.float64)) @ m
             return
-        take = active[accepted]
-        if len(take):
-            phi[take] += -self.G * node.mass / np.sqrt(
-                dist2[accepted] + self.eps**2
-            )
-        remain = active[~accepted]
+        d = node.com[:, None] - xyz
+        d2 = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+        width = 2.0 * node.half_width
+        take = width < self.theta * np.sqrt(d2) if acc is not None else None
+        if phi is not None:
+            # The potential's own squared test.  Should it disagree at a
+            # rounding edge, each sum walks this subtree on its own decisions.
+            phi_take = width**2 < self.theta**2 * d2
+            if take is None:
+                take = phi_take
+            elif not np.array_equal(take, phi_take):
+                self._walk(node_id, xyz, acc, None)
+                self._walk(node_id, xyz, None, phi)
+                return
+        sub = [xyz, acc, phi]
+        if take.any():
+            # Rejected targets add +0.0, which is exact: a sum that starts
+            # at +0.0 never holds -0.0.
+            r2 = d2 + eps2
+            if acc is not None:
+                acc += np.where(take, G * node.mass * d / r2**1.5, 0.0)
+            if phi is not None:
+                phi += np.where(take, -G * node.mass / np.sqrt(r2), 0.0)
+            rest = np.flatnonzero(~take)
+            if len(rest) == 0:
+                return
+            sub = [None if v is None else np.take(v, rest, axis=-1) for v in sub]
         for child in node.children:
-            self._traverse_potential(child, remain, phi)
-
-    def _leaf_direct(
-        self, node: _BhNode, active: np.ndarray, pts: np.ndarray, acc: np.ndarray
-    ) -> None:
-        src_idx = node._indices  # type: ignore[attr-defined]
-        src_pos = self._pos[src_idx]
-        src_mass = self._mass[src_idx]
-        delta = src_pos[None, :, :] - pts[active][:, None, :]
-        dist2 = np.einsum("ijk,ijk->ij", delta, delta)
-        self_mask = dist2 < 1e-24
-        dist2 = dist2 + self.eps**2
-        inv_d3 = dist2**-1.5
-        inv_d3[self_mask] = 0.0
-        acc[active] += self.G * np.einsum("ij,j,ijk->ik", inv_d3, src_mass, delta)
+            self._walk(child, *sub)
+        for out, part in zip((acc, phi), sub[1:]):  # copy the rejected back
+            if part is not None and part is not out:
+                out[..., rest] = part

@@ -215,9 +215,9 @@ class Propagator:
                     eps=self.gravity_eps,
                 )
                 ps.acc = ps.acc + tree.acceleration()
-                # Diagnostic potential from the same tree — the former
-                # per-step O(N^2) direct sum survives only as the oracle
-                # in the gravity tests.
+                # The diagnostic potential comes from the same single walk
+                # as the acceleration: no second traversal and no O(N^2)
+                # direct sum, which survives only as the tests' oracle.
                 potential = tree.potential()
 
         if self.driver is not None:

@@ -264,19 +264,31 @@ class TestPropagatorIntegration:
         assert prop.neighbor_list.rebuild_fraction < 1.0
 
     def test_gravity_step_avoids_direct_sum_potential(self, monkeypatch):
-        """Acceptance: the Evrard hot loop uses the tree potential."""
+        """Acceptance: the Evrard hot loop uses the tree potential, and one
+        tree traversal per step yields both the forces and the potential."""
         import repro.sph.gravity as gravity_mod
 
         def boom(*a, **k):  # pragma: no cover - should never run
             raise AssertionError("direct_sum_potential called in hot loop")
 
         monkeypatch.setattr(gravity_mod, "direct_sum_potential", boom)
+        traversals = []
+        walk = gravity_mod.BarnesHutGravity._walk
+
+        def counting_walk(self, node_id, *args):
+            if node_id == 0:
+                traversals.append(node_id)
+            return walk(self, node_id, *args)
+
+        monkeypatch.setattr(gravity_mod.BarnesHutGravity, "_walk", counting_walk)
         from repro.sph.initial_conditions import make_evrard
 
         ps, box = make_evrard(500)
         sim = Simulation(ps, Propagator(box, gravity=True))
         stats = sim.run(2)
         assert stats[-1].totals.total_energy < 0  # bound collapse
+        assert stats[-1].totals.potential < 0
+        assert len(traversals) == 2  # one per step
 
 
 class TestDistributedEquivalence:

@@ -9,27 +9,29 @@ sources per platform:
   memory and per-card accelerator counters in a single read; a rank's
   ``gpu`` counter is its card's ``accelN`` (shared with its card-mate GCD).
 * **NVML systems (CSCS-A100, miniHPC)** — a per-rank ``nvml`` meter for
-  the GPU, a shared per-node ``rapl`` meter for the CPU, and the IPMI node
-  sensor for the node counter.  No memory counter exists (Figure 2's
-  "Other" therefore absorbs memory on these systems).
+  the GPU, a shared per-node ``rapl`` meter for the CPU, a private meter
+  over the Slurm node-energy source (the IPMI sensor) for the node
+  counter, and one per-card ``nvml`` window meter per node card.  No
+  memory counter exists (Figure 2's "Other" therefore absorbs memory on
+  these systems).
 
 Reads at identical simulated timestamps are cached per node, matching the
 fact that co-located ranks reading the same counter at the same instant
 see the same value.  Each node keeps one slot: the freshest timestamp.
 
 By default every meter is wrapped in the resilient layer
-(:class:`~repro.pmt.backends.resilient.ResilientPMT` for PMT backends,
-:class:`~repro.sensors.resilient.ResilientSensor` for raw sensor reads),
-so a failing or lying sensor degrades — retried, interpolated, flagged —
-instead of aborting the run.  Glitch plausibility bounds come from the
-hardware specs' nominal peak powers.  Every mitigation is accounted: each
+(:class:`~repro.pmt.backends.resilient.ResilientPMT`, the one degradation
+ladder), so a failing or lying sensor degrades — retried, interpolated,
+flagged — instead of aborting the run.  Glitch plausibility bounds come
+from the hardware specs' nominal peak powers.  Every mitigation is accounted: each
 :class:`FunctionEnergyRecord` carries the health-counter deltas that fired
 while the region was open, and :meth:`gather` emits one
 :class:`TelemetryHealthRecord` per node.  The profiler owns its meters, so
 a node's health totals only change when the profiler reads one of that
 node's meters; it keeps the totals per node and re-sums them only after
 such a read.  On a healthy run the resilient layer is value-transparent:
-all measured energies are bit-identical to an unwrapped run.
+all measured energies are bit-identical to an unwrapped
+(``resilient=False``) run.
 """
 
 from __future__ import annotations
@@ -50,46 +52,35 @@ from repro.pmt.backends.nvml import NvmlPMT
 from repro.pmt.backends.rapl import RaplPMT
 from repro.pmt.backends.resilient import ResilientPMT
 from repro.pmt.base import PMT
-from repro.sensors.base import SensorReading
-from repro.sensors.nvml import NvmlGpu
-from repro.sensors.resilient import (
-    GLITCH_MARGIN,
-    ResilientSensor,
-    SensorHealth,
-    diff_counters,
-)
+from repro.pmt.state import Measurement, State
+from repro.sensors.resilient import GLITCH_MARGIN, SensorHealth, diff_counters
 from repro.sensors.telemetry import NodeTelemetry
 
 #: One meter's health counters as a tuple, in ``COUNTER_FIELDS`` order.
 _health_fields = attrgetter(*SensorHealth.COUNTER_FIELDS)
 
 
-class _SlurmNodeSource:
-    """The Slurm node-level energy source as a plain ``read(t)`` sensor."""
+class _SlurmNodePMT(PMT):
+    """The Slurm node-level energy source as a meter.
 
-    def __init__(self, telemetry: NodeTelemetry) -> None:
-        self._telemetry = telemetry
-
-    def read(self, t: float) -> SensorReading:
-        return self._telemetry.slurm_energy_reading(t)
-
-
-class _NvmlEnergySource:
-    """NVML's total-energy counter as a ``read(t)`` sensor.
-
-    Reproduces the integer-millijoule rounding of
-    ``nvmlDeviceGetTotalEnergyConsumption`` exactly, so wrapping it in the
-    resilient layer leaves healthy application-window reads unchanged.
+    Private to the profiler (not a registered backend).  The state keeps
+    the sensor reading's own timestamp, the tick it reflects.
     """
 
-    def __init__(self, gpu: NvmlGpu) -> None:
-        self._gpu = gpu
+    def __init__(self, telemetry: NodeTelemetry) -> None:
+        super().__init__(telemetry.node.clock)
+        self._telemetry = telemetry
 
-    def read(self, t: float) -> SensorReading:
-        return SensorReading(
-            timestamp=t,
-            watts=self._gpu.power_usage_mw(t) / 1e3,
-            joules=self._gpu.total_energy_consumption_mj(t) / 1e3,
+    def measurement_names(self) -> tuple[str, ...]:
+        return ("node",)
+
+    def read_state(self) -> State:
+        reading = self._telemetry.slurm_energy_reading(self.clock.now)
+        return State(
+            timestamp=reading.timestamp,
+            measurements=(
+                Measurement(name="node", joules=reading.joules, watts=reading.watts),
+            ),
         )
 
 
@@ -121,73 +112,59 @@ class EnergyProfiler:
         #: Unwrapped RAPL backends (for ``suspect_intervals`` accounting).
         self._rapl_raw: list[RaplPMT | None] = [None] * num_nodes
         self._nvml: dict[int, PMT] = {}
-        self._node_source: list[object | None] = [None] * num_nodes
-        self._window_sources: list[list] = [[] for _ in range(num_nodes)]
-        #: Per node: ``(child_name, source-with-.health)`` in wiring order.
-        self._health_sources: list[list[tuple[str, object]]] = [
+        self._node_meter: list[PMT | None] = [None] * num_nodes
+        self._window_meters: list[list[PMT]] = [[] for _ in range(num_nodes)]
+        #: Per node: ``(child_name, resilient meter)`` in wiring order.
+        self._health_sources: list[list[tuple[str, ResilientPMT]]] = [
             [] for _ in range(num_nodes)
         ]
 
+        def guard(node_index: int, meter: PMT, label: str, bound) -> PMT:
+            """Wrap ``meter`` in the ladder (unless disabled) and book it."""
+            if not resilient:
+                return meter
+            meter = ResilientPMT(meter, label=label, plausible_max_watts=bound)
+            self._health_sources[node_index].append((label, meter))
+            return meter
+
         if system.pmt_backend == "cray":
             for node_index, tel in enumerate(telemetries):
-                meter: PMT = CrayPMT(telemetry=tel)
-                if resilient:
-                    meter = ResilientPMT(
-                        meter, label="cray", plausible_max_watts=node_bound
-                    )
-                    self._health_sources[node_index].append(("cray", meter))
-                self._cray[node_index] = meter
+                self._cray[node_index] = guard(
+                    node_index, CrayPMT(telemetry=tel), "cray", node_bound
+                )
         else:
             for node_index, tel in enumerate(telemetries):
                 raw = RaplPMT(telemetry=tel)
                 self._rapl_raw[node_index] = raw
-                cpu_meter: PMT = raw
-                if resilient:
-                    # No glitch bound: RAPL has no power register — its
-                    # watts are *derived* by differencing energy reads, and
-                    # two reads closer together than the register refresh
-                    # alias into arbitrarily large (legitimate) spikes.
-                    cpu_meter = ResilientPMT(raw, label="cpu")
-                    self._health_sources[node_index].append(("cpu", cpu_meter))
-                self._rapl[node_index] = cpu_meter
-
-                node_src: object = _SlurmNodeSource(tel)
-                if resilient:
-                    node_src = ResilientSensor(
-                        node_src, label="node", plausible_max_watts=node_bound
+                # No glitch bound: RAPL has no power register — its watts
+                # are *derived* by differencing energy reads, and two reads
+                # closer together than the register refresh alias into
+                # arbitrarily large (legitimate) spikes.
+                self._rapl[node_index] = guard(node_index, raw, "cpu", None)
+                self._node_meter[node_index] = guard(
+                    node_index, _SlurmNodePMT(tel), "node", node_bound
+                )
+                self._window_meters[node_index] = [
+                    guard(
+                        node_index,
+                        NvmlPMT(telemetry=tel, device_index=i),
+                        f"gpu{i}",
+                        card_bound,
                     )
-                    self._health_sources[node_index].append(("node", node_src))
-                self._node_source[node_index] = node_src
-
-                for i, gpu in enumerate(tel.nvml):
-                    win_src: object = _NvmlEnergySource(gpu)
-                    if resilient:
-                        win_src = ResilientSensor(
-                            win_src,
-                            label=f"gpu{i}",
-                            plausible_max_watts=card_bound,
-                        )
-                        self._health_sources[node_index].append(
-                            (f"gpu{i}", win_src)
-                        )
-                    self._window_sources[node_index].append(win_src)
+                    for i in range(len(tel.nvml))
+                ]
 
             for rank in range(placement.size):
                 loc = placement.location(rank)
-                gpu_meter: PMT = NvmlPMT(
-                    telemetry=telemetries[loc.node_index],
-                    device_index=loc.card_index,
+                self._nvml[rank] = guard(
+                    loc.node_index,
+                    NvmlPMT(
+                        telemetry=telemetries[loc.node_index],
+                        device_index=loc.card_index,
+                    ),
+                    f"gpu{loc.card_index}",
+                    card_bound,
                 )
-                if resilient:
-                    gpu_meter = ResilientPMT(
-                        gpu_meter,
-                        label=f"gpu{loc.card_index}",
-                        plausible_max_watts=card_bound,
-                    )
-                    self._health_sources[loc.node_index].append(
-                        (f"gpu{loc.card_index}", gpu_meter)
-                    )
-                self._nvml[rank] = gpu_meter
 
         #: Optional :class:`~repro.timeseries.spans.SpanRecorder`: when
         #: set, every begin/end mark also records a region span (pure
@@ -238,14 +215,14 @@ class EnergyProfiler:
             out = {m.name: m.joules for m in cray.read().measurements}
         else:
             rapl = self._rapl[node_index]
-            node_src = self._node_source[node_index]
-            assert rapl is not None and node_src is not None
-            out = {"cpu": rapl.read().joules, "node": node_src.read(now).joules}
+            node_meter = self._node_meter[node_index]
+            assert rapl is not None and node_meter is not None
+            out = {"cpu": rapl.read().joules, "node": node_meter.read().joules}
             # Per-card window counters are read at every boundary too: the
             # stuck detector needs a read cadence much finer than the app
             # window to catch a mid-run freeze before end_app().
-            for i, src in enumerate(self._window_sources[node_index]):
-                out[f"accel{i}"] = src.read(now).joules
+            for i, meter in enumerate(self._window_meters[node_index]):
+                out[f"accel{i}"] = meter.read().joules
         self._node_cache[node_index] = (now, out)
         if self.auditor is not None:
             self.auditor.on_counters(node_index, now, out)

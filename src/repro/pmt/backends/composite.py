@@ -20,9 +20,9 @@ known values flagged ``degraded`` and excluded from the primary sum, so
 the composite keeps serving the healthy children instead of aborting the
 whole read.  Only when every child fails (or a child fails before its
 first successful read) does the composite raise.  Wrap the children in
-:class:`~repro.pmt.backends.resilient.ResilientPMT` for the finer ladder
-(retry, interpolation, stuck detection) — the composite's isolation is the
-backstop for children that fail hard.
+:class:`~repro.pmt.backends.resilient.ResilientPMT`, the pipeline's one
+degradation ladder (retry, interpolation, stuck detection, zero baseline)
+— the composite's isolation is the backstop for children that fail hard.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
-"""Resilient PMT wrapper: the degradation ladder at the meter level.
+"""Resilient PMT wrapper: the measurement pipeline's one degradation ladder.
 
 Wraps any concrete :class:`~repro.pmt.base.PMT` backend so that one failing
 or lying sensor cannot abort an instrumented run or silently corrupt the
-per-function attribution:
+per-function attribution.  Every meter the profiler reads goes through
+this wrapper, node-level and per-card window sources included:
 
 1. **retry** — a failed ``read_state()`` is retried a bounded number of
-   times (counted; under the shared virtual clock a retry re-reads at the
-   same instant, so purely time-windowed faults fall through to step 2 —
-   exactly like a real retry storm inside a long outage);
+   times (counted).  Retries re-read at the same instant: the clock is
+   shared with the application, so a retry can never read ahead of it,
+   and purely time-windowed faults fall through to step 2 — exactly like
+   a real retry storm inside a long outage;
 2. **interpolate** — on persistent failure, every measurement of the last
-   good state is extrapolated at its last observed power and flagged
-   ``interpolated``;
+   good state is extrapolated from that state's timestamp at its last
+   observed power and flagged ``interpolated``;
 3. **degrade** — per-measurement stuck-counter detection (identical energy
-   across advancing time under nonzero load) substitutes extrapolated
-   energy flagged ``extrapolated``; instantaneous powers above the
-   hardware's plausibility bound are substituted and flagged ``rejected``;
+   across advancing time under nonzero load) substitutes energy
+   extrapolated from the anchor state's own timestamp, flagged
+   ``extrapolated``; instantaneous powers above the hardware's
+   plausibility bound are substituted and flagged ``rejected``;
 4. **zero-baseline** — a failure before the very first good read serves a
    zero-power, zero-energy state shaped after the inner backend's
    :meth:`~repro.pmt.base.PMT.measurement_names` (energy accounting is
@@ -52,6 +55,10 @@ from repro.sensors.resilient import (
 class _StuckTrack:
     """Per-measurement stuck-counter streak state.
 
+    ``anchor_t`` is the read instant of the anchor (the first read of the
+    current identical-accumulator run) and ``anchor_ts`` that state's own
+    timestamp: a sampled sensor stamps the tick it reflects, and a frozen
+    one repeats its last tick, so extrapolation starts from ``anchor_ts``.
     ``trail_*`` hold a (time, joules) reference at least one grace period
     older than the anchor, so a detected freeze can be extrapolated at the
     trailing-average power instead of the instantaneous power the sensor
@@ -61,6 +68,7 @@ class _StuckTrack:
     joules: float
     watts: float
     anchor_t: float
+    anchor_ts: float
     trail_t: float
     trail_joules: float
     trail_next_t: float
@@ -86,8 +94,12 @@ class ResilientPMT(PMT):
         Physical ceiling for any single measurement's instantaneous power,
         from the hardware specs (``None`` disables glitch rejection).
     stuck_reads / min_expected_watts / stuck_min_joules / stuck_grace_s:
-        Stuck-accumulator detection thresholds, applied per measurement
-        (see :class:`~repro.sensors.resilient.ResilientSensor`).
+        Stuck-accumulator detection, applied per measurement: after
+        ``stuck_reads`` consecutive reads with an identical accumulator
+        while the expected draw (at least ``min_expected_watts``) should
+        have added ``stuck_min_joules``, and at least ``stuck_grace_s`` of
+        zero growth (longer than any healthy sensor's refresh period), the
+        counter is declared stuck and its energy extrapolated.
     """
 
     def __init__(
@@ -131,13 +143,22 @@ class ResilientPMT(PMT):
         if state is None:
             state = self._interpolate_state(t)
         else:
+            # A healthy read substitutes nothing and serves the inner
+            # state; the measurements are copied on the first substitution.
             measured = state.measurements
-            served = tuple(
-                self._track_stuck(t, self._reject_glitch(m)) for m in measured
-            )
-            # A healthy read substitutes nothing: serve the inner state.
-            if any(s is not m for s, m in zip(served, measured)):
-                state = State(timestamp=state.timestamp, measurements=served)
+            ts = state.timestamp
+            served = None
+            for i, m in enumerate(measured):
+                s = self._track_stuck(t, ts, self._reject_glitch(m))
+                if s is not m:
+                    if served is None:
+                        served = list(measured)
+                    served[i] = s
+            if served is not None:
+                # Extrapolated energy is the energy at the read instant.
+                if any(s.quality == "extrapolated" for s in served):
+                    ts = t
+                state = State(timestamp=ts, measurements=tuple(served))
         self._last_good = state
         self._prev_t = t
         return state
@@ -221,13 +242,14 @@ class ResilientPMT(PMT):
             name=m.name, joules=m.joules, watts=substitute, quality="rejected"
         )
 
-    def _track_stuck(self, t: float, m: Measurement) -> Measurement:
+    def _track_stuck(self, t: float, ts: float, m: Measurement) -> Measurement:
         track = self._tracks.get(m.name)
         if track is None:
             self._tracks[m.name] = _StuckTrack(
                 joules=m.joules,
                 watts=m.watts,
                 anchor_t=t,
+                anchor_ts=ts,
                 trail_t=t,
                 trail_joules=m.joules,
                 trail_next_t=t,
@@ -240,6 +262,7 @@ class ResilientPMT(PMT):
             track.joules = m.joules
             track.watts = m.watts
             track.anchor_t = t
+            track.anchor_ts = ts
             track.streak = 0
             track.stuck = False
             if t - track.trail_next_t >= self.stuck_grace_s:
@@ -262,7 +285,8 @@ class ResilientPMT(PMT):
             self.health.degraded = True
         if not track.stuck:
             return m
-        # The freeze happened at most one read interval before the anchor.
+        # The freeze happened at most one read interval before the anchor,
+        # whose own timestamp is the best estimate of the freeze instant.
         # Extrapolate at the trailing-average power (identical to the
         # frozen instantaneous power under steady load, far less biased
         # when the freeze lands inside a burst or an idle gap); the error
@@ -274,7 +298,7 @@ class ResilientPMT(PMT):
             )
         return Measurement(
             name=m.name,
-            joules=track.joules + watts * max(0.0, t - track.anchor_t),
+            joules=track.joules + watts * max(0.0, t - track.anchor_ts),
             watts=watts,
             quality="extrapolated",
         )

@@ -25,7 +25,7 @@ from repro.sensors.nvml import NvmlGpu
 from repro.sensors.rocm import RocmCard
 from repro.sensors.ipmi import IpmiNode
 from repro.sensors.telemetry import NodeTelemetry
-from repro.sensors.resilient import ResilientSensor, SensorHealth
+from repro.sensors.resilient import SensorHealth
 from repro.sensors.inject import FAULT_KINDS, inject_fault
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "RocmCard",
     "IpmiNode",
     "NodeTelemetry",
-    "ResilientSensor",
     "SensorHealth",
     "FAULT_KINDS",
     "inject_fault",

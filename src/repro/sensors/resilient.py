@@ -1,40 +1,20 @@
-"""Fault-tolerant sensor reads: retry, interpolate, degrade — never crash.
+"""Shared vocabulary of the fault-tolerant read path.
 
 Real telemetry fails in exactly the ways :mod:`repro.sensors.faults`
 models: i2c/IPMI reads time out, BMC counters freeze, bus glitches spike
-the instantaneous-power register.  A raw :class:`SensorError` anywhere in
-the measurement path used to abort the whole instrumented run and silently
-corrupt per-function attribution.  :class:`ResilientSensor` wraps any
-sensor-shaped object (``read(t) -> SensorReading``) with the degradation
-ladder production telemetry pipelines use:
-
-1. **retry** — bounded re-reads on failure, with a deterministic backoff
-   schedule (each retry reads at ``t + accumulated_backoff``, modelling the
-   wall-clock a real retry burns; a short outage is stepped over entirely);
-2. **interpolate** — if all retries fail, hold the last good value and
-   extrapolate the energy accumulator at its last observed power, with
-   per-gap accounting;
-3. **degrade** — a stuck counter (identical energy reads while the caller's
-   clock advances under nonzero load) or an implausible power reading
-   (above the hardware's physical maximum) is flagged and substituted, and
-   the sensor is marked degraded in its :class:`SensorHealth` record;
-4. **zero-baseline** — when there is no last good value at all (an outage
-   covering the very first read), serve a zero-power, zero-energy reading
-   instead of raising: accumulators are differenced against this baseline,
-   the gap is counted, and any imbalance is the audit layer's to flag —
-   a crash would lose the whole run.
-
-Every mitigation is counted in :class:`SensorHealth`, which the
-instrumentation layer threads into the run's measurement records so every
-analysis table can carry a data-quality column.
+the instantaneous-power register.  The degradation ladder that absorbs
+those faults (retry, interpolate, degrade, zero baseline) lives in one
+place, :class:`~repro.pmt.backends.resilient.ResilientPMT`, which wraps
+every meter the measurement pipeline reads.  This module holds what the
+ladder shares with its consumers: the plausibility and stuck-counter
+thresholds, the :class:`SensorHealth` mitigation record the
+instrumentation layer threads into every run's measurement records, and
+:func:`diff_counters` for per-region health deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.errors import SensorError
-from repro.sensors.base import SensorReading
 
 #: Headroom over the hardware specs' nominal peak power before an
 #: instantaneous reading is treated as physically implausible.  Covers
@@ -45,9 +25,6 @@ GLITCH_MARGIN = 2.0
 
 #: Default number of re-read attempts after a failed read.
 DEFAULT_MAX_RETRIES = 3
-
-#: Default first-retry backoff in (simulated) seconds; doubles per attempt.
-DEFAULT_BACKOFF_S = 0.05
 
 #: Reads with identical accumulator values needed to declare a counter stuck.
 DEFAULT_STUCK_READS = 3
@@ -124,195 +101,3 @@ def diff_counters(
             out[key] = delta
     return out
 
-
-class ResilientSensor:
-    """Degradation-ladder wrapper over any ``read(t)`` sensor.
-
-    Parameters
-    ----------
-    inner:
-        The sensor to protect (anything with ``read(t) -> SensorReading``).
-    label:
-        Name used when this sensor is reported in health records.
-    max_retries / backoff_s:
-        Bounded retry schedule: attempt ``k`` (1-based) re-reads at
-        ``t + backoff_s * (2**k - 1)``.  Deterministic, so replays are
-        bit-identical.
-    plausible_max_watts:
-        Physical power ceiling from the hardware specs; instantaneous
-        readings above it are rejected and substituted with the last good
-        power (``None`` disables glitch rejection).
-    stuck_reads / min_expected_watts / stuck_min_joules / stuck_grace_s:
-        Stuck-counter detection: after ``stuck_reads`` consecutive reads
-        with an identical accumulator while the expected draw (at least
-        ``min_expected_watts``) should have added ``stuck_min_joules``,
-        and at least ``stuck_grace_s`` of zero growth (longer than any
-        healthy sensor's refresh period), the counter is declared stuck
-        and its energy extrapolated.
-    """
-
-    def __init__(
-        self,
-        inner,
-        *,
-        label: str = "sensor",
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-        plausible_max_watts: float | None = None,
-        stuck_reads: int = DEFAULT_STUCK_READS,
-        min_expected_watts: float = 1.0,
-        stuck_min_joules: float = DEFAULT_STUCK_MIN_JOULES,
-        stuck_grace_s: float = DEFAULT_STUCK_GRACE_S,
-    ) -> None:
-        if max_retries < 0:
-            raise SensorError("max_retries must be >= 0")
-        if backoff_s <= 0:
-            raise SensorError("backoff_s must be positive")
-        if stuck_reads < 1:
-            raise SensorError("stuck_reads must be >= 1")
-        if plausible_max_watts is not None and plausible_max_watts <= 0:
-            raise SensorError("plausible_max_watts must be positive when set")
-        self._inner = inner
-        self.label = label
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self.plausible_max_watts = plausible_max_watts
-        self.stuck_reads = int(stuck_reads)
-        self.min_expected_watts = float(min_expected_watts)
-        self.stuck_min_joules = float(stuck_min_joules)
-        self.stuck_grace_s = float(stuck_grace_s)
-        self.health = SensorHealth()
-        self._last_good: SensorReading | None = None
-        self._prev_t: float | None = None
-        # Stuck-counter streak state: the first reading of the current
-        # identical-accumulator run and the caller time it arrived at.
-        self._anchor: SensorReading | None = None
-        self._anchor_t = 0.0
-        self._streak = 0
-        self._stuck = False
-        # Trailing (t, joules) reference at least one grace period old —
-        # extrapolating a stuck counter at the *average* power over the
-        # last few seconds is far more robust under bursty load than the
-        # instantaneous power the sensor happened to report at the freeze.
-        self._trail: tuple[float, float] | None = None
-        self._trail_next: tuple[float, float] | None = None
-
-    @property
-    def inner(self):
-        """The wrapped sensor."""
-        return self._inner
-
-    # -- the degradation ladder -------------------------------------------------
-
-    def read(self, t: float) -> SensorReading:
-        """Read at time ``t``; never raises — a failure before any good
-        read degrades to a zero baseline, afterwards to interpolation."""
-        self.health.reads += 1
-        reading = self._attempt(t)
-        if reading is None:
-            reading = self._interpolate(t)
-        else:
-            reading = self._reject_glitch(reading)
-            reading = self._track_stuck(t, reading)
-        self._last_good = reading
-        self._prev_t = t
-        return reading
-
-    def _attempt(self, t: float) -> SensorReading | None:
-        """One read plus bounded, deterministically backed-off retries."""
-        delay = 0.0
-        for attempt in range(self.max_retries + 1):
-            try:
-                reading = self._inner.read(t + delay)
-            except SensorError:
-                if attempt == self.max_retries:
-                    return None
-                self.health.retries += 1
-                delay += self.backoff_s * (2.0**attempt)
-            else:
-                if attempt > 0:
-                    self.health.retry_successes += 1
-                return reading
-        return None
-
-    def _interpolate(self, t: float) -> SensorReading:
-        """Hold-last-good energy extrapolation across a read gap."""
-        self.health.gaps_interpolated += 1
-        if self._prev_t is not None:
-            self.health.gap_seconds += max(0.0, t - self._prev_t)
-        self.health.degraded = True
-        last = self._last_good
-        if last is None:
-            # The sensor has never produced a value (an outage covering
-            # the very first read).  Energy accumulators are relative —
-            # consumers difference later reads against this baseline —
-            # so a zero-power, zero-energy reading keeps the run alive
-            # while the gap stays on the books; any resulting energy
-            # imbalance surfaces through the audit layer rather than a
-            # crash that loses the whole run.
-            return SensorReading(timestamp=t, watts=0.0, joules=0.0)
-        return SensorReading(
-            timestamp=t,
-            watts=last.watts,
-            joules=last.joules + last.watts * max(0.0, t - last.timestamp),
-        )
-
-    def _reject_glitch(self, reading: SensorReading) -> SensorReading:
-        """Plausibility-bound the instantaneous-power register."""
-        bound = self.plausible_max_watts
-        if bound is None or reading.watts <= bound:
-            return reading
-        self.health.glitches_rejected += 1
-        substitute = self._last_good.watts if self._last_good else bound
-        return SensorReading(
-            timestamp=reading.timestamp,
-            watts=substitute,
-            joules=reading.joules,
-        )
-
-    def _track_stuck(self, t: float, reading: SensorReading) -> SensorReading:
-        """Detect a frozen accumulator and extrapolate past it."""
-        anchor = self._anchor
-        if anchor is None or reading.joules != anchor.joules:
-            # The accumulator moved: healthy (or thawed) — reset the streak.
-            self._anchor = reading
-            self._anchor_t = t
-            self._streak = 0
-            self._stuck = False
-            if self._trail_next is None:
-                self._trail = self._trail_next = (t, reading.joules)
-            elif t - self._trail_next[0] >= self.stuck_grace_s:
-                self._trail = self._trail_next
-                self._trail_next = (t, reading.joules)
-            return reading
-        expected_watts = max(
-            reading.watts, anchor.watts, self.min_expected_watts
-        )
-        zero_growth_s = t - self._anchor_t
-        if (
-            zero_growth_s >= self.stuck_grace_s
-            and zero_growth_s * expected_watts >= self.stuck_min_joules
-        ):
-            self._streak += 1
-            self.health.stuck_reads += 1
-        if self._streak >= self.stuck_reads and not self._stuck:
-            self._stuck = True
-            self.health.stuck_detections += 1
-            self.health.degraded = True
-        if not self._stuck:
-            return reading
-        # A frozen sensor repeats its last completed tick, so the anchor's
-        # own timestamp is the best estimate of the freeze instant.
-        # Extrapolate at the trailing-average power (energy gained over the
-        # last few grace periods) rather than the instantaneous power at
-        # the freeze — identical under steady load, much less biased when
-        # the freeze lands inside a burst or an idle gap.
-        watts = anchor.watts
-        if self._trail is not None and self._anchor_t > self._trail[0]:
-            t_ref, j_ref = self._trail
-            watts = (anchor.joules - j_ref) / (self._anchor_t - t_ref)
-        return SensorReading(
-            timestamp=t,
-            watts=watts,
-            joules=anchor.joules + watts * max(0.0, t - anchor.timestamp),
-        )

@@ -47,7 +47,6 @@ from repro.errors import ConfigurationError
 from repro.hardware.dvfs import snap_to_supported
 from repro.timeseries.rolling import RollingMean
 from repro.tuning.dynamic import SWITCH_FUNCTION
-from repro.tuning.policy import FunctionSweepPoint
 
 #: The selectable governor policies (the CLI choices).
 GOVERNOR_POLICIES = ("min-energy", "min-edp", "power-cap")
@@ -286,26 +285,6 @@ class EnergyAwareGovernor:
         if stats is None:
             stats = per_freq[self._clock_mhz] = _FreqStats()
         stats.add(t1 - t0, gpu)
-
-    def warm_start(self, points: list[FunctionSweepPoint]) -> None:
-        """Seed the model from an offline optimizer sweep.
-
-        Each point registers as ``explore_visits`` synthetic
-        observations, so a fully-swept candidate set skips online
-        exploration entirely.  Points are comparable among themselves
-        (same sweep scale), which is all scoring needs; pass a sweep
-        covering every candidate or none of a function's points at all.
-        """
-        for point in points:
-            freq = min(
-                self.candidates, key=lambda f: (abs(f - point.freq_mhz), f)
-            )
-            per_freq = self._stats.setdefault(point.function, {})
-            stats = per_freq.get(freq)
-            if stats is None:
-                stats = per_freq[freq] = _FreqStats()
-            for _ in range(self.config.explore_visits):
-                stats.add(point.seconds, point.joules)
 
     # -- telemetry updates (sampler tick hook) -------------------------------
 

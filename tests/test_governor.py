@@ -252,23 +252,6 @@ class TestExplorationAndDecisions:
         for _ in range(3):
             assert gov.frequency_for("Tiny") is None
 
-    def test_warm_start_skips_exploration(self):
-        from repro.tuning.policy import FunctionSweepPoint
-
-        gov = make_governor("min-edp")
-        points = [
-            FunctionSweepPoint("F", freq, seconds, joules)
-            for freq, seconds, joules in (
-                (1410.0, 1.0, 400.0),
-                (1140.0, 1.05, 290.0),
-                (960.0, 1.6, 300.0),
-                (700.0, 2.2, 310.0),
-            )
-        ]
-        gov.warm_start(points)
-        # No exploration pass: the first decision is already the exploit.
-        assert gov.frequency_for("F") == 1140.0
-
     def test_switch_function_is_never_governed(self):
         from repro.tuning import SWITCH_FUNCTION
 

@@ -1,5 +1,6 @@
 """Fault × backend matrix: every failure mode from :mod:`repro.sensors.faults`
-against every PMT backend behind the resilient layer.
+against every PMT backend behind the resilient layer, plus the ladder's
+rungs over the profiler's Slurm node meter.
 
 Each test builds two identical single-node stacks on one shared clock — a
 clean one and a sabotaged one — drives the same load on both, and checks
@@ -13,8 +14,9 @@ import pytest
 
 import repro.pmt as pmt
 from repro.config import CSCS_A100, LUMI_G
-from repro.errors import SensorError
+from repro.errors import BackendError, SensorError
 from repro.hardware import Node, VirtualClock
+from repro.instrumentation.profiler import _SlurmNodePMT
 from repro.sensors import NodeTelemetry
 from repro.sensors.inject import inject_fault
 from repro.sensors.resilient import GLITCH_MARGIN
@@ -373,3 +375,141 @@ class TestCompositeResilient:
         assert state.measurement("gpu0.gpu0").quality == "interpolated"
         assert state.joules_of("gpu0.gpu0") == 0.0
         assert faulty.degraded_children == ()
+
+
+class TestNodeMeterLadder:
+    """The ladder over the profiler's Slurm node meter (the IPMI sensor on
+    CSCS-A100: 1 Hz ticks, and a state stamped with the tick it reflects)."""
+
+    @staticmethod
+    def _stack(bound=None):
+        """``(clock, clean telemetry, faulty telemetry, wrapped meter)``;
+        faults go into the faulty telemetry, read at read time."""
+        clock, (cn, ct), (fn, ft) = _pair(CSCS_A100)
+        _load(cn)
+        _load(fn)
+        res = pmt.create(
+            "resilient",
+            inner=_SlurmNodePMT(ft),
+            label="node",
+            plausible_max_watts=bound,
+        )
+        return clock, ct, ft, res
+
+    def test_transparent_on_healthy_sensor(self):
+        clock, ct, _, res = self._stack()
+        clock.advance_to(5.5)
+        state = res.read()
+        assert state == _SlurmNodePMT(ct).read()
+        assert state.timestamp == 5.0  # the IPMI tick, not the read instant
+        assert res.health.reads == 1
+        assert res.health.status == "ok"
+
+    def test_interpolates_across_long_outage(self):
+        clock, _, ft, res = self._stack()
+        inject_fault(ft, "dropout", "node", outage_start=5.0, outage_end=30.0)
+        clock.advance_to(4.5)
+        before = res.read()
+        clock.advance_to(6.0)
+        state = res.read()
+        assert res.health.gaps_interpolated == 1
+        assert res.health.retries == res.max_retries
+        assert res.health.retry_successes == 0
+        assert res.health.gap_seconds == pytest.approx(1.5)
+        assert res.health.status == "degraded"
+        assert state.primary.quality == "interpolated"
+        # Extrapolated from the last good state's own (tick) timestamp.
+        assert before.timestamp == 4.0
+        assert state.joules == before.joules + before.watts * (6.0 - 4.0)
+
+    def test_zero_baseline_without_last_good_value(self):
+        # An outage covering the very first read cannot crash the run:
+        # the ladder bottoms out at a zero-power, zero-energy baseline
+        # (accumulators are relative), with the gap on the books.
+        clock, _, ft, res = self._stack()
+        inject_fault(ft, "dropout", "node", outage_start=0.0, outage_end=100.0)
+        clock.advance_to(1.0)
+        state = res.read()
+        assert state.names() == ("node",)
+        assert state.watts == 0.0
+        assert state.joules == 0.0
+        assert res.health.gaps_interpolated == 1
+        assert res.health.status == "degraded"
+        # Still held at the zero baseline while the outage lasts.
+        clock.advance_to(5.0)
+        assert res.read().joules == 0.0
+        assert res.health.gap_seconds == pytest.approx(4.0)
+
+    def test_stuck_counter_detected_and_extrapolated(self):
+        clock, ct, ft, res = self._stack()
+        inject_fault(ft, "freeze", "node", freeze_at=10.5)
+        states = []
+        for k in range(31):
+            clock.advance_to(k + 0.5)
+            states.append(res.read())
+        assert res.health.stuck_detections == 1
+        assert res.health.stuck_reads > 0
+        assert res.health.status == "degraded"
+        first, frozen, last = states[0], states[10], states[-1]
+        assert last.primary.quality == "extrapolated"
+        assert last.timestamp == 30.5
+        # Extrapolation starts at the frozen tick (10.0, the anchor
+        # state's own timestamp), not the read instant that anchored it.
+        assert frozen.timestamp == 10.0
+        assert last.joules == frozen.joules + last.watts * (30.5 - 10.0)
+        # Steady load: the extrapolated energy tracks the true draw.
+        truth = ct.ipmi.counter.true_energy
+        assert last.joules - first.joules == pytest.approx(
+            truth(30.5) - truth(first.timestamp), rel=0.01
+        )
+
+    def test_gap_after_a_freeze_continues_from_the_read_instant(self):
+        clock, _, ft, res = self._stack()
+        inject_fault(ft, "freeze", "node", freeze_at=10.5)
+        inject_fault(ft, "dropout", "node", outage_start=35.0, outage_end=50.0)
+        for k in range(35):
+            clock.advance_to(k + 0.5)
+            stuck = res.read()
+        clock.advance_to(35.5)
+        gap = res.read()
+        # The extrapolated state is the energy at its read instant, so the
+        # gap is bridged from there, not from the frozen tick.
+        assert stuck.primary.quality == "extrapolated"
+        assert stuck.timestamp == 34.5
+        assert gap.primary.quality == "interpolated"
+        assert gap.joules == stuck.joules + stuck.watts * (35.5 - 34.5)
+
+    def test_within_refresh_reads_not_flagged_stuck(self):
+        # A healthy sampled counter repeats values inside one refresh
+        # period; the grace window must keep that from tripping detection.
+        clock, _, _, res = self._stack()
+        for k in range(12):
+            clock.advance_to(1.0 + 0.25 * k)
+            res.read()
+        assert res.health.stuck_reads == 0
+        assert res.health.status == "ok"
+
+    def test_glitch_rejected_and_substituted(self):
+        clock, ct, ft, res = self._stack(bound=1000.0)
+        inject_fault(ft, "glitch", "node", probability=1.0, magnitude_watts=9e9)
+        clock.advance_to(1.0)
+        first = res.read()
+        assert first.watts == 1000.0  # no last good: clamped to the bound
+        clock.advance_to(2.0)
+        second = res.read()
+        assert second.watts == 1000.0  # substituted from last good
+        assert second.primary.quality == "rejected"
+        assert second.joules == _SlurmNodePMT(ct).read().joules
+        assert res.health.glitches_rejected == 2
+        # Glitch rejection alone never degrades the meter.
+        assert res.health.status == "ok"
+
+    def test_parameter_validation(self):
+        _, ct, _, _ = self._stack()
+        inner = _SlurmNodePMT(ct)
+        with pytest.raises(BackendError):
+            pmt.create("resilient", inner=inner, max_retries=-1)
+        with pytest.raises(BackendError):
+            pmt.create("resilient", inner=inner, stuck_reads=0)
+        with pytest.raises(BackendError):
+            pmt.create("resilient", inner=inner, plausible_max_watts=0.0)

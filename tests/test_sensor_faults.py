@@ -1,5 +1,6 @@
 """Failure-injection tests: frozen counters, dropouts, glitches, the
-corresponding detectors/mitigations, and the resilient degradation ladder."""
+corresponding detectors/mitigations, and the health record the resilient
+degradation ladder (``tests/test_resilient_pmt.py``) fills in."""
 
 import numpy as np
 import pytest
@@ -16,11 +17,7 @@ from repro.sensors.faults import (
     detect_glitches,
     interpolate_energy_across_dropout,
 )
-from repro.sensors.resilient import (
-    ResilientSensor,
-    SensorHealth,
-    diff_counters,
-)
+from repro.sensors.resilient import SensorHealth, diff_counters
 
 
 @pytest.fixture
@@ -125,99 +122,6 @@ class TestGlitch:
     def test_invalid_probability(self, counter):
         with pytest.raises(SensorError):
             GlitchFault(counter, probability=1.5)
-
-
-class TestResilientSensorLadder:
-    def test_transparent_on_healthy_sensor(self, counter):
-        res = ResilientSensor(counter, label="x")
-        assert res.read(5.0) == counter.read(5.0)
-        assert res.health.reads == 1
-        assert res.health.status == "ok"
-
-    def test_retry_steps_over_short_outage(self, counter):
-        # Backoff schedule reads at t, t+0.05, t+0.15, t+0.35: the fourth
-        # attempt lands past a 0.2 s outage.
-        faulty = DropoutFault(counter, 5.0, 5.2)
-        res = ResilientSensor(faulty, label="x")
-        reading = res.read(5.0)
-        assert res.health.retries == 3
-        assert res.health.retry_successes == 1
-        assert res.health.gaps_interpolated == 0
-        assert res.health.status == "ok"
-        assert reading.joules == counter.read(5.35).joules
-
-    def test_interpolates_across_long_outage(self, counter):
-        faulty = DropoutFault(counter, 5.0, 30.0)
-        res = ResilientSensor(faulty, label="x")
-        before = res.read(4.0)
-        reading = res.read(6.0)
-        assert res.health.gaps_interpolated == 1
-        assert res.health.gap_seconds == pytest.approx(2.0)
-        assert res.health.status == "degraded"
-        assert reading.joules == pytest.approx(
-            before.joules + before.watts * (6.0 - before.timestamp)
-        )
-
-    def test_zero_baseline_without_last_good_value(self, counter):
-        # An outage covering the very first read cannot crash the run:
-        # the ladder bottoms out at a zero-power, zero-energy baseline
-        # (accumulators are relative), with the gap on the books.
-        faulty = DropoutFault(counter, 0.0, 100.0)
-        res = ResilientSensor(faulty, label="x")
-        reading = res.read(1.0)
-        assert reading.watts == 0.0
-        assert reading.joules == 0.0
-        assert res.health.gaps_interpolated == 1
-        assert res.health.status == "degraded"
-        # Still held at the zero baseline while the outage lasts.
-        later = res.read(5.0)
-        assert later.joules == 0.0
-        assert res.health.gap_seconds == pytest.approx(4.0)
-
-    def test_stuck_counter_detected_and_extrapolated(self, counter):
-        faulty = FrozenCounterFault(counter, freeze_at=10.0)
-        res = ResilientSensor(faulty, label="x")
-        reading = None
-        for t in range(31):
-            reading = res.read(float(t))
-        assert res.health.stuck_detections == 1
-        assert res.health.stuck_reads > 0
-        assert res.health.status == "degraded"
-        # Constant 200 W: extrapolating from the freeze anchor is exact.
-        assert reading.joules == pytest.approx(
-            counter.read(30.0).joules, rel=0.01
-        )
-
-    def test_within_refresh_reads_not_flagged_stuck(self, counter):
-        # A healthy sampled counter repeats values inside one refresh
-        # period; the grace window must keep that from tripping detection.
-        res = ResilientSensor(counter, label="x")
-        for t in (1.0, 1.02, 1.04, 1.06, 1.08):
-            res.read(t)
-        assert res.health.stuck_reads == 0
-        assert res.health.status == "ok"
-
-    def test_glitch_rejected_and_substituted(self, counter):
-        faulty = GlitchFault(counter, probability=1.0, magnitude_watts=9e9)
-        res = ResilientSensor(faulty, label="x", plausible_max_watts=1000.0)
-        first = res.read(1.0)
-        assert first.watts == 1000.0  # no last good: clamped to the bound
-        second = res.read(2.0)
-        assert second.watts == 1000.0  # substituted from last good
-        assert second.joules == counter.read(2.0).joules
-        assert res.health.glitches_rejected == 2
-        # Glitch rejection alone never degrades the sensor.
-        assert res.health.status == "ok"
-
-    def test_parameter_validation(self, counter):
-        with pytest.raises(SensorError):
-            ResilientSensor(counter, max_retries=-1)
-        with pytest.raises(SensorError):
-            ResilientSensor(counter, backoff_s=0.0)
-        with pytest.raises(SensorError):
-            ResilientSensor(counter, stuck_reads=0)
-        with pytest.raises(SensorError):
-            ResilientSensor(counter, plausible_max_watts=0.0)
 
 
 class TestSensorHealthRecord:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.config import (
     OBSERVABILITY_CASES,
@@ -137,12 +137,57 @@ def canonical_payload(
     }
 
 
+#: ``id(config) -> (config, canonical JSON text)``.  Holding the config
+#: pins its ``id`` for as long as the entry lives; identity rather than
+#: equality is the key because equal configs can serialize differently
+#: (``12 == 12.0``, ``0.0 == -0.0``) and must keep distinct addresses.
+_FRAGMENTS: dict[int, tuple[object, str]] = {}
+
+#: Explicit configs (hypothetical what-ifs) are rare; past this many
+#: distinct ones the memo starts over rather than growing without bound.
+_FRAGMENTS_MAX = 256
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, without
+#: building a fresh encoder on every call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _fragment(config: SystemConfig | TestCaseConfig) -> str:
+    """The canonical JSON text of a frozen config, computed once per object."""
+    entry = _FRAGMENTS.get(id(config))
+    if entry is not None:
+        return entry[1]
+    text = _dumps(asdict(config))
+    if len(_FRAGMENTS) >= _FRAGMENTS_MAX:
+        _FRAGMENTS.clear()
+    _FRAGMENTS[id(config)] = (config, text)
+    return text
+
+
+_KEY_FIELDS = tuple(f.name for f in fields(RunKey))
+
+
 def run_key_hash(
     key: RunKey,
     system: SystemConfig | None = None,
     test_case: TestCaseConfig | None = None,
 ) -> str:
-    """Content address of a run: SHA-256 of the canonical payload."""
-    payload = canonical_payload(key, system=system, test_case=test_case)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Content address of a run: SHA-256 of the canonical payload.
+
+    The digest is over ``json.dumps(canonical_payload(...),
+    sort_keys=True, separators=(",", ":"))``; the text is assembled from
+    per-config fragments in that same sorted order, so the configs'
+    deep ``asdict`` copies are paid once per config, not once per call.
+    """
+    system = system if system is not None else get_system(key.system)
+    test_case = (
+        test_case if test_case is not None else resolve_test_case(key.test_case)
+    )
+    key_fields = {name: getattr(key, name) for name in _KEY_FIELDS}
+    text = (
+        f'{{"code_version":{_dumps(CODE_VERSION)},"key":{_dumps(key_fields)},'
+        f'"schema":{_dumps(CACHE_SCHEMA_VERSION)},"system":{_fragment(system)},'
+        f'"test_case":{_fragment(test_case)}}}'
+    )
     return hashlib.sha256(text.encode()).hexdigest()

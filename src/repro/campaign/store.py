@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.campaign.keys import CACHE_SCHEMA_VERSION, RunKey, run_key_hash
+from repro.errors import AnalysisError, ConfigurationError
 from repro.instrumentation.records import RunMeasurements
 from repro.slurm.job import JobAccounting
 
@@ -101,23 +102,40 @@ def _serialize(key: RunKey, result: CampaignResult, digest: str) -> str:
         "schema": CACHE_SCHEMA_VERSION,
         "hash": digest,
         "key": asdict(key),
-        "run": json.loads(result.run.to_json()),
+        "run": asdict(result.run),
         "accounting": asdict(result.accounting),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+#: What decoding a rotten, foreign or tampered entry can raise: bad JSON
+#: or shape, malformed measurement records, an invalid run key.
+_CORRUPT = (ValueError, KeyError, TypeError, AnalysisError, ConfigurationError)
+
+
 def _deserialize(text: str) -> CampaignResult:
+    """Decode one entry: one ``json.loads``, records built from the dict."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("cache entry is not a JSON object")
     if payload.get("schema") != CACHE_SCHEMA_VERSION:
         raise ValueError(f"cache schema {payload.get('schema')!r}")
     acct = payload["accounting"]
     acct["per_node_joules"] = tuple(acct["per_node_joules"])
     return CampaignResult(
         key=RunKey(**payload["key"]),
-        run=RunMeasurements.from_json(json.dumps(payload["run"])),
+        run=RunMeasurements.from_dict(payload["run"]),
         accounting=AccountingSummary(**acct),
     )
+
+
+def _is_corrupt(path: Path) -> bool:
+    """Whether the entry at ``path`` fails to decode (unreadable counts)."""
+    try:
+        _deserialize(path.read_text())
+    except (OSError, *_CORRUPT):
+        return True
+    return False
 
 
 #: ``lookup`` status values: a complete entry, no entry at all, or a
@@ -170,7 +188,7 @@ class ResultStore:
             return None, MISS  # transiently unreadable: retry as a miss
         try:
             result = _deserialize(text)
-        except (ValueError, KeyError, TypeError):
+        except _CORRUPT:
             self.corrupt_seen += 1
             return None, CORRUPT
         if result.key != key:
@@ -227,16 +245,10 @@ class ResultStore:
         by killed writers.
         """
         entries = self.entries()
-        corrupt = 0
-        for path in entries:
-            try:
-                _deserialize(path.read_text())
-            except (OSError, ValueError, KeyError, TypeError):
-                corrupt += 1
         return {
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
-            "corrupt": corrupt,
+            "corrupt": sum(_is_corrupt(path) for path in entries),
             "tmp_orphans": len(self.tmp_orphans()),
         }
 
@@ -276,16 +288,15 @@ class ResultStore:
         """
         moved = 0
         for path in self.entries():
+            if not _is_corrupt(path):
+                continue
+            target = self.root / self.QUARANTINE_DIR / path.name
+            target.parent.mkdir(parents=True, exist_ok=True)
             try:
-                _deserialize(path.read_text())
-            except (OSError, ValueError, KeyError, TypeError):
-                target = self.root / self.QUARANTINE_DIR / path.name
-                target.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.replace(path, target)
-                    moved += 1
-                except OSError:
-                    continue
+                os.replace(path, target)
+                moved += 1
+            except OSError:
+                continue
         return moved
 
     def clean(self, keys: tuple[RunKey, ...] | None = None) -> int:

@@ -151,20 +151,32 @@ class RunMeasurements:
         """Parse a measurement file."""
         try:
             payload = json.loads(text)
-            records = [FunctionEnergyRecord(**r) for r in payload.pop("records")]
-            windows = [NodeWindowRecord(**w) for w in payload.pop("node_windows")]
-            # Absent in files written before the resilient measurement layer.
-            health = [
-                TelemetryHealthRecord(**h)
-                for h in payload.pop("telemetry_health", [])
-            ]
+        except ValueError as exc:
+            raise AnalysisError(f"malformed measurement file: {exc}") from exc
+        return cls.from_dict(payload)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RunMeasurements":
+        """Build from the parsed JSON of a measurement file (not mutated)."""
+        try:
+            scalars = {
+                name: value
+                for name, value in payload.items()
+                if name not in ("records", "node_windows", "telemetry_health")
+            }
             return cls(
-                records=records,
-                node_windows=windows,
-                telemetry_health=health,
-                **payload,
+                records=[FunctionEnergyRecord(**r) for r in payload["records"]],
+                node_windows=[
+                    NodeWindowRecord(**w) for w in payload["node_windows"]
+                ],
+                # Absent in files written before the resilient measurement layer.
+                telemetry_health=[
+                    TelemetryHealthRecord(**h)
+                    for h in payload.get("telemetry_health", [])
+                ],
+                **scalars,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise AnalysisError(f"malformed measurement file: {exc}") from exc
 
     def write(self, path: str | Path) -> None:

@@ -287,6 +287,53 @@ class TestCorruptEntries:
             "t", clean_stats, clean_results
         )
 
+    def test_non_object_entry_reads_as_corrupt(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = a_key()
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text("[1, 2]")
+        assert store.lookup(key) == (None, "corrupt")
+        assert store.stats()["corrupt"] == 1
+
+    #: Entries that parse as JSON of the right schema but do not decode.
+    DAMAGES = {
+        "run-without-records": lambda entry: entry["run"].pop("records"),
+        "key-with-zero-cards": lambda entry: entry["key"].update(num_cards=0),
+    }
+
+    def damage_one(self, store, key, damage):
+        path = store.path_for(key)
+        entry = json.loads(path.read_text())
+        damage(entry)
+        path.write_text(json.dumps(entry, sort_keys=True, indent=1))
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
+    def test_undecodable_entry_reads_as_corrupt(self, tmp_path, damage):
+        store = ResultStore(tmp_path)
+        keys = expand(small_spec(seeds=(0, 1)))
+        execute(keys, store=store)
+        self.damage_one(store, keys[0], damage)
+        assert store.lookup(keys[0]) == (None, "corrupt")
+        assert store.corrupt_seen == 1
+        assert store.stats()["corrupt"] == 1
+        assert store.quarantine_corrupt() == 1
+        assert store.stats()["corrupt"] == 0
+        assert store.lookup(keys[0]) == (None, "miss")
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
+    def test_execute_quarantines_undecodable_entry(self, tmp_path, damage):
+        store = ResultStore(tmp_path)
+        keys = expand(small_spec(seeds=(0, 1)))
+        cold, _ = execute(keys, store=store)
+        self.damage_one(store, keys[0], damage)
+        results, stats = execute(keys, store=store)
+        assert (stats.corrupt, stats.hits, stats.misses) == (1, 1, 1)
+        assert results == cold
+        quarantined = list((store.root / store.QUARANTINE_DIR).iterdir())
+        assert len(quarantined) == 1
+        assert store.lookup(keys[0]) == (cold[keys[0]], "hit")
+
     def test_gc_quarantines_corrupt(self, tmp_path):
         store = ResultStore(tmp_path)
         keys = expand(small_spec(seeds=(0, 1)))

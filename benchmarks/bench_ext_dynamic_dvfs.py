@@ -55,7 +55,7 @@ def bench_dynamic_dvfs(benchmark, results_dir):
     lines = ["Dynamic per-function DVFS on miniHPC (450^3, 100 steps)", ""]
 
     lines.append("min-EDP objective:")
-    table = {k: int(v) for k, v in sorted(unconstrained.policy.table.items())}
+    table = {k: int(v) for k, v in sorted(unconstrained.clock_table.items())}
     lines.append(f"  policy: {table}")
     lines.append(
         f"  EDP vs 1410 MHz: {unconstrained.edp_vs_baseline:.3f}   "
@@ -69,7 +69,7 @@ def bench_dynamic_dvfs(benchmark, results_dir):
     dilation = constrained.dynamic_seconds / constrained.baseline_seconds
     lines.append("")
     lines.append("min-energy, <=3% slowdown budget (Pareto case):")
-    table = {k: int(v) for k, v in sorted(constrained.policy.table.items())}
+    table = {k: int(v) for k, v in sorted(constrained.clock_table.items())}
     lines.append(f"  policy: {table}")
     lines.append(
         f"  time dilation: {dilation:.3f}   EDP vs 1410 MHz: "
@@ -79,8 +79,8 @@ def bench_dynamic_dvfs(benchmark, results_dir):
     assert dilation < 1.05
     assert constrained.edp_vs_baseline < 0.95
     # Compute-bound kernels keep the nominal clock; memory-bound drop.
-    assert constrained.policy.table["MomentumEnergy"] == 1410.0
-    assert constrained.policy.table["Density"] == 1005.0
+    assert constrained.clock_table["MomentumEnergy"] == 1410.0
+    assert constrained.clock_table["Density"] == 1005.0
 
     write_result(results_dir, "ext_dynamic_dvfs", "\n".join(lines))
 
@@ -101,11 +101,11 @@ def bench_smoke_dynamic_dvfs(results_dir):
     assert dilation < 1.05
     assert campaign.edp_vs_baseline < 1.0
     # Compute-bound kernels keep the nominal clock.
-    assert campaign.policy.table["MomentumEnergy"] == 1410.0
+    assert campaign.clock_table["MomentumEnergy"] == 1410.0
 
     lines = [
         "Dynamic per-function DVFS smoke (miniHPC, 300^3, 20 steps)",
-        f"policy: { {k: int(v) for k, v in sorted(campaign.policy.table.items())} }",
+        f"policy: { {k: int(v) for k, v in sorted(campaign.clock_table.items())} }",
         f"time dilation: {dilation:.3f}   EDP vs 1410 MHz: "
         f"{campaign.edp_vs_baseline:.3f}   switches: {campaign.switch_count}",
     ]

@@ -2,8 +2,8 @@
 """Dynamic per-function DVFS: the paper's future work, end to end.
 
 Uses the per-function measurements the PMT instrumentation gathers (the
-Figure 5 data) to build a frequency policy and runs the simulation with
-the GPU clock switched at function boundaries:
+Figure 5 data) to build a per-function clock table and runs the simulation
+with the GPU clock switched at function boundaries:
 
 1. min-EDP, unconstrained — how much EDP the measurements buy;
 2. min-energy under a 3 % slowdown budget — the Pareto trade-off the
@@ -22,8 +22,8 @@ FREQS = (1410.0, 1230.0, 1005.0)
 def describe(title: str, report) -> None:
     dilation = report.dynamic_seconds / report.baseline_seconds
     print(f"\n--- {title} ---")
-    print("per-function policy (MHz):")
-    for fn, freq in sorted(report.policy.table.items()):
+    print("per-function clock table (MHz):")
+    for fn, freq in sorted(report.clock_table.items()):
         print(f"  {fn:>22} -> {freq:.0f}")
     print(f"clock switches        : {report.switch_count}")
     print(f"time dilation         : {dilation:.3f}x")
@@ -45,7 +45,7 @@ def main() -> None:
     )
     print(
         "Sweeping the A100 clock on miniHPC, building per-function "
-        "policies from the PMT measurements..."
+        "clock tables from the PMT measurements..."
     )
     describe("min-EDP, unconstrained", tune_per_function(**kwargs))
     describe(

@@ -38,12 +38,17 @@ from typing import Sequence
 from repro.analysis.validation import validate_pmt_against_slurm
 from repro.config import (
     DEFAULT_CAMPAIGN,
+    GOVERNOR_POLICIES,
     OBSERVABILITY_CASES,
     SYSTEMS,
     TEST_CASES,
     get_system,
 )
 from repro.errors import ReproError
+
+#: The named campaign sweeps (``_campaign_spec`` builds each).
+CAMPAIGN_SWEEPS = ("fig1", "fig4", "fig5", "weak-scaling")
+
 
 def _add_steps(parser: argparse.ArgumentParser, default: int = 100) -> None:
     parser.add_argument(
@@ -753,8 +758,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         objective=args.objective,
         max_slowdown=args.max_slowdown,
     )
-    print("per-function policy (MHz):")
-    for fn, freq in sorted(report.policy.table.items()):
+    print("per-function clock table (MHz):")
+    for fn, freq in sorted(report.clock_table.items()):
         print(f"  {fn:>24} -> {freq:.0f}")
     dilation = report.dynamic_seconds / report.baseline_seconds
     print(f"switches          : {report.switch_count}")
@@ -852,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--governor",
         default=None,
-        choices=["min-energy", "min-edp", "power-cap"],
+        choices=GOVERNOR_POLICIES,
         help="steer GPU clocks online with the energy-aware governor",
     )
     p.add_argument(
@@ -998,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_sweep:
             cp.add_argument(
                 "sweep",
-                choices=["fig1", "fig4", "fig5", "weak-scaling"],
+                choices=CAMPAIGN_SWEEPS,
                 help="the named sweep to operate on",
             )
         cp.add_argument(
@@ -1027,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument(
             "--governor",
             default=None,
-            choices=["min-energy", "min-edp", "power-cap"],
+            choices=GOVERNOR_POLICIES,
             help="run every point under the online governor "
             "(part of the cache identity)",
         )
@@ -1086,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         nargs="?",
         default=None,
-        choices=["fig1", "fig4", "fig5", "weak-scaling"],
+        choices=CAMPAIGN_SWEEPS,
         help="only this sweep's entries (default: the whole cache)",
     )
     _add_campaign_options(cp, with_sweep=False)

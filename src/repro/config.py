@@ -506,3 +506,9 @@ class CampaignSettings:
 
 #: Built-in campaign defaults (no environment applied).
 DEFAULT_CAMPAIGN = CampaignSettings()
+
+#: The online DVFS governor's policies (``repro.tuning.governor``): the
+#: ``--governor`` choices and the values a campaign ``RunKey`` accepts.
+#: Declared here so the CLI can offer them without importing the tuning
+#: stack.
+GOVERNOR_POLICIES = ("min-energy", "min-edp", "power-cap")

@@ -5,11 +5,16 @@ size, per-node telemetry, rank placement, Slurm controller with energy
 accounting, PMT profiler, performance model — runs the instrumented
 application inside the Slurm job lifecycle, and returns both views of the
 energy (Slurm accounting and PMT measurements).
+
+It is the only place that assembles this stack: static runs, runs under
+the online governor and runs of an offline per-function clock table are
+all measured in the same context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.config import SystemConfig, TestCaseConfig
 from repro.hardware.cluster import Cluster
@@ -44,7 +49,8 @@ class ExperimentResult:
     timeseries: object | None = None
     #: :class:`~repro.audit.findings.AuditReport` when auditing was on.
     audit: object | None = None
-    #: :class:`~repro.tuning.governor.GovernorReport` for governed runs.
+    #: :class:`~repro.tuning.governor.GovernorReport` for governed and
+    #: clock-table runs.
     governor: object | None = None
 
 
@@ -162,15 +168,21 @@ def run_scaled_experiment(
     only observes values the pipeline already read, so audited energies
     are bit-identical to unaudited ones.
 
-    ``governor`` runs the job under the online DVFS governor: a policy
-    name (``min-energy``/``min-edp``/``power-cap``, resolved with the
-    system defaults) or a full
-    :class:`~repro.tuning.governor.GovernorConfig`.  The governor taps
-    the profiler's region completions and the per-node sampler tick
-    stream, and re-clocks through the dynamic-DVFS application with
-    site privileges (it models a system-operated runtime service — the
-    one entity that owns the clocks on LUMI-G/CSCS-A100).  The outcome
-    lands in ``ExperimentResult.governor``.
+    ``governor`` re-clocks the GPUs at function boundaries through the
+    dynamic-DVFS application.  It is either the online governor — a
+    policy name (``min-energy``/``min-edp``/``power-cap``, resolved with
+    the system defaults) or a full
+    :class:`~repro.tuning.governor.GovernorConfig` — or an offline clock
+    table, a mapping function -> MHz such as the tuning oracle builds.
+    The governor taps the profiler's region completions and the per-node
+    sampler tick stream, and switches with site privileges (it models a
+    system-operated runtime service — the one entity that owns the
+    clocks on LUMI-G/CSCS-A100).  A table run starts at ``gpu_freq_mhz``
+    and switches with ``privileged_dvfs``; a function missing from the
+    table keeps the running clock, and no sampler or region listener is
+    attached.  Either way the outcome lands in
+    ``ExperimentResult.governor`` (a table reports as policy
+    ``"oracle"`` with its switch count).
     """
     from repro.audit.hooks import AuditSettings, EnergyAuditor
 
@@ -181,7 +193,10 @@ def run_scaled_experiment(
         else None
     )
     governor_obj = None
-    if governor is not None:
+    clock_table = None
+    if isinstance(governor, Mapping):
+        clock_table = dict(governor)
+    elif governor is not None:
         from repro.tuning.governor import EnergyAwareGovernor, GovernorConfig
 
         gov_config = (
@@ -243,10 +258,14 @@ def run_scaled_experiment(
             collector = TimeseriesCollector()
         profiler.span_recorder = collector.spans
     profiler.auditor = auditor
-    if governor_obj is not None:
+    if governor_obj is not None or clock_table is not None:
         from repro.tuning.dynamic import DynamicDvfsApplication
 
-        profiler.region_listener = governor_obj.observe_region
+        if governor_obj is not None:
+            profiler.region_listener = governor_obj.observe_region
+            clock_for, privileged = governor_obj.frequency_for, True
+        else:
+            clock_for, privileged = clock_table.get, privileged_dvfs
         app: ScaledSphApplication = DynamicDvfsApplication(
             engine=engine,
             profiler=profiler,
@@ -254,8 +273,8 @@ def run_scaled_experiment(
             functions=functions_for(test_case),
             num_steps=steps,
             test_case_name=test_case.name,
-            policy=governor_obj,
-            privileged=True,
+            clock_for=clock_for,
+            privileged=privileged,
         )
     else:
         app = ScaledSphApplication(
@@ -344,6 +363,15 @@ def run_scaled_experiment(
     governor_report = None
     if governor_obj is not None:
         governor_report = governor_obj.report(switches=app.switch_count)
+    elif clock_table is not None:
+        from repro.tuning.governor import GovernorReport
+
+        governor_report = GovernorReport(
+            policy="oracle",
+            decisions=0,
+            switches=app.switch_count,
+            clock_table=clock_table,
+        )
 
     return ExperimentResult(
         system=system,

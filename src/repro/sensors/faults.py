@@ -9,13 +9,15 @@ quantify how each failure mode corrupts per-function attribution.
 
 All wrappers preserve the counter contract *shape* (monotone joules for
 the freeze case; the glitch case intentionally violates instantaneous
-power plausibility, which detectors should flag).
+power plausibility, which :class:`~repro.pmt.backends.resilient.ResilientPMT`
+flags; detection and mitigation live there, not here).
 """
 
 from __future__ import annotations
 
 from repro.errors import SensorError
 from repro.sensors.base import SensorReading
+
 
 class FrozenCounterFault:
     """After ``freeze_at`` the sensor returns its last-known state forever.
@@ -109,51 +111,3 @@ class GlitchFault:
             )
         return reading
 
-
-def detect_frozen_counter(
-    read_times: list[float],
-    readings: list[SensorReading],
-    min_expected_watts: float = 1.0,
-) -> bool:
-    """Heuristic freeze detector: the counter stopped advancing while the
-    caller's clock did.
-
-    ``read_times`` are the times the caller issued the reads (a frozen
-    sensor repeats its last internal timestamp, so the reading timestamps
-    alone cannot witness the freeze).  Returns True when a nontrivial
-    caller interval shows zero accumulator growth despite the device
-    supposedly drawing at least ``min_expected_watts``.
-    """
-    if len(read_times) != len(readings):
-        raise SensorError("read_times and readings length mismatch")
-    for (t0, prev), (t1, curr) in zip(
-        zip(read_times, readings), zip(read_times[1:], readings[1:])
-    ):
-        dt = t1 - t0
-        if dt <= 0:
-            continue
-        if curr.joules == prev.joules and dt * min_expected_watts > 1.0:
-            return True
-    return False
-
-
-def detect_glitches(
-    readings: list[SensorReading], plausible_max_watts: float
-) -> list[int]:
-    """Indices of readings whose power exceeds the physical maximum."""
-    return [
-        k for k, r in enumerate(readings) if r.watts > plausible_max_watts
-    ]
-
-
-def interpolate_energy_across_dropout(
-    before: SensorReading, after: SensorReading, t: float
-) -> float:
-    """Linear energy interpolation inside an outage window."""
-    if not before.timestamp <= t <= after.timestamp:
-        raise SensorError("interpolation time outside the bracketing reads")
-    span = after.timestamp - before.timestamp
-    if span == 0:
-        return before.joules
-    frac = (t - before.timestamp) / span
-    return before.joules + frac * (after.joules - before.joules)

@@ -6,24 +6,22 @@ from the literature that trade-off high performance and energy
 consumption."*  This package implements that step on top of the
 measurement infrastructure:
 
-* :mod:`repro.tuning.policy` — frequency policies: static, and a
-  per-function oracle built from a measured frequency sweep;
 * :mod:`repro.tuning.dynamic` — an instrumented application that switches
-  the GPU clock at function boundaries (with a switching-latency cost);
-* :mod:`repro.tuning.optimizer` — the end-to-end loop: sweep, build the
-  per-function policy, run it, and report savings against the static
-  baseline;
+  the GPU clock at function boundaries (with a switching-latency cost) to
+  whatever a ``clock_for(function)`` callable names;
+* :mod:`repro.tuning.optimizer` — the *offline* oracle: sweep, build a
+  per-function clock table (a plain ``dict[str, float]``), run it, and
+  report savings against the static baseline;
 * :mod:`repro.tuning.governor` — the *online* closed loop: a governor
   that learns per-function clocks from streaming telemetry during a
   single run (min-energy, min-EDP, or power-cap compliance).
+
+Both re-clock through one path:
+:func:`~repro.experiments.runner.run_scaled_experiment` takes either the
+governor or the clock table as its ``governor`` argument, so a tuned run
+is measured inside the same Slurm job context as its static baselines.
 """
 
-from repro.tuning.policy import (
-    FrequencyPolicy,
-    PerFunctionPolicy,
-    StaticPolicy,
-    build_oracle_policy,
-)
 from repro.tuning.dynamic import (
     DVFS_SWITCH_LATENCY_S,
     SWITCH_FUNCTION,
@@ -35,12 +33,16 @@ from repro.tuning.governor import (
     GovernorConfig,
     GovernorReport,
 )
-from repro.tuning.optimizer import TuningReport, sweep_points, tune_per_function
+from repro.tuning.optimizer import (
+    FunctionSweepPoint,
+    TuningReport,
+    build_oracle_policy,
+    sweep_points,
+    tune_per_function,
+)
 
 __all__ = [
-    "FrequencyPolicy",
-    "StaticPolicy",
-    "PerFunctionPolicy",
+    "FunctionSweepPoint",
     "build_oracle_policy",
     "DynamicDvfsApplication",
     "DVFS_SWITCH_LATENCY_S",

@@ -1,11 +1,13 @@
 """Instrumented application with per-function dynamic DVFS.
 
 Identical to :class:`~repro.sph.scaled.ScaledSphApplication` except that
-before every loop function each rank's GPU clock is set to the policy's
-frequency for that function.  Frequency transitions are not free: each
-actual switch costs ``DVFS_SWITCH_LATENCY_S`` with the GPU idle, which is
-why naive per-function switching can lose on very short functions — the
-policy has to earn the switch.
+before every loop function each rank's GPU clock is set to the clock
+``clock_for(function)`` names: the online governor's ``frequency_for``, or
+an offline clock table's ``get``.  ``None`` keeps the running clock.
+Frequency transitions are not free: each actual switch costs
+``DVFS_SWITCH_LATENCY_S`` with the GPU idle, which is why naive
+per-function switching can lose on very short functions — a clock has to
+earn the switch.
 
 The switch idle time is measured as its own profiler region,
 ``SWITCH_FUNCTION`` (``"dvfs-switch"``): the PLL-relock energy belongs to
@@ -16,12 +18,13 @@ absorbing it into a neighbouring function's window.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import SimulationError
 from repro.instrumentation.profiler import EnergyProfiler
 from repro.mpi.engine import RankWork, SpmdEngine
 from repro.sph.perfmodel import SphPerformanceModel
 from repro.sph.scaled import ScaledSphApplication
-from repro.tuning.policy import FrequencyPolicy
 from repro.units import mhz
 
 #: Time to reprogram the GPU clock (driver + PLL relock), per switch.
@@ -47,7 +50,7 @@ class DynamicDvfsApplication(ScaledSphApplication):
         functions: tuple[str, ...],
         num_steps: int,
         test_case_name: str,
-        policy: FrequencyPolicy,
+        clock_for: Callable[[str], float | None],
         switch_latency_s: float = DVFS_SWITCH_LATENCY_S,
         privileged: bool = False,
     ) -> None:
@@ -56,7 +59,7 @@ class DynamicDvfsApplication(ScaledSphApplication):
         )
         if switch_latency_s < 0:
             raise SimulationError("switch latency must be >= 0")
-        self.policy = policy
+        self.clock_for = clock_for
         self.switch_latency_s = switch_latency_s
         self.privileged = privileged
         #: Number of actual clock transitions performed.
@@ -67,10 +70,10 @@ class DynamicDvfsApplication(ScaledSphApplication):
         gpu = self.engine.placement.gpu_of(0)
         return gpu.frequency.nearest_supported(mhz(freq_mhz))
 
-    def _apply_policy(self, function: str) -> None:
-        requested = self.policy.frequency_for(function)
+    def _apply_clock(self, function: str) -> None:
+        requested = self.clock_for(function)
         if requested is None:
-            return  # the policy has no opinion: keep the running clock
+            return  # no opinion: keep the running clock
         target_hz = self._snap_to_supported(requested)
         placement = self.engine.placement
         # Every rank's clock is checked: after a partially applied switch
@@ -108,5 +111,5 @@ class DynamicDvfsApplication(ScaledSphApplication):
             )
 
     def _run_function(self, function: str, step: int) -> None:
-        self._apply_policy(function)
+        self._apply_clock(function)
         super()._run_function(function, step)

@@ -1,14 +1,17 @@
 """Online energy-aware DVFS governor (closed-loop per-function clocks).
 
 The optimizer in :mod:`repro.tuning.optimizer` replays an *offline*
-oracle: sweep first, decide afterwards.  The governor closes the loop at
-runtime instead — it rides along a single instrumented run, learns each
-function's time/energy response from the profiler's own region
-measurements, and steers :class:`~repro.tuning.dynamic.DynamicDvfsApplication`
-through its normal switch-latency machinery.  Nothing about the
-measurement pipeline changes: the governor is a passive observer of
-values the profiler already read, plus a :class:`FrequencyPolicy` the
-application consults at function boundaries.
+oracle: sweep first, decide afterwards, and run the resulting clock
+table.  The governor closes the loop at runtime instead — it rides along
+a single instrumented run, learns each function's time/energy response
+from the profiler's own region measurements, and steers
+:class:`~repro.tuning.dynamic.DynamicDvfsApplication` through its normal
+switch-latency machinery.  Nothing about the measurement pipeline
+changes: the governor is a passive observer of values the profiler
+already read, plus the ``frequency_for`` callable the application
+consults at function boundaries.  Both run through
+:func:`~repro.experiments.runner.run_scaled_experiment`, and both report
+a :class:`GovernorReport` (the oracle as policy ``"oracle"``).
 
 Three policies:
 
@@ -42,14 +45,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.config import SystemConfig
+from repro.config import GOVERNOR_POLICIES, SystemConfig
 from repro.errors import ConfigurationError
 from repro.hardware.dvfs import snap_to_supported
 from repro.timeseries.rolling import RollingMean
 from repro.tuning.dynamic import SWITCH_FUNCTION
-
-#: The selectable governor policies (the CLI choices).
-GOVERNOR_POLICIES = ("min-energy", "min-edp", "power-cap")
 
 #: Default fraction of the node's nominal peak power used as the cap
 #: when ``power-cap`` is selected without an explicit budget.
@@ -150,7 +150,11 @@ class GovernorConfig:
 
 @dataclass(frozen=True)
 class GovernorReport:
-    """What the governor did during one run."""
+    """What the governor (or an offline clock table) did during one run.
+
+    A clock-table run reports ``policy="oracle"`` with its table and
+    switch count; the online-only fields keep their defaults.
+    """
 
     policy: str
     #: ``frequency_for`` consultations (one per function boundary).
@@ -193,7 +197,7 @@ class _FreqStats:
 
 
 class EnergyAwareGovernor:
-    """A :class:`~repro.tuning.policy.FrequencyPolicy` that learns online.
+    """A per-function clock source that learns online.
 
     Parameters
     ----------

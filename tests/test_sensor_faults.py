@@ -1,6 +1,6 @@
-"""Failure-injection tests: frozen counters, dropouts, glitches, the
-corresponding detectors/mitigations, and the health record the resilient
-degradation ladder (``tests/test_resilient_pmt.py``) fills in."""
+"""Failure-injection tests: frozen counters, dropouts, glitches, and the
+health record the resilient degradation ladder fills in (detection and
+mitigation are tested with the ladder, ``tests/test_resilient_pmt.py``)."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,10 @@ import pytest
 from repro.errors import SensorError
 from repro.hardware import PowerTrace
 from repro.sensors import SampledEnergyCounter
-from repro.sensors.base import SensorReading
 from repro.sensors.faults import (
     DropoutFault,
     FrozenCounterFault,
     GlitchFault,
-    detect_frozen_counter,
-    detect_glitches,
-    interpolate_energy_across_dropout,
 )
 from repro.sensors.resilient import SensorHealth, diff_counters
 
@@ -45,17 +41,6 @@ class TestFrozenCounter:
         end = faulty.read(20.0)
         assert end.joules - start.joules == 0.0
 
-    def test_detector_fires(self, counter):
-        faulty = FrozenCounterFault(counter, freeze_at=10.0)
-        times = [0.0, 5.0, 10.0, 15.0, 20.0]
-        readings = [faulty.read(t) for t in times]
-        assert detect_frozen_counter(times, readings)
-
-    def test_detector_quiet_on_healthy_sensor(self, counter):
-        times = [0.0, 5.0, 10.0, 15.0]
-        readings = [counter.read(t) for t in times]
-        assert not detect_frozen_counter(times, readings)
-
     def test_invalid_freeze_time(self, counter):
         with pytest.raises(SensorError):
             FrozenCounterFault(counter, freeze_at=-1.0)
@@ -68,21 +53,6 @@ class TestDropout:
         with pytest.raises(SensorError):
             faulty.read(6.0)
         faulty.read(8.0)
-
-    def test_interpolation_recovers_energy(self, counter):
-        faulty = DropoutFault(counter, 5.0, 8.0)
-        before = faulty.read(4.9)
-        after = faulty.read(8.1)
-        estimated = interpolate_energy_across_dropout(before, after, 6.5)
-        truth = counter.read(6.5).joules
-        # Constant power: linear interpolation is near exact.
-        assert estimated == pytest.approx(truth, rel=0.05)
-
-    def test_interpolation_rejects_out_of_range(self, counter):
-        before = counter.read(1.0)
-        after = counter.read(2.0)
-        with pytest.raises(SensorError):
-            interpolate_energy_across_dropout(before, after, 5.0)
 
     def test_invalid_window(self, counter):
         with pytest.raises(SensorError):
@@ -108,16 +78,6 @@ class TestGlitch:
         assert [a.read(t).watts for t in times] == [
             b.read(t).watts for t in times
         ]
-
-    def test_detector_finds_them(self, counter):
-        faulty = GlitchFault(
-            counter, probability=0.3, magnitude_watts=10_000.0, seed=1
-        )
-        readings = [faulty.read(t) for t in np.linspace(0, 10, 60)]
-        flagged = detect_glitches(readings, plausible_max_watts=1_000.0)
-        assert len(flagged) > 0
-        for k in flagged:
-            assert readings[k].watts == 10_000.0
 
     def test_invalid_probability(self, counter):
         with pytest.raises(SensorError):
@@ -214,16 +174,3 @@ class TestInjectFault:
         wrapper = inject_fault(tel, "glitch", "rocm0", probability=1.0)
         assert isinstance(wrapper, GlitchFault)
 
-
-class TestDetectorEdgeCases:
-    def test_empty_readings(self):
-        assert not detect_frozen_counter([], [])
-        assert detect_glitches([], 100.0) == []
-
-    def test_same_time_pairs_ignored(self):
-        r = SensorReading(timestamp=1.0, watts=100.0, joules=50.0)
-        assert not detect_frozen_counter([1.0, 1.0], [r, r])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(SensorError):
-            detect_frozen_counter([1.0], [])

@@ -4,16 +4,16 @@ import pytest
 
 from repro.config import MINIHPC, SUBSONIC_TURBULENCE
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.runner import run_scaled_experiment
+from repro.sph.propagator import TURBULENCE_FUNCTIONS
 from repro.tuning import (
     SWITCH_FUNCTION,
     DynamicDvfsApplication,
-    PerFunctionPolicy,
-    StaticPolicy,
+    FunctionSweepPoint,
+    TuningReport,
     build_oracle_policy,
     tune_per_function,
 )
-from repro.tuning.optimizer import TuningReport, run_dynamic
-from repro.tuning.policy import FunctionSweepPoint
 
 FREQS = (1410.0, 1230.0, 1005.0)
 SIDE = 450.0
@@ -25,21 +25,22 @@ def sweep_point(fn, freq, seconds, joules):
     )
 
 
-class TestPolicies:
-    def test_static_policy(self):
-        policy = StaticPolicy(1200.0)
-        assert policy.frequency_for("Anything") == 1200.0
+def one_clock_table(mhz, **overrides):
+    """Every turbulence function at ``mhz``, except ``overrides``."""
+    return {fn: mhz for fn in TURBULENCE_FUNCTIONS} | overrides
 
-    def test_per_function_with_default(self):
-        policy = PerFunctionPolicy(default_mhz=1410.0, table={"A": 1005.0})
-        assert policy.frequency_for("A") == 1005.0
-        assert policy.frequency_for("B") == 1410.0
 
-    def test_inherit_missing(self):
-        policy = PerFunctionPolicy(
-            default_mhz=1410.0, table={"A": 1005.0}, inherit_missing=True
-        )
-        assert policy.frequency_for("B") is None
+def run_table(table):
+    """A two-step miniHPC turbulence run re-clocked by ``table``."""
+    return run_scaled_experiment(
+        MINIHPC,
+        SUBSONIC_TURBULENCE,
+        num_cards=2,
+        gpu_freq_mhz=1410.0,
+        num_steps=2,
+        particles_per_rank=1e7,
+        governor=table,
+    )
 
 
 class TestOracleBuilder:
@@ -54,45 +55,40 @@ class TestOracleBuilder:
         ]
 
     def test_edp_objective(self):
-        policy = build_oracle_policy(self.make_points(), 1410.0)
-        assert policy.frequency_for("ME") == 1410.0
-        assert policy.frequency_for("Density") == 1005.0
+        table = build_oracle_policy(self.make_points(), 1410.0)
+        assert table == {"ME": 1410.0, "Density": 1005.0}
 
     def test_energy_objective_unconstrained(self):
-        policy = build_oracle_policy(
+        table = build_oracle_policy(
             self.make_points(), 1410.0, objective="energy"
         )
         # Pure energy minimization down-clocks even the compute-bound kernel.
-        assert policy.frequency_for("ME") == 1005.0
+        assert table["ME"] == 1005.0
 
     def test_energy_objective_with_slowdown_constraint(self):
-        policy = build_oracle_policy(
+        table = build_oracle_policy(
             self.make_points(), 1410.0, objective="energy", max_slowdown=1.1
         )
         # 14 s > 1.1 * 10 s: the low frequency is infeasible for ME.
-        assert policy.frequency_for("ME") == 1410.0
-        assert policy.frequency_for("Density") == 1005.0
+        assert table["ME"] == 1410.0
+        assert table["Density"] == 1005.0
 
     def test_tolerance_prefers_lower_frequency(self):
         points = [
             sweep_point("F", 1410.0, 10.0, 1000.0),  # EDP 10000 (best)
             sweep_point("F", 1005.0, 10.0, 1020.0),  # EDP 10200 (within 3%)
         ]
-        assert build_oracle_policy(points, 1410.0).frequency_for("F") == 1410.0
-        assert (
-            build_oracle_policy(points, 1410.0, tolerance=0.03).frequency_for("F")
-            == 1005.0
-        )
+        assert build_oracle_policy(points, 1410.0)["F"] == 1410.0
+        assert build_oracle_policy(points, 1410.0, tolerance=0.03)["F"] == 1005.0
 
     def test_min_function_seconds_exempts_short_functions(self):
         points = self.make_points() + [
             sweep_point("Tiny", 1410.0, 0.01, 1.0),
             sweep_point("Tiny", 1005.0, 0.01, 0.1),
         ]
-        policy = build_oracle_policy(points, 1410.0, min_function_seconds=1.0)
-        assert policy.inherit_missing
-        assert policy.frequency_for("Tiny") is None
-        assert policy.frequency_for("Density") == 1005.0
+        table = build_oracle_policy(points, 1410.0, min_function_seconds=1.0)
+        assert "Tiny" not in table
+        assert table["Density"] == 1005.0
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -109,37 +105,29 @@ class TestOracleBuilder:
 
 class TestDynamicApplication:
     def test_switch_counting_and_snapping(self):
-        policy = PerFunctionPolicy(
-            default_mhz=1410.0,
-            # 1200 is not a supported A100 step; must snap to 1185/1230.
-            table={"MomentumEnergy": 1200.0},
-        )
-        run, switches = run_dynamic(
-            MINIHPC,
-            SUBSONIC_TURBULENCE,
-            num_cards=2,
-            policy=policy,
-            num_steps=2,
-            particles_per_rank=1e7,
-        )
+        # 1200 is not a supported A100 step; must snap to 1185/1230.
+        table = one_clock_table(1410.0, MomentumEnergy=1200.0)
+        result = run_table(table)
         # ME switches down, the next function switches back: 2 per step.
-        assert switches == 4
-        assert run.num_ranks == 2
+        assert result.governor.switches == 4
+        assert result.run.num_ranks == 2
+        assert result.governor.policy == "oracle"
+        assert result.governor.clock_table == table
+        assert result.governor.decisions == 0
+        assert result.power_samplers == ()  # a table needs no sampler
 
     def test_static_policy_never_switches_after_start(self):
-        policy = StaticPolicy(1410.0)
-        _, switches = run_dynamic(
-            MINIHPC,
-            SUBSONIC_TURBULENCE,
-            num_cards=2,
-            policy=policy,
-            num_steps=2,
-            particles_per_rank=1e7,
-        )
-        assert switches == 0
+        result = run_table(one_clock_table(1410.0))
+        assert result.governor.switches == 0
+
+    def test_missing_function_keeps_running_clock(self):
+        # Only ME is in the table: it switches down once, and every other
+        # function keeps the running clock instead of switching back.
+        result = run_table({"MomentumEnergy": 1005.0})
+        assert result.governor.switches == 1
 
     def test_skewed_per_rank_clocks_are_healed(self):
-        """Regression: the policy check must look at *every* rank's clock.
+        """Regression: the clock check must look at *every* rank's clock.
 
         Deciding from rank 0 alone would return early here — rank 0 is
         already at the target — and leave the skewed rank behind forever.
@@ -172,14 +160,14 @@ class TestDynamicApplication:
             functions=("A",),
             num_steps=1,
             test_case_name="t",
-            policy=StaticPolicy(1410.0),
+            clock_for={"A": 1410.0}.get,
         )
         assert placement.size >= 2
         # Skew: rank 0 at the target already, rank 1 behind.
         placement.gpu_of(0).set_frequency(mhz(1410.0))
         placement.gpu_of(1).set_frequency(mhz(1005.0))
         profiler.start_app()
-        app._apply_policy("A")
+        app._apply_clock("A")
         clocks = {
             placement.gpu_of(rank).frequency.current_hz
             for rank in range(placement.size)
@@ -205,9 +193,7 @@ class TestDynamicApplication:
         from repro.analysis.aggregate import function_totals
         from repro.sensors.nvml import NVML_PERIOD_S
 
-        policy = PerFunctionPolicy(
-            default_mhz=1410.0, table={"MomentumEnergy": 1005.0}
-        )
+        table = one_clock_table(1410.0, MomentumEnergy=1005.0)
         num_steps = 2
         latency = 10 * NVML_PERIOD_S  # tick-aligned, dwarfs boundary smear
 
@@ -217,7 +203,6 @@ class TestDynamicApplication:
             from repro.mpi import CommCostModel, RankPlacement, SpmdEngine
             from repro.sensors import NodeTelemetry
             from repro.sph.perfmodel import SphPerformanceModel
-            from repro.sph.propagator import TURBULENCE_FUNCTIONS
 
             system = MINIHPC
             clock = VirtualClock()
@@ -238,7 +223,7 @@ class TestDynamicApplication:
                 functions=TURBULENCE_FUNCTIONS,
                 num_steps=num_steps,
                 test_case_name=SUBSONIC_TURBULENCE.name,
-                policy=policy,
+                clock_for=table.get,
                 switch_latency_s=latency,
             )
             return app.run(), app.switch_count
@@ -291,7 +276,7 @@ class TestDynamicApplication:
                 functions=("A",),
                 num_steps=1,
                 test_case_name="t",
-                policy=StaticPolicy(1410.0),
+                clock_for={}.get,
                 switch_latency_s=-1.0,
             )
 
@@ -299,7 +284,7 @@ class TestDynamicApplication:
 class TestReportGuards:
     def make_report(self, baseline_edp=100.0, best_static_edp=90.0):
         return TuningReport(
-            policy=PerFunctionPolicy(default_mhz=1410.0, table={}),
+            clock_table={},
             baseline_mhz=1410.0,
             baseline_edp=baseline_edp,
             baseline_seconds=10.0,
@@ -346,8 +331,24 @@ class TestEndToEndTuning:
         assert report.edp_vs_best_static < 1.05
 
     def test_policy_downclocks_memory_bound_functions(self, report):
-        assert report.policy.table["Density"] == 1005.0
-        assert report.policy.table["DomainDecompAndSync"] == 1005.0
+        assert report.clock_table["Density"] == 1005.0
+        assert report.clock_table["DomainDecompAndSync"] == 1005.0
+
+    def test_dynamic_run_shares_the_sweep_job_context(self, report):
+        """Regression: the tuned run is measured inside a Slurm job like
+        its static baselines, so its application window starts after the
+        same job launch and init phase (a run outside any job starts at
+        t = 0)."""
+        baseline = run_scaled_experiment(
+            MINIHPC,
+            SUBSONIC_TURBULENCE,
+            num_cards=2,
+            gpu_freq_mhz=max(FREQS),
+            num_steps=10,
+            particles_per_rank=SIDE**3,
+        )
+        assert baseline.run.app_start > 0.0
+        assert report.dynamic_run.app_start == baseline.run.app_start
 
     def test_few_switches(self, report):
         # Near-ties collapse + short-function exemption keep switching rare.
@@ -371,5 +372,5 @@ class TestEndToEndTuning:
         assert dilation < 1.04  # honours the budget (plus switch overhead)
         assert report.edp_vs_baseline < 0.97  # and still saves energy
         # Compute-bound kernels stay fast, memory-bound ones down-clock.
-        assert report.policy.table["MomentumEnergy"] == 1410.0
-        assert report.policy.table["Density"] == 1005.0
+        assert report.clock_table["MomentumEnergy"] == 1410.0
+        assert report.clock_table["Density"] == 1005.0

@@ -3,8 +3,9 @@
 The subsystem splits into a synchronous deterministic core and a thin
 asyncio timing layer:
 
-* :mod:`repro.service.protocol` — length-prefixed JSON framing and batch
-  validation, shared by the stream and HTTP ingest paths;
+* :mod:`repro.service.protocol` — length-prefixed framing (JSON control
+  messages, columnar binary batches) and batch validation, shared by the
+  stream and HTTP ingest paths;
 * :mod:`repro.service.tenants` — per-tenant stores, bounded write queues
   and the shed/reject accounting ledger (pure, deterministic);
 * :mod:`repro.service.server` — the asyncio ingest/query/watch server

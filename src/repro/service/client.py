@@ -129,7 +129,7 @@ class ServiceClient:
         """Publish a pre-encoded batch frame.
 
         Load harnesses pre-build their wire frames so that generation and
-        JSON-encode cost stays out of the measured window; this sends one
+        encode cost stays out of the measured window; this sends one
         such frame verbatim (it must be an ``encode_frame``-framed batch
         for this client's tenant).
         """

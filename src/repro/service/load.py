@@ -226,7 +226,7 @@ def _prebuild_frames(
 ) -> list[list[bytes]]:
     """Pre-encode every wire frame one tenant will publish, per round.
 
-    Generating and JSON-encoding batches is the load *generator's* CPU
+    Generating and encoding batches is the load *generator's* CPU
     cost, not the service's; building the frames before the timed window
     opens keeps the harness from perturbing the latency it measures
     (the standard pre-generated-payload discipline of HTTP load tools).

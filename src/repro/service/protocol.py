@@ -1,12 +1,38 @@
 """Wire protocol of the telemetry service.
 
-Frames are length-prefixed JSON: a 4-byte big-endian payload length
-followed by a UTF-8 JSON object.  JSON keeps the protocol dependency-free
-and debuggable (``nc`` + a hex dump reads it); the length prefix makes
-framing trivial under partial reads and lets the receiver reject an
-oversized frame *before* buffering it.  The same batch objects travel as
-the body of the HTTP ``POST /ingest`` endpoint, so both ingest paths
-share one validator.
+Every frame is a 4-byte big-endian payload length followed by the
+payload; the length prefix makes framing trivial under partial reads and
+lets the receiver reject an oversized frame *before* buffering it.  A
+payload is one of two self-describing formats, told apart by its first
+byte:
+
+* **JSON** — a UTF-8 JSON object.  Every control message (``hello``,
+  ``sync``, ``bye``, ``ack``, ``error``) travels as JSON, as does any
+  batch whose columns do not convert to arrays; JSON keeps the protocol
+  debuggable (``nc`` + a hex dump reads it).  The same batch objects are
+  the body of the HTTP ``POST /ingest`` endpoint.
+* **Columnar batch** — a ``batch`` whose columns convert to arrays, in
+  the fixed little-endian layout below, decoded with ``np.frombuffer``
+  into zero-copy columns instead of parsing float text.  Its first byte,
+  ``0xC1``, is not valid UTF-8, so no JSON payload can start with it.
+
+Columnar batch payload (all integers little-endian)::
+
+    u8   magic 0xC1
+    i64  node
+    u32  channel count
+    per channel, in name order:
+      u32  name length, then that many UTF-8 bytes of the name
+      u32  sample count n
+      u8   has-quality flag (0 or 1)
+      f8[n] t, f8[n] watts, f8[n] joules
+      u8[n] quality            (only when the flag is 1)
+
+Both formats decode to the same ``{"kind": "batch", "node", "channels"}``
+message and go through the same validator (:func:`parse_batch`), so the
+server cannot tell which one a publisher sent.  The format needs no
+negotiation: :func:`encode_frame` picks it per message, and a protocol-1
+publisher that only sends JSON keeps working.
 
 Message kinds, client -> server:
 
@@ -39,17 +65,33 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Protocol version sent in ``hello`` and checked by the server.
-PROTOCOL_VERSION = 1
+#: Protocol version sent in ``hello``.  Version 2 added the columnar
+#: batch frame; the server still accepts version-1 (JSON-only) sessions.
+PROTOCOL_VERSION = 2
 
-#: Hard ceiling on one frame's JSON payload (16 MiB): a corrupt length
+#: Every ``hello`` version the server accepts.
+SUPPORTED_PROTOCOL_VERSIONS = (1, 2)
+
+#: Hard ceiling on one frame's payload (16 MiB): a corrupt length
 #: prefix must not make the server buffer gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Backpressure modes a session can request.
 BACKPRESSURE_MODES = ("wait", "shed")
 
+#: First payload byte of a columnar batch frame (never valid UTF-8).
+BATCH_MAGIC = 0xC1
+
 _LEN = struct.Struct(">I")
+_BATCH_HEAD = struct.Struct("<BqI")  # magic, node, channel count
+_NAME_LEN = struct.Struct("<I")
+_CHANNEL_HEAD = struct.Struct("<IB")  # sample count, has-quality flag
+_F8 = np.dtype("<f8")
+_U1 = np.dtype("u1")
+_INT64 = np.iinfo(np.int64)
+_FLOAT_COLUMNS = ("t", "watts", "joules")
+_FLOATS = frozenset(_FLOAT_COLUMNS)
+_FLOAT_ROW_BYTES = len(_FLOAT_COLUMNS) * _F8.itemsize
 
 
 class ProtocolError(ConfigurationError):
@@ -57,14 +99,109 @@ class ProtocolError(ConfigurationError):
 
 
 def encode_frame(message: dict) -> bytes:
-    """One wire frame for ``message``."""
-    payload = json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
+    """One wire frame for ``message``.
+
+    A ``batch`` whose columns convert to arrays becomes a columnar frame;
+    every other message is JSON.
+    """
+    payload = _columnar_payload(message) if message.get("kind") == "batch" else None
+    if payload is None:
+        payload = json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame ceiling"
         )
     return _LEN.pack(len(payload)) + payload
+
+
+def _columnar_payload(message: dict) -> bytes | None:
+    """The columnar payload of a batch, or None when it does not convert.
+
+    Columns convert with the same ``np.asarray`` casts :func:`batch_columns`
+    applies, so the decoded batch validates to bit-identical arrays.  A
+    batch that fails to convert (a ragged or non-numeric column, a quality
+    code outside ``uint8``, an unknown key) is left to JSON, where the
+    server rejects it with the validator's own message.
+    """
+    node = message.get("node")
+    channels = message.get("channels")
+    if (
+        not isinstance(node, (int, np.integer))
+        or not _INT64.min <= node <= _INT64.max
+        or not isinstance(channels, dict)
+    ):
+        return None
+    if not all(isinstance(name, str) for name in channels):
+        return None
+    parts = [_BATCH_HEAD.pack(BATCH_MAGIC, int(node), len(channels))]
+    # Channels in name order, as the JSON encoder's ``sort_keys`` writes
+    # them, so both formats validate channels (and fail) in one order.
+    for name, payload in sorted(channels.items()):
+        if not isinstance(payload, dict) or payload.keys() - {"quality"} != _FLOATS:
+            return None
+        try:
+            raw_name = name.encode()
+            columns = [np.asarray(payload[key], dtype=_F8) for key in _FLOAT_COLUMNS]
+            if "quality" in payload:
+                columns.append(np.asarray(payload["quality"], dtype=_U1))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        shape = columns[0].shape
+        if len(shape) != 1 or any(col.shape != shape for col in columns):
+            return None
+        parts += [
+            _NAME_LEN.pack(len(raw_name)),
+            raw_name,
+            _CHANNEL_HEAD.pack(shape[0], "quality" in payload),
+            *(col.tobytes() for col in columns),
+        ]
+    return b"".join(parts)
+
+
+def _check_room(payload: bytes, offset: int, nbytes: int, what: str) -> None:
+    """Raise unless ``payload`` holds ``nbytes`` more bytes at ``offset``."""
+    if offset + nbytes > len(payload):
+        raise ProtocolError(
+            f"columnar batch truncated: {what} needs {nbytes} bytes at "
+            f"offset {offset}, payload has {len(payload)}"
+        )
+
+
+def _decode_columnar(payload: bytes) -> dict:
+    """The batch message of one columnar payload, with zero-copy columns."""
+    _check_room(payload, 0, _BATCH_HEAD.size, "header")
+    _, node, num_channels = _BATCH_HEAD.unpack_from(payload)
+    offset = _BATCH_HEAD.size
+    channels: dict[str, dict[str, np.ndarray]] = {}
+    for _ in range(num_channels):
+        _check_room(payload, offset, _NAME_LEN.size, "channel name length")
+        (name_len,) = _NAME_LEN.unpack_from(payload, offset)
+        offset += _NAME_LEN.size
+        _check_room(payload, offset, name_len + _CHANNEL_HEAD.size, "channel name")
+        try:
+            name = payload[offset : offset + name_len].decode()
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"channel name is not UTF-8: {exc}") from None
+        n, has_quality = _CHANNEL_HEAD.unpack_from(payload, offset + name_len)
+        offset += name_len + _CHANNEL_HEAD.size
+        if has_quality > 1:
+            raise ProtocolError(f"bad has-quality flag {has_quality}")
+        row_bytes = _FLOAT_ROW_BYTES + has_quality
+        _check_room(payload, offset, n * row_bytes, "sample columns")
+        # One zero-copy (3, n) view; its rows are the contiguous columns.
+        t, watts, joules = np.frombuffer(payload, _F8, 3 * n, offset).reshape(3, n)
+        offset += _FLOAT_ROW_BYTES * n
+        columns = {"t": t, "watts": watts, "joules": joules}
+        if has_quality:
+            columns["quality"] = np.frombuffer(payload, _U1, n, offset)
+            offset += n
+        channels[name] = columns
+    if offset != len(payload):
+        raise ProtocolError(
+            f"columnar batch has {len(payload) - offset} trailing bytes"
+        )
+    return {"kind": "batch", "node": node, "channels": channels}
 
 
 class FrameDecoder:
@@ -90,6 +227,9 @@ class FrameDecoder:
                 return out
             payload = bytes(self._buf[_LEN.size : _LEN.size + length])
             del self._buf[: _LEN.size + length]
+            if payload and payload[0] == BATCH_MAGIC:
+                out.append(_decode_columnar(payload))
+                continue
             try:
                 message = json.loads(payload)
             except ValueError as exc:
@@ -146,22 +286,31 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
     """Validated ``(t, watts, joules, quality)`` columns of one channel.
 
     The quality column is optional on the wire (all-``ok`` when absent).
-    Column lengths must agree and times must be non-decreasing *within
-    the batch* (cross-batch ordering is the store's check).
+    Every column must be one-dimensional, column lengths must agree and
+    times must be non-decreasing *within the batch* (cross-batch ordering
+    is the store's check).
     """
+    if not isinstance(channel_payload, dict):
+        raise ProtocolError("malformed batch columns: channel is not an object")
     try:
         t = np.asarray(channel_payload["t"], dtype=np.float64)
         watts = np.asarray(channel_payload["watts"], dtype=np.float64)
         joules = np.asarray(channel_payload["joules"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed batch columns: {exc}") from None
     if "quality" in channel_payload:
         try:
             quality = np.asarray(channel_payload["quality"], dtype=np.uint8)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed quality column: {exc}") from None
     else:
-        quality = np.zeros(len(t), dtype=np.uint8)
+        quality = np.zeros(t.shape, dtype=np.uint8)
+    if not t.ndim == watts.ndim == joules.ndim == quality.ndim == 1:
+        raise ProtocolError(
+            "malformed batch columns: every column must be a 1-d array, got "
+            f"t:{t.ndim}-d watts:{watts.ndim}-d joules:{joules.ndim}-d "
+            f"quality:{quality.ndim}-d"
+        )
     if not (len(t) == len(watts) == len(joules) == len(quality)):
         raise ProtocolError(
             "batch columns must have equal length, got "
@@ -177,11 +326,13 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
 
 def parse_batch(message: dict) -> tuple[int, dict[str, tuple[np.ndarray, ...]]]:
     """Validated ``(node, {channel: columns})`` of one batch message."""
+    if not isinstance(message, dict):
+        raise ProtocolError("batch message must be an object")
     if message.get("kind") != "batch":
         raise ProtocolError(f"expected a batch message, got {message.get('kind')!r}")
     try:
         node = int(message["node"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ProtocolError("batch message carries no integer 'node'") from None
     channels = message.get("channels")
     if not isinstance(channels, dict) or not channels:
@@ -192,8 +343,18 @@ def parse_batch(message: dict) -> tuple[int, dict[str, tuple[np.ndarray, ...]]]:
 
 
 def batch_num_samples(message: dict) -> int:
-    """Total samples a (structurally valid) batch message carries."""
-    return sum(
-        len(payload.get("t", ()))
-        for payload in message.get("channels", {}).values()
-    )
+    """Samples a batch message carries, as its ``t`` columns count them.
+
+    Used to account rejected batches, so it never raises: a shape it
+    cannot read (no channel object, a channel or ``t`` column that is not
+    a sequence) counts 0.
+    """
+    channels = message.get("channels") if isinstance(message, dict) else None
+    if not isinstance(channels, dict):
+        return 0
+    total = 0
+    for payload in channels.values():
+        t = payload.get("t") if isinstance(payload, dict) else None
+        if isinstance(t, (list, tuple)) or (isinstance(t, np.ndarray) and t.ndim == 1):
+            total += len(t)
+    return total

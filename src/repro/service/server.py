@@ -340,10 +340,10 @@ class TelemetryService:
                 pass
 
     def _on_hello(self, message: dict) -> tuple[Tenant, str]:
-        if message.get("protocol") != protocol.PROTOCOL_VERSION:
+        if message.get("protocol") not in protocol.SUPPORTED_PROTOCOL_VERSIONS:
             raise protocol.ProtocolError(
-                f"protocol version {message.get('protocol')!r} != "
-                f"{protocol.PROTOCOL_VERSION}"
+                f"protocol version {message.get('protocol')!r} is not one of "
+                f"{protocol.SUPPORTED_PROTOCOL_VERSIONS}"
             )
         backpressure = message.get("backpressure", "wait")
         if backpressure not in protocol.BACKPRESSURE_MODES:
@@ -560,6 +560,8 @@ class TelemetryService:
             await self._respond(writer, 400, "body is not JSON")
             return
         batches = doc.get("batches", [doc]) if isinstance(doc, dict) else doc
+        if not isinstance(batches, list):
+            batches = [batches]
         accepted = shed = rejected = 0
         for message in batches:
             self.activity += 1

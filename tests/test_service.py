@@ -7,9 +7,12 @@ harness use it.
 """
 
 import json
+import socket
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CSCS_A100, OBSERVABILITY_CASES
 from repro.errors import ConfigurationError
@@ -51,6 +54,22 @@ def _parsed(n=8, t0=0.0):
     )[1]
 
 
+def _assert_same_batch(got, want):
+    """Two ``parse_batch`` results are equal bit for bit.
+
+    NaNs compare by position: JSON text carries no NaN payload bits.
+    """
+    assert got[0] == want[0]
+    assert list(got[1]) == list(want[1])
+    for name, columns in want[1].items():
+        assert len(got[1][name]) == len(columns)
+        for a, b in zip(got[1][name], columns):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            nan = np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.shape, bool)
+            assert np.array_equal(nan, np.isnan(b) if b.dtype.kind == "f" else nan)
+            assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
 class TestProtocol:
     def test_roundtrip_single_frame(self):
         message = protocol.hello_message("acme", "test", "shed")
@@ -70,7 +89,13 @@ class TestProtocol:
         out = []
         for i in range(len(wire)):
             out.extend(decoder.feed(wire[i : i + 1]))
-        assert out == messages
+        assert decoder.pending_bytes == 0
+        assert [out[0], out[2]] == [messages[0], messages[2]]
+        # The batch decodes to array columns: compare what the validator
+        # makes of it, bit for bit.
+        _assert_same_batch(
+            protocol.parse_batch(out[1]), protocol.parse_batch(messages[1])
+        )
 
     def test_oversized_frame_rejected_before_buffering(self):
         decoder = protocol.FrameDecoder()
@@ -147,6 +172,159 @@ class TestProtocol:
         assert endpoint_tenant("telemetry://10.0.0.1:9000/demo") == "demo"
         assert endpoint_tenant("tcp://10.0.0.1:9000") is None
         assert endpoint_tenant("host:9000/") is None
+
+
+def _json_frame(message):
+    """The protocol-1 JSON frame of ``message`` (what old publishers send)."""
+    payload = json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
+    return len(payload).to_bytes(4, "big") + payload
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310)
+
+
+@st.composite
+def _wire_batches(draw):
+    """Batch messages as a publisher builds them: Python float columns,
+    1-4 unicode-named channels of 1-300 samples, with and without quality.
+
+    Columns come from a drawn rng seed, so hypothesis spends its entropy
+    on the shape; a fifth of the values are ±inf, ±0.0, NaN or subnormal,
+    and a few drawn floats land at drawn positions.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.lists(st.floats(), max_size=4))
+
+    def column(n):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        special = rng.random(n) < 0.2
+        values[special] = rng.choice(_SPECIAL_FLOATS, int(special.sum()))
+        values[rng.integers(0, n, len(extra))] = extra
+        return values.tolist()
+
+    channels = {}
+    names = st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True)
+    for name in draw(names):
+        n = draw(st.integers(1, 300))
+        t = column(n)
+        if draw(st.booleans()):
+            t = sorted(t, key=lambda v: (v != v, v))  # NaNs last
+        channels[name] = {"t": t, "watts": column(n), "joules": column(n)}
+        if draw(st.booleans()):
+            channels[name]["quality"] = rng.integers(0, 256, n).tolist()
+    node = draw(st.integers(-(2**63), 2**63 - 1))
+    return protocol.batch_message(node, channels)
+
+
+def _parse_or_error(message):
+    try:
+        return protocol.parse_batch(message), None
+    except ProtocolError as exc:
+        return None, str(exc)
+
+
+class TestColumnarFrames:
+    def test_batches_travel_columnar_and_control_messages_json(self):
+        batch = protocol.batch_message(3, {"p": _columns(200)})
+        frame = protocol.encode_frame(batch)
+        assert frame[4] == protocol.BATCH_MAGIC
+        assert len(frame) < len(_json_frame(batch))
+        for message in (protocol.hello_message("a"), protocol.sync_message()):
+            assert protocol.encode_frame(message) == _json_frame(message)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            {"p": {**_columns(2), "quality": [0, 300]}},
+            {"p": {**_columns(2), "watts": [1.0]}},
+            {"p": {**_columns(2), "note": "x"}},
+            {"p": {"t": 5, "watts": [1.0], "joules": [1.0]}},
+            [_columns(2)],
+        ],
+        ids=["quality-range", "ragged", "extra-key", "scalar", "list"],
+    )
+    def test_batches_that_do_not_convert_stay_json(self, channels):
+        batch = protocol.batch_message(0, channels)
+        assert protocol.encode_frame(batch) == _json_frame(batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wire_batches())
+    def test_columnar_frame_validates_like_json(self, message):
+        frame = protocol.encode_frame(message)
+        assert frame[4] == protocol.BATCH_MAGIC
+        (columnar,) = protocol.FrameDecoder().feed(frame)
+        (from_json,) = protocol.FrameDecoder().feed(_json_frame(message))
+        got, got_error = _parse_or_error(columnar)
+        want, want_error = _parse_or_error(from_json)
+        assert got_error == want_error
+        if want is not None:
+            _assert_same_batch(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _wire_batches(),
+        st.sampled_from(["truncate", "garble", "append", "lie-count", "lie-length"]),
+        st.data(),
+    )
+    def test_damaged_columnar_payload_raises_only_protocol_error(
+        self, message, damage, data
+    ):
+        payload = bytearray(protocol.encode_frame(message)[4:])
+        if damage == "truncate":
+            del payload[data.draw(st.integers(0, len(payload) - 1)) :]
+        elif damage == "garble":
+            for _ in range(data.draw(st.integers(1, 8))):
+                i = data.draw(st.integers(0, len(payload) - 1))
+                payload[i] = data.draw(st.integers(0, 255))
+        elif damage == "append":
+            payload += data.draw(st.binary(min_size=1, max_size=32))
+        elif damage == "lie-count":
+            # Overwrite the channel count, the first name length, or four
+            # bytes mid-payload with an arbitrary u32.
+            i = data.draw(st.sampled_from([9, 13, 13 + len(payload) // 2]))
+            lie = data.draw(st.integers(0, 2**32 - 1))
+            payload[i : i + 4] = struct.pack("<I", lie)[: len(payload[i : i + 4])]
+        frame = len(payload).to_bytes(4, "big") + bytes(payload)
+        if damage == "lie-length":
+            # The prefix claims fewer bytes than follow: the decoder must
+            # cut the frame there and treat the rest as the next frame.
+            cut = data.draw(st.integers(0, len(payload) - 1))
+            frame = cut.to_bytes(4, "big") + bytes(payload)
+        decoder = protocol.FrameDecoder()
+        try:
+            messages = decoder.feed(frame + protocol.encode_frame({"kind": "sync"}))
+        except ProtocolError:
+            return
+        for decoded in messages:
+            if decoded.get("kind") == "batch":
+                _parse_or_error(decoded)
+
+    def test_truncated_header_and_flag_rejected(self):
+        frame = protocol.encode_frame(protocol.batch_message(1, {"p": _columns(3)}))
+        with pytest.raises(ProtocolError, match="truncated"):
+            protocol.FrameDecoder().feed(b"\x00\x00\x00\x05" + frame[4:9])
+        payload = bytearray(frame[4:])
+        payload[13 + 4 + 1 + 4] = 2  # has-quality flag of channel "p"
+        with pytest.raises(ProtocolError, match="has-quality"):
+            protocol.FrameDecoder().feed(frame[:4] + bytes(payload))
+        with pytest.raises(ProtocolError, match="trailing"):
+            protocol.FrameDecoder().feed(
+                (len(payload) + 1).to_bytes(4, "big") + frame[4:] + b"\x00"
+            )
+
+    def test_ceiling_fires_before_buffering_a_columnar_payload(self):
+        decoder = protocol.FrameDecoder()
+        header = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="ceiling"):
+            decoder.feed(header + bytes([protocol.BATCH_MAGIC]))
+        assert decoder.pending_bytes == 5
+
+    def test_columns_are_zero_copy_views_of_the_frame(self):
+        (message,) = protocol.FrameDecoder().feed(
+            protocol.encode_frame(protocol.batch_message(0, {"p": _columns(5)}))
+        )
+        t = message["channels"]["p"]["t"]
+        assert t.base is not None and not t.flags.writeable
 
 
 class TestTenantAccounting:
@@ -461,6 +639,111 @@ class TestServerRoundTrip:
         assert tenant.counters.samples_ingested == 16
         assert service.drain_errors >= 1
         assert "render exploded" in service.last_drain_error
+
+
+_BAD_CHANNELS = {
+    "quality-above-255": ({"p": {**_columns(2), "quality": [0, 300]}}, 2),
+    "quality-negative": ({"p": {**_columns(1), "quality": [-1]}}, 1),
+    "scalar-column": ({"p": {"t": 5, "watts": [1.0], "joules": [1.0]}}, 0),
+    "channels-list": ([_columns(2)], 0),
+    "channel-not-object": ({"p": [1, 2, 3]}, 0),
+}
+
+
+def _assert_one_rejected(ledger, rejected_samples, ingested_samples):
+    assert ledger["batches_rejected"] == 1
+    assert ledger["samples_rejected"] == rejected_samples
+    assert ledger["samples_ingested"] == ingested_samples
+    assert ledger["samples_offered"] == (
+        ledger["samples_ingested"]
+        + ledger["samples_shed"]
+        + ledger["samples_rejected"]
+        + ledger["pending_samples"]
+    )
+
+
+class TestMalformedBatchesAccounted:
+    """A malformed batch is one counted rejection; the session lives on."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CHANNELS))
+    def test_stream_session_survives(self, service, case):
+        channels, samples = _BAD_CHANNELS[case]
+        with ServiceClient(service.host, service.port, f"s-{case}") as client:
+            client.publish(0, channels)
+            client.publish(0, {"p": _columns(8)})
+            ack = client.sync()
+        _assert_one_rejected(ack, samples, 8)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CHANNELS))
+    def test_http_ingest_survives(self, service, case):
+        channels, samples = _BAD_CHANNELS[case]
+        path = f"/ingest?tenant=h-{case}"
+        bad = protocol.batch_message(0, channels)
+        out = http_post_json(service.host, service.http_port, path, bad)
+        assert out["rejected"] == 1
+        out = http_post_json(
+            service.host,
+            service.http_port,
+            path,
+            protocol.batch_message(0, {"p": _columns(8)}),
+        )
+        assert out["accepted"] == 1
+        _assert_one_rejected(out, samples, 8)
+
+    def test_http_ingest_non_object_batches_rejected(self, service):
+        out = http_post_json(
+            service.host, service.http_port, "/ingest?tenant=h-odd", {"batches": 5}
+        )
+        assert out["rejected"] == 1 and out["samples_rejected"] == 0
+
+    def test_batch_num_samples_counts_unreadable_shapes_as_zero(self):
+        assert protocol.batch_num_samples({"channels": [_columns(2)]}) == 0
+        assert protocol.batch_num_samples({"channels": {"p": [1, 2]}}) == 0
+        assert protocol.batch_num_samples({"channels": {"p": {"t": 5}}}) == 0
+        assert protocol.batch_num_samples([1]) == 0
+        two = {"a": _columns(2), "b": _columns(3)}
+        assert protocol.batch_num_samples(protocol.batch_message(0, two)) == 5
+
+
+class TestProtocolVersions:
+    def test_v1_json_client_ingests_losslessly(self, service):
+        cols = SyntheticSource("v1", 0, "p", 1000.0).batch(50)
+        hello = protocol.hello_message("v1")
+        hello["protocol"] = 1
+        wire = b"".join(
+            _json_frame(m)
+            for m in (
+                hello,
+                protocol.batch_message(0, {"p": cols}),
+                protocol.sync_message(),
+            )
+        )
+        sock = socket.create_connection((service.host, service.port), timeout=10)
+        try:
+            sock.sendall(wire)
+            decoder = protocol.FrameDecoder()
+            frames = []
+            while not frames:
+                frames = decoder.feed(sock.recv(65536))
+        finally:
+            sock.close()
+        assert frames[0]["kind"] == "ack"
+        assert frames[0]["samples_ingested"] == 50
+        assert frames[0]["batches_rejected"] == 0
+        body = http_get_json(
+            service.host, service.http_port, "/query/range?tenant=v1&node=0&channel=p"
+        )
+        assert {k: body[k] for k in cols} == cols
+
+    def test_columnar_client_matches_json_client(self, service):
+        cols = SyntheticSource("v2", 0, "p", 1000.0).batch(50)
+        with ServiceClient(service.host, service.port, "v2") as client:
+            client.publish(0, {"p": cols})
+            client.sync()
+        body = http_get_json(
+            service.host, service.http_port, "/query/range?tenant=v2&node=0&channel=p"
+        )
+        assert {k: body[k] for k in cols} == cols
 
 
 class TestPrometheusScrape:

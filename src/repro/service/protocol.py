@@ -53,13 +53,18 @@ A structurally invalid *batch* on an established session is rejected
 ledger-only — counted in the tenant's ``rejected`` counters and visible
 in every ``ack``, but no ``error`` frame is sent, so the hot ingest
 path never stalls behind a publisher that isn't reading.  Either way a
-bad input is counted, never silently ignored.
+bad input is counted, never silently ignored.  That includes a batch
+that names a channel (or any key) twice, in either format: both
+decoders keep every repetition (:class:`RepeatedKeys`), so the whole
+batch is rejected with all of its samples instead of the earlier
+channels vanishing.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -98,6 +103,31 @@ class ProtocolError(ConfigurationError):
     """Raised on malformed frames or invalid protocol usage."""
 
 
+class RepeatedKeys(dict):
+    """A decoded object that names one key more than once.
+
+    It maps each key to its last value, as ``json.loads`` would, and
+    :attr:`pairs` keeps every ``(key, value)`` in wire order.  A batch
+    holding one anywhere is malformed (:func:`parse_batch` rejects it),
+    and :func:`batch_num_samples` counts the samples of every pair, so a
+    repeated channel is booked as rejected instead of silently lost.
+    """
+
+    def __init__(self, pairs: list[tuple]) -> None:
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _object(pairs: list[tuple]) -> dict:
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else RepeatedKeys(pairs)
+
+
+def loads(data: bytes | str):
+    """``json.loads`` that keeps repeated object keys as :class:`RepeatedKeys`."""
+    return json.loads(data, object_pairs_hook=_object)
+
+
 def encode_frame(message: dict) -> bytes:
     """One wire frame for ``message``.
 
@@ -121,8 +151,8 @@ def _columnar_payload(message: dict) -> bytes | None:
     Columns convert with the same ``np.asarray`` casts :func:`batch_columns`
     applies, so the decoded batch validates to bit-identical arrays.  A
     batch that fails to convert (a ragged or non-numeric column, a quality
-    code outside ``uint8``, an unknown key) is left to JSON, where the
-    server rejects it with the validator's own message.
+    code that is not an integer in ``0..255``, an unknown key) is left to
+    JSON, where the server rejects it with the validator's own message.
     """
     node = message.get("node")
     channels = message.get("channels")
@@ -144,7 +174,7 @@ def _columnar_payload(message: dict) -> bytes | None:
             raw_name = name.encode()
             columns = [np.asarray(payload[key], dtype=_F8) for key in _FLOAT_COLUMNS]
             if "quality" in payload:
-                columns.append(np.asarray(payload["quality"], dtype=_U1))
+                columns.append(_quality_codes(payload["quality"]))
         except (TypeError, ValueError, OverflowError):
             return None
         shape = columns[0].shape
@@ -173,7 +203,7 @@ def _decode_columnar(payload: bytes) -> dict:
     _check_room(payload, 0, _BATCH_HEAD.size, "header")
     _, node, num_channels = _BATCH_HEAD.unpack_from(payload)
     offset = _BATCH_HEAD.size
-    channels: dict[str, dict[str, np.ndarray]] = {}
+    pairs = []
     for _ in range(num_channels):
         _check_room(payload, offset, _NAME_LEN.size, "channel name length")
         (name_len,) = _NAME_LEN.unpack_from(payload, offset)
@@ -196,12 +226,12 @@ def _decode_columnar(payload: bytes) -> dict:
         if has_quality:
             columns["quality"] = np.frombuffer(payload, _U1, n, offset)
             offset += n
-        channels[name] = columns
+        pairs.append((name, columns))
     if offset != len(payload):
         raise ProtocolError(
             f"columnar batch has {len(payload) - offset} trailing bytes"
         )
-    return {"kind": "batch", "node": node, "channels": channels}
+    return {"kind": "batch", "node": node, "channels": _object(pairs)}
 
 
 class FrameDecoder:
@@ -231,7 +261,7 @@ class FrameDecoder:
                 out.append(_decode_columnar(payload))
                 continue
             try:
-                message = json.loads(payload)
+                message = loads(payload)
             except ValueError as exc:
                 raise ProtocolError(f"frame payload is not JSON: {exc}") from None
             if not isinstance(message, dict) or "kind" not in message:
@@ -282,6 +312,27 @@ def bye_message() -> dict:
 # -- batch validation -------------------------------------------------------
 
 
+def _quality_codes(column) -> np.ndarray:
+    """A quality column as ``uint8`` codes.
+
+    Raises ``ValueError`` (or the cast's ``TypeError``/``OverflowError``)
+    unless every code is an integer in ``0..255``: the cast alone would
+    truncate ``1.7`` to code 1 and wrap an int64 ``300`` to 44.
+    """
+    codes = np.asarray(column, dtype=np.uint8)
+    if not (isinstance(column, np.ndarray) and column.dtype == np.uint8):
+        if not np.array_equal(codes, np.asarray(column, dtype=np.float64)):
+            raise ValueError("quality codes must be integers in 0..255")
+    return codes
+
+
+def _refuse_repeats(obj, what: str) -> None:
+    if isinstance(obj, RepeatedKeys):
+        counts = Counter(key for key, _ in obj.pairs)
+        repeated = sorted(key for key, n in counts.items() if n > 1)
+        raise ProtocolError(f"{what} repeats {repeated!r}")
+
+
 def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
     """Validated ``(t, watts, joules, quality)`` columns of one channel.
 
@@ -292,6 +343,7 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
     """
     if not isinstance(channel_payload, dict):
         raise ProtocolError("malformed batch columns: channel is not an object")
+    _refuse_repeats(channel_payload, "batch channel")
     try:
         t = np.asarray(channel_payload["t"], dtype=np.float64)
         watts = np.asarray(channel_payload["watts"], dtype=np.float64)
@@ -300,7 +352,7 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
         raise ProtocolError(f"malformed batch columns: {exc}") from None
     if "quality" in channel_payload:
         try:
-            quality = np.asarray(channel_payload["quality"], dtype=np.uint8)
+            quality = _quality_codes(channel_payload["quality"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed quality column: {exc}") from None
     else:
@@ -330,6 +382,7 @@ def parse_batch(message: dict) -> tuple[int, dict[str, tuple[np.ndarray, ...]]]:
         raise ProtocolError("batch message must be an object")
     if message.get("kind") != "batch":
         raise ProtocolError(f"expected a batch message, got {message.get('kind')!r}")
+    _refuse_repeats(message, "batch message")
     try:
         node = int(message["node"])
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -337,6 +390,7 @@ def parse_batch(message: dict) -> tuple[int, dict[str, tuple[np.ndarray, ...]]]:
     channels = message.get("channels")
     if not isinstance(channels, dict) or not channels:
         raise ProtocolError("batch message carries no channels")
+    _refuse_repeats(channels, "batch channel name")
     return node, {
         str(name): batch_columns(payload) for name, payload in channels.items()
     }
@@ -347,13 +401,15 @@ def batch_num_samples(message: dict) -> int:
 
     Used to account rejected batches, so it never raises: a shape it
     cannot read (no channel object, a channel or ``t`` column that is not
-    a sequence) counts 0.
+    a sequence) counts 0.  A repeated channel name counts every channel
+    sent under it.
     """
     channels = message.get("channels") if isinstance(message, dict) else None
     if not isinstance(channels, dict):
         return 0
+    pairs = channels.pairs if isinstance(channels, RepeatedKeys) else channels.items()
     total = 0
-    for payload in channels.values():
+    for _, payload in pairs:
         t = payload.get("t") if isinstance(payload, dict) else None
         if isinstance(t, (list, tuple)) or (isinstance(t, np.ndarray) and t.ndim == 1):
             total += len(t)

@@ -554,10 +554,23 @@ class TelemetryService:
     ) -> None:
         tenant = self.registry.get_or_create(query.get("tenant", "") or "default")
         try:
-            doc = json.loads(body)
+            doc = protocol.loads(body)
         except ValueError as exc:
             tenant.reject(f"body not JSON: {exc}")
             await self._respond(writer, 400, "body is not JSON")
+            return
+        if isinstance(doc, protocol.RepeatedKeys) and "batches" in doc:
+            # Only the last repeat would be read: refuse the whole body,
+            # booking the samples of every repeat.
+            listed = [
+                batch
+                for key, value in doc.pairs
+                if key == "batches"
+                for batch in (value if isinstance(value, list) else [value])
+            ]
+            samples = sum(protocol.batch_num_samples(batch) for batch in listed)
+            tenant.reject("body repeats 'batches'", samples)
+            await self._respond(writer, 400, "body repeats 'batches'")
             return
         batches = doc.get("batches", [doc]) if isinstance(doc, dict) else doc
         if not isinstance(batches, list):

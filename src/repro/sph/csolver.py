@@ -134,10 +134,12 @@ static int axis_offsets(long long nc, int periodic, int *offs)
    order of _csr_candidates) and keep survivors of the same IEEE keep
    test as csr_filter, so the output is bitwise identical to running
    the NumPy generation + filter while never materializing the raw
-   O(27 nnz) candidate arrays.  counts (when non-NULL) receives the
-   per-particle surviving count.                                       */
-long long cell_filter(long long n, const double *pos, const double *h,
-                      double length, int periodic, double support,
+   O(27 nnz) candidate arrays.  Walks particles [i0, i1) only, so the
+   caller can bound out_* by one block of raw candidates; counts (when
+   non-NULL, indexed by particle) receives the surviving counts.       */
+long long cell_filter(long long i0, long long i1, const double *pos,
+                      const double *h, double length, int periodic,
+                      double support,
                       long long nc0, long long nc1, long long nc2,
                       const long long *flat, const int *order,
                       const long long *cellstart, const long long *occ,
@@ -152,7 +154,7 @@ long long cell_filter(long long n, const double *pos, const double *h,
     int m1 = axis_offsets(nc1, periodic, offs1);
     int m2 = axis_offsets(nc2, periodic, offs2);
     long long cur = 0;
-    for (long long i = 0; i < n; i++) {
+    for (long long i = i0; i < i1; i++) {
         long long f = flat[i];
         long long cz = f % nc2;
         long long cy = (f / nc2) % nc1;
@@ -444,31 +446,6 @@ void tau_invert(long long n, const double *e6, double *out9)
         o[6] = i02; o[7] = i12; o[8] = i22;
     }
 }
-
-/* Turbulence-driving mode sum: acc_i = sum_j Re(e^{i k_j.x_i} amp_j)
-   = sum_j cos(th) Re(amp_j) - sin(th) Im(amp_j), without the O(n m)
-   complex phase matrix the NumPy path materializes.                   */
-void driving_accel(long long n, long long m, const double *pos,
-                   const double *kvec, const double *amp_re,
-                   const double *amp_im, double *acc)
-{
-    for (long long i = 0; i < n; i++) {
-        double p0 = pos[3 * i], p1 = pos[3 * i + 1], p2 = pos[3 * i + 2];
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0;
-        for (long long j = 0; j < m; j++) {
-            double th = p0 * kvec[3 * j] + p1 * kvec[3 * j + 1]
-                        + p2 * kvec[3 * j + 2];
-            double s, c;
-            sincos(th, &s, &c);
-            a0 += c * amp_re[3 * j] - s * amp_im[3 * j];
-            a1 += c * amp_re[3 * j + 1] - s * amp_im[3 * j + 1];
-            a2 += c * amp_re[3 * j + 2] - s * amp_im[3 * j + 2];
-        }
-        acc[3 * i] = a0;
-        acc[3 * i + 1] = a1;
-        acc[3 * i + 2] = a2;
-    }
-}
 """
 
 _I64 = ctypes.c_longlong
@@ -483,7 +460,7 @@ _SIGNATURES = {
     ),
     "cell_filter": (
         _I64,
-        [_I64, _P, _P, _F64, ctypes.c_int, _F64, _I64, _I64, _I64,
+        [_I64, _I64, _P, _P, _F64, ctypes.c_int, _F64, _I64, _I64, _I64,
          _P, _P, _P, _P, ctypes.c_int, ctypes.c_int, _P, _P, _P, _P, _P],
     ),
     "tau_invert": (None, [_I64, _P, _P]),
@@ -497,7 +474,6 @@ _SIGNATURES = {
         [_I64, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P,
          _F64, _P, _P, _P],
     ),
-    "driving_accel": (None, [_I64, _I64, _P, _P, _P, _P, _P]),
 }
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
@@ -645,6 +621,8 @@ def filter_candidates(
 
 def cell_filter(
     lib,
+    start: int,
+    stop: int,
     pos: np.ndarray,
     h: np.ndarray,
     length: float,
@@ -662,9 +640,12 @@ def cell_filter(
     out_r: np.ndarray | None,
     exclude_self: bool,
 ) -> int:
-    """Run the fused stencil walk + exact filter; returns the kept count."""
+    """The fused stencil walk + exact filter of particles ``[start, stop)``.
+
+    Survivors are written from the start of ``out_*``; returns their count.
+    """
     return lib.cell_filter(
-        len(pos), _ptr(pos), _ptr(h), length, int(periodic), support,
+        start, stop, _ptr(pos), _ptr(h), length, int(periodic), support,
         int(ncell[0]), int(ncell[1]), int(ncell[2]),
         _ptr(flat), _ptr(order), _ptr(cellstart), _ptr(occ),
         int(exclude_self), int(out_dx is not None), _ptr(counts),
@@ -748,18 +729,3 @@ def momentum(
         _ptr(vsig_out),
     )
     return acc_out, du_out, vsig_out
-
-
-def driving_accel(
-    lib, pos: np.ndarray, k_vec: np.ndarray, amp: np.ndarray
-) -> np.ndarray:
-    """The unnormalized driving mode sum ``Re(e^{i x.k} amp)`` per particle."""
-    n = len(pos)
-    out = np.empty((n, 3))
-    pos_c, k_c = _c64(pos), _c64(k_vec)
-    re_c, im_c = _c64(np.real(amp)), _c64(np.imag(amp))
-    lib.driving_accel(
-        n, len(k_vec), _ptr(pos_c), _ptr(k_c),
-        _ptr(re_c), _ptr(im_c), _ptr(out),
-    )
-    return out

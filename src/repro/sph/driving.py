@@ -7,8 +7,16 @@ acceleration field is the real part of the mode sum, projected onto its
 solenoidal (divergence-free) component so driving stirs without
 compressing.
 
-Everything is deterministic given the seed, and the per-step update is
-vectorized over (particles x modes).
+Everything is deterministic given the seed.  The mode sum is separable:
+the driven wavevectors are integer vectors times ``2 pi / L``, so
+``exp(i k.x) = Ex**nx * Ey**ny * Ez**nz`` with ``Ea = exp(2 pi i x_a / L)``.
+Each particle takes 3 complex exponentials; per-axis power tables for
+``p = -k_max..k_max`` follow by repeated multiplication (``|Ea| = 1``, so
+a negative power is a conjugate), and each mode's phase is the product
+of three table lookups.  That is the same complex number as the direct
+``exp(i k.x)`` up to a few ulps of round-off (the tests keep the direct
+sum as the oracle at 1e-12 of the largest acceleration), for 3
+exponentials per particle instead of one per (particle, mode).
 """
 
 from __future__ import annotations
@@ -80,6 +88,10 @@ class TurbulenceDriver:
         self.k_vec = 2.0 * np.pi / box.length * self.k_int
         self.weights = np.array(weights) / np.sqrt(np.sum(weights))
         self.n_modes = len(modes)
+        # Each mode's row in the per-axis power tables (power p sits at
+        # row p + k_max).
+        self._k_max = k_max
+        self._table_rows = self.k_int.astype(np.intp).T + k_max  # (3, modes)
         # OU state: complex amplitude per mode per component.
         self.state = np.zeros((self.n_modes, 3), dtype=np.complex128)
 
@@ -100,22 +112,31 @@ class TurbulenceDriver:
         self.state = decay * self.state + kick * complex_noise
         self.state = self._solenoidal_project(self.state)
 
-    def acceleration(self, pos: np.ndarray, cfast=None) -> np.ndarray:
-        """Driving acceleration at the given positions.
-
-        ``cfast`` optionally evaluates the mode sum with the compiled
-        fast path (:mod:`repro.sph.csolver`), which needs no O(n x modes)
-        phase matrix; it agrees with the NumPy sum to trig round-off.
-        """
+    def acceleration(self, pos: np.ndarray) -> np.ndarray:
+        """Driving acceleration at the given positions."""
         amp = self.state * self.weights[:, None]  # (modes, 3)
-        if cfast is not None:
-            from repro.sph import csolver
-
-            acc = csolver.driving_accel(cfast, pos, self.k_vec, amp)
-        else:
-            phases = np.exp(1j * pos @ self.k_vec.T)  # (n, modes)
-            acc = np.real(phases @ amp)  # (n, 3)
+        base = np.exp((2j * np.pi / self.box.length) * pos.T)  # (3, n)
+        # exp(i k.x) per (mode, particle): whole-row gathers and products.
+        rows = self._table_rows
+        phases = _powers(base[0], self._k_max)[rows[0]]
+        phases *= _powers(base[1], self._k_max)[rows[1]]
+        phases *= _powers(base[2], self._k_max)[rows[2]]
+        acc = np.real(phases.T @ amp)  # (n, 3)
         rms = np.sqrt(np.mean(np.sum(acc**2, axis=1))) if len(pos) else 0.0
         if rms > 0:
             acc *= self.amplitude / max(rms, 1e-12)
         return acc
+
+
+def _powers(e: np.ndarray, p_max: int) -> np.ndarray:
+    """``e**p`` for ``p = -p_max..p_max`` of unit-modulus ``e``, one row each.
+
+    Row ``p + p_max`` holds power ``p``: positive powers by repeated
+    multiplication, negative ones as their conjugates.
+    """
+    table = np.empty((2 * p_max + 1, len(e)), dtype=np.complex128)
+    table[p_max] = 1.0
+    for p in range(1, p_max + 1):
+        np.multiply(table[p_max + p - 1], e, out=table[p_max + p])
+    table[:p_max] = np.conj(table[: p_max : -1])
+    return table

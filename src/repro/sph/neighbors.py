@@ -366,28 +366,47 @@ def _csr_filtered_fused(
 
     Walks each particle's stencil cells in C and applies the cutoff
     test inline, producing output bitwise identical to the NumPy stream
-    (:func:`_csr_filtered` without ``cfast``).  Its outputs are sized to
-    the raw candidate count, the one scratch that still scales with it.
+    (:func:`_csr_filtered` without ``cfast``).  The walk runs over the
+    stream's blocks of particles, and before each block the outputs grow
+    by that block's raw candidate count, so like the NumPy stream they
+    hold at most the kept pairs plus one block.
     """
-    n = len(pos)
     ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
-    nnz = int(_stencil_table(ncell, occ, box.periodic)[1].sum(axis=1)[flat].sum())
-    out_row = pool.get(out_prefix + "row", nnz, np.int32)
-    out_cand = pool.get(out_prefix + "cand", nnz, np.int32)
-    out_dx = pool.rows(out_prefix + "dx", nnz, 3, np.float64) if want_geometry else None
-    out_r = pool.get(out_prefix + "r", nnz, np.float64) if want_geometry else None
-    counts = np.zeros(n, dtype=np.int64)
+    raw = _stencil_table(ncell, occ, box.periodic)[1].sum(axis=1)[flat]
     pos_c = np.ascontiguousarray(pos, dtype=np.float64)
     h_c = np.ascontiguousarray(h_search, dtype=np.float64)
     order32 = order.astype(np.int32)
-    kept = csolver.cell_filter(
-        cfast, pos_c, h_c, box.length, box.periodic, SUPPORT_RADIUS,
-        ncell, flat, order32, cellstart, occ, counts,
-        out_row, out_cand, out_dx, out_r, True,
+    out = _CutoffFilter(
+        pos, h_search, box, pool, exclude_self=True,
+        out_prefix=out_prefix, want_geometry=want_geometry,
     )
-    out_dx = out_dx[:kept] if want_geometry else None
-    out_r = out_r[:kept] if want_geometry else None
-    return counts, out_row[:kept], out_cand[:kept], out_dx, out_r
+    for p0, p1, block in _blocks(np.cumsum(raw)):
+        out._extend(block)
+        lo = out.size
+        out.size += csolver.cell_filter(
+            cfast, p0, p1, pos_c, h_c, box.length, box.periodic,
+            SUPPORT_RADIUS, ncell, flat, order32, cellstart, occ, out.counts,
+            out.row[lo:], out.cand[lo:],
+            out.dx[lo:] if want_geometry else None,
+            out.r[lo:] if want_geometry else None, True,
+        )
+    return out.result()
+
+
+def _blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """Consecutive particle blocks of the candidate stream.
+
+    ``ends`` is the cumulative raw candidate count per particle.  Yields
+    ``(p0, p1, raw)``: blocks of whole particles with at most
+    :data:`_CHUNK` raw candidates each (a particle with more is a block
+    of its own), and the block's raw count.
+    """
+    p0 = 0
+    while p0 < len(ends):
+        base = int(ends[p0 - 1]) if p0 else 0
+        p1 = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), p0 + 1)
+        yield p0, p1, int(ends[p1 - 1]) - base
+        p0 = p1
 
 
 def _csr_candidates(
@@ -404,16 +423,11 @@ def _csr_candidates(
     particle with more is a block of its own), so the O(27 nnz) raw list
     is never materialized.
     """
-    n = len(pos)
     ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
     nb_ids, nb_occ = _stencil_table(ncell, occ, box.periodic)
     counts = nb_occ.sum(axis=1)[flat]
-    ends = np.cumsum(counts)
     order32 = order.astype(np.int32)
-    p0 = 0
-    while p0 < n:
-        base = int(ends[p0 - 1]) if p0 else 0
-        p1 = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), p0 + 1)
+    for p0, p1, _ in _blocks(np.cumsum(counts)):
         cells = flat[p0:p1]
         lens = nb_occ[cells].ravel()
         # Candidate t of stencil group g reads sorted slot
@@ -423,7 +437,6 @@ def _csr_candidates(
         src += np.arange(len(src))
         row = np.repeat(np.arange(p0, p1, dtype=np.int32), counts[p0:p1])
         yield row, order32[src]
-        p0 = p1
 
 
 class _CutoffFilter:
@@ -434,7 +447,8 @@ class _CutoffFilter:
     ``want_geometry``, their minimum-image ``dx`` and ``r`` — to pooled
     ``out_prefix`` buffers grown to what is kept (:meth:`BufferPool.grow`),
     so scratch is O(kept + chunk), never O(candidates fed).  Counts are
-    per-segment surviving-entry counts.
+    per-segment surviving-entry counts.  The compiled fused walk appends
+    to the same outputs (:func:`_csr_filtered_fused`).
     """
 
     def __init__(

@@ -224,9 +224,7 @@ class Propagator:
             with hooks.region("TurbulenceDriving"):
                 dt_drive = self._dt_prev if self._dt_prev else 1e-3
                 self.driver.step(dt_drive)
-                ps.acc = ps.acc + self.driver.acceleration(
-                    ps.pos, cfast=self._cfast
-                )
+                ps.acc = ps.acc + self.driver.acceleration(ps.pos)
 
         with hooks.region("Timestep"):
             dt = compute_timestep(ps, self._dt_prev, courant=self.courant)

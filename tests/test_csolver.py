@@ -21,12 +21,14 @@ from repro.sph import csolver
 from repro.sph.box import Box
 from repro.sph.driving import TurbulenceDriver
 from repro.sph.initial_conditions import make_sedov, make_turbulence
+from repro.sph import neighbors
 from repro.sph.neighbors import (
     BufferPool,
     _csr_candidates,
     _csr_filtered,
     _csr_filtered_fused,
     _filter_candidates,
+    csr_neighbors,
 )
 from repro.sph.physics.iad import _assemble_tau, _invert_tau
 from repro.sph.propagator import Propagator
@@ -133,6 +135,52 @@ class TestFilterBitwise:
         )
         for r, g in zip(ref, got):
             assert np.array_equal(r, g)
+
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fused_cell_filter_bitwise_in_small_blocks(self, monkeypatch, case):
+        """Blocks of a few candidates: each output grows block by block."""
+        ps, box = make_case(case)
+        h_search = _search_radii(ps)
+        ref = _csr_filtered(
+            ps.pos, h_search, box, BufferPool(),
+            want_geometry=True, out_prefix="r_",
+        )
+        monkeypatch.setattr(neighbors, "_CHUNK", 7)
+        got = _csr_filtered_fused(
+            ps.pos, h_search, box, BufferPool(), LIB,
+            want_geometry=True, out_prefix="f_",
+        )
+        for r, g in zip(ref, got):
+            assert np.array_equal(r, g)
+
+
+class _RecordingPool(BufferPool):
+    """A pool that records the most rows any one request asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.max_rows = 0
+
+    def get(self, name, size, dtype):
+        rows = size // 3 if name.endswith("dx") else size
+        self.max_rows = max(self.max_rows, rows)
+        return super().get(name, size, dtype)
+
+
+@needs_lib
+def test_fused_walk_outputs_bounded_by_kept_plus_one_chunk():
+    """``accel="c"`` neighbor search at N = 4096: the fused walk's outputs
+    hold at most the kept pairs plus one chunk, never one row per raw
+    candidate (about ten times the kept count)."""
+    ps, box = make_turbulence(n_side=16)
+    pool = _RecordingPool()
+    got = csr_neighbors(ps.pos, ps.h, box, pool, cfast=LIB)
+    kept = len(got.row)
+    assert pool.max_rows <= kept + neighbors._CHUNK
+    want = csr_neighbors(ps.pos, ps.h, box)
+    for name in ("offsets", "indices", "row", "dx", "r"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @needs_lib

@@ -35,6 +35,7 @@ from repro.service import (
     run_load,
 )
 from repro.service import protocol
+from repro.service.client import http_request
 from repro.service.protocol import ProtocolError
 from repro.timeseries import TimeseriesCollector
 
@@ -134,6 +135,8 @@ class TestProtocol:
             (lambda c: c.update(t=[]), "equal length"),
             (lambda c: c.update(t=list(reversed(c["t"]))), "non-decreasing"),
             (lambda c: c.update(t=c["t"], watts=["x"] * 8), "malformed"),
+            (lambda c: c.update(quality=[1.7] * 8), "quality"),
+            (lambda c: c.update(quality=np.full(8, 300)), "quality"),
         ],
     )
     def test_batch_columns_rejections(self, mutate, match):
@@ -236,12 +239,20 @@ class TestColumnarFrames:
         "channels",
         [
             {"p": {**_columns(2), "quality": [0, 300]}},
+            {"p": {**_columns(2), "quality": [0, 1.7]}},
             {"p": {**_columns(2), "watts": [1.0]}},
             {"p": {**_columns(2), "note": "x"}},
             {"p": {"t": 5, "watts": [1.0], "joules": [1.0]}},
             [_columns(2)],
         ],
-        ids=["quality-range", "ragged", "extra-key", "scalar", "list"],
+        ids=[
+            "quality-range",
+            "quality-fraction",
+            "ragged",
+            "extra-key",
+            "scalar",
+            "list",
+        ],
     )
     def test_batches_that_do_not_convert_stay_json(self, channels):
         batch = protocol.batch_message(0, channels)
@@ -644,6 +655,7 @@ class TestServerRoundTrip:
 _BAD_CHANNELS = {
     "quality-above-255": ({"p": {**_columns(2), "quality": [0, 300]}}, 2),
     "quality-negative": ({"p": {**_columns(1), "quality": [-1]}}, 1),
+    "quality-non-integral": ({"p": {**_columns(2), "quality": [0, 1.7]}}, 2),
     "scalar-column": ({"p": {"t": 5, "watts": [1.0], "joules": [1.0]}}, 0),
     "channels-list": ([_columns(2)], 0),
     "channel-not-object": ({"p": [1, 2, 3]}, 0),
@@ -703,6 +715,112 @@ class TestMalformedBatchesAccounted:
         assert protocol.batch_num_samples([1]) == 0
         two = {"a": _columns(2), "b": _columns(3)}
         assert protocol.batch_num_samples(protocol.batch_message(0, two)) == 5
+
+
+def _repeated_channel_json(n_first, n_second):
+    """A JSON batch payload naming channel ``p`` twice (no dict can)."""
+    first = json.dumps(_columns(n_first))
+    second = json.dumps(_columns(n_second, t0=5.0))
+    return (
+        '{"kind":"batch","node":0,"channels":{"p":%s,"p":%s}}' % (first, second)
+    ).encode()
+
+
+def _repeated_channel_columnar(n_first, n_second):
+    """A columnar batch payload naming channel ``p`` twice."""
+    message = protocol.batch_message(
+        0, {"p": _columns(n_first), "q": _columns(n_second, t0=5.0)}
+    )
+    payload = protocol.encode_frame(message)[4:]
+    head = struct.pack("<I", 1)
+    assert payload.count(head + b"q") == 1
+    return payload.replace(head + b"q", head + b"p")
+
+
+def _frame(payload):
+    return len(payload).to_bytes(4, "big") + payload
+
+
+class TestRepeatedChannelNames:
+    """A batch naming a channel twice is one counted rejection of every
+    sample it carries; decoding keeps the last, so without the check the
+    first channel's samples vanish while the server-side ledger balances.
+    """
+
+    def test_loads_keeps_every_repeated_pair(self):
+        obj = protocol.loads('{"a": 1, "b": 2, "a": 3}')
+        assert isinstance(obj, protocol.RepeatedKeys)
+        assert obj == {"a": 3, "b": 2}
+        assert obj.pairs == [("a", 1), ("b", 2), ("a", 3)]
+        assert type(protocol.loads('{"a": {"b": 1}}')["a"]) is dict
+
+    @pytest.mark.parametrize(
+        "payload", [_repeated_channel_json, _repeated_channel_columnar]
+    )
+    def test_decoded_batch_rejected_with_every_sample(self, payload):
+        (message,) = protocol.FrameDecoder().feed(_frame(payload(3, 4)))
+        with pytest.raises(ProtocolError, match=r"channel name repeats \['p'\]"):
+            protocol.parse_batch(message)
+        assert protocol.batch_num_samples(message) == 7
+
+    def test_repeated_column_key_rejected(self):
+        text = '{"kind":"batch","node":0,"channels":{"p":%s}}' % (
+            json.dumps(_columns(2))[:-1] + ', "t": [0.0, 0.1]}'
+        )
+        (message,) = protocol.FrameDecoder().feed(_frame(text.encode()))
+        with pytest.raises(ProtocolError, match=r"channel repeats \['t'\]"):
+            protocol.parse_batch(message)
+
+    @pytest.mark.parametrize(
+        "payload", [_repeated_channel_json, _repeated_channel_columnar]
+    )
+    def test_stream_ledger_counts_what_was_published(self, service, payload):
+        tenant = f"dup-{payload.__name__}"
+        with ServiceClient(service.host, service.port, tenant) as client:
+            client.publish_encoded(_frame(payload(3, 4)), 7)
+            client.publish(0, {"p": _columns(8, t0=20.0)})
+            ack = client.sync()
+            published = client.published_samples
+        _assert_one_rejected(ack, 7, 8)
+        assert published == 15 == ack["samples_offered"]
+
+    def test_http_ingest_rejects_repeated_channel(self, service):
+        path = "/ingest?tenant=h-dup"
+        status, body = http_request(
+            service.host,
+            service.http_port,
+            path,
+            method="POST",
+            body=_repeated_channel_json(3, 4),
+        )
+        assert status == 200 and json.loads(body)["rejected"] == 1
+        out = http_post_json(
+            service.host,
+            service.http_port,
+            path,
+            protocol.batch_message(0, {"p": _columns(8, t0=20.0)}),
+        )
+        _assert_one_rejected(out, 7, 8)
+        assert out["samples_offered"] == 15
+
+
+    def test_http_ingest_rejects_repeated_batches_wrapper(self, service):
+        path = "/ingest?tenant=h-dup-wrapper"
+        first = json.dumps(protocol.batch_message(0, {"p": _columns(3)}))
+        second = json.dumps(protocol.batch_message(0, {"p": _columns(4, t0=5.0)}))
+        body = '{"batches": [%s], "batches": [%s]}' % (first, second)
+        status, _ = http_request(
+            service.host, service.http_port, path, method="POST", body=body.encode()
+        )
+        assert status == 400
+        out = http_post_json(
+            service.host,
+            service.http_port,
+            path,
+            protocol.batch_message(0, {"p": _columns(8, t0=20.0)}),
+        )
+        _assert_one_rejected(out, 7, 8)
+        assert out["samples_offered"] == 15
 
 
 class TestProtocolVersions:

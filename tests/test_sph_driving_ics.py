@@ -74,6 +74,49 @@ class TestTurbulenceDriver:
             driver.step(0.0)
 
 
+def _direct_mode_sum(driver, pos):
+    """The driving field as one exponential per (particle, mode): the
+    direct evaluation the separable product replaced, frozen as the oracle.
+    """
+    amp = driver.state * driver.weights[:, None]
+    acc = np.real(np.exp(1j * pos @ driver.k_vec.T) @ amp)
+    rms = np.sqrt(np.mean(np.sum(acc**2, axis=1))) if len(pos) else 0.0
+    if rms > 0:
+        acc *= driver.amplitude / max(rms, 1e-12)
+    return acc
+
+
+class TestSeparableModeSum:
+    @pytest.mark.parametrize("shell", [(1, 1), (1, 3), (2, 3), (1, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    def test_matches_direct_sum(self, shell, seed, length):
+        box = Box(length=length, periodic=True)
+        driver = TurbulenceDriver(
+            box, amplitude=1.7, k_min=shell[0], k_max=shell[1], seed=seed
+        )
+        for _ in range(3):
+            driver.step(0.05)
+        rng = np.random.default_rng(seed)
+        pos = np.concatenate(
+            [
+                rng.uniform(0.0, length, size=(300, 3)),
+                # Unwrapped and negative positions: the phase is periodic.
+                rng.uniform(-2.0 * length, 3.0 * length, size=(300, 3)),
+            ]
+        )
+        want = _direct_mode_sum(driver, pos)
+        got = driver.acceleration(pos)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_empty_positions(self):
+        driver = TurbulenceDriver(Box(length=1.0, periodic=True), seed=2)
+        driver.step(0.05)
+        acc = driver.acceleration(np.empty((0, 3)))
+        assert acc.shape == (0, 3)
+
+
 class TestTurbulenceIC:
     def test_particle_count(self):
         ps, box = make_turbulence(n_side=6)

@@ -34,7 +34,6 @@ from repro.audit.lint import LintFinding, lint_paths, lint_source
 from repro.audit.tolerances import (
     PER_SYSTEM,
     AuditTolerances,
-    strictened,
     tolerances_for,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "check_store_conservation",
     "lint_paths",
     "lint_source",
-    "strictened",
     "tolerances_for",
 ]

@@ -13,7 +13,7 @@ the Figure 1 validation path of the three paper systems (see DESIGN.md,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,3 @@ def tolerances_for(system_name: str | None) -> AuditTolerances:
         return AuditTolerances()
     return PER_SYSTEM.get(system_name, AuditTolerances())
 
-
-def strictened(base: AuditTolerances, **overrides: float) -> AuditTolerances:
-    """A copy of ``base`` with individual tolerances replaced (tests)."""
-    return replace(base, **overrides)

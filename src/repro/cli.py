@@ -1,32 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Every paper artifact is reachable from the shell:
-
-* ``table1`` — the configuration inventory;
-* ``fig1`` — PMT-vs-Slurm validation series;
-* ``fig2`` / ``fig3`` — device and per-function breakdowns;
-* ``fig4`` / ``fig5`` — the frequency-sweep EDP experiments;
-* ``report`` — one instrumented run with sacct + PMT reports
-  (optionally writing the raw measurement JSON; ``--timeseries`` also
-  exports the retained telemetry timeline);
-* ``export-trace`` — run a case and export Chrome-trace/Prometheus/CSV
-  observability artifacts;
-* ``watch`` — live per-node power sparklines while a run executes
-  (or, with ``--url``, attached to a running telemetry service's SSE
-  live stream);
-* ``serve`` — the multi-tenant telemetry ingest/query service
-  (framed-protocol stream port + HTTP query/metrics/watch port);
-* ``publish`` — run a case and stream its telemetry to a ``serve``
-  instance with zero measurement perturbation;
-* ``campaign`` — sweep execution, serial or through local queue workers
-  (``run``/``work``/``status``/``gc``/``clean``) with a
-  content-addressed result cache shared by any number of workers on any
-  hosts, so repeated sweeps only pay for cache misses;
-* ``tune`` — the dynamic per-function DVFS extension;
-* ``backends`` — the registered PMT backends.
-
-Reduced ``--steps`` make every command laptop-quick; the defaults match
-the paper's 100-step runs.
+One subcommand per paper artifact and tool; ``python -m repro --help``
+lists them and ``python -m repro <command> --help`` gives each one's
+options.  Reduced ``--steps`` make every command laptop-quick; the
+defaults match the paper's 100-step runs.
 """
 
 from __future__ import annotations
@@ -57,6 +34,31 @@ def _add_steps(parser: argparse.ArgumentParser, default: int = 100) -> None:
         default=default,
         help=f"time-steps per run (paper: 100; default {default})",
     )
+
+
+def _add_freqs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--freqs", nargs="+", type=float, default=[1410.0, 1230.0, 1005.0]
+    )
+
+
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    cases=OBSERVABILITY_CASES,
+    default_case: str = "Sedov Blast",
+    interval: bool = True,
+) -> None:
+    """The ``--system/--case/--cards[/--interval]`` block of one run."""
+    parser.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
+    parser.add_argument("--case", default=default_case, choices=sorted(cases))
+    parser.add_argument("--cards", type=int, default=8)
+    if interval:
+        parser.add_argument(
+            "--interval",
+            type=float,
+            default=None,
+            help="sampling period in simulated seconds (default 1.0)",
+        )
 
 
 def _add_audit(parser: argparse.ArgumentParser) -> None:
@@ -157,16 +159,12 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 def _cmd_fig4(args: argparse.Namespace) -> int:
     from repro.experiments.frequency import figure4_series
 
-    freqs = tuple(float(f) for f in args.freqs)
     series = figure4_series(
-        cube_sides=tuple(args.sides), freqs_mhz=freqs, num_steps=args.steps
+        cube_sides=tuple(args.sides),
+        freqs_mhz=tuple(args.freqs),
+        num_steps=args.steps,
     )
-    print("side^3  " + " ".join(f"{f:>7.0f}" for f in sorted(freqs, reverse=True)))
-    for side, norm in series.items():
-        print(
-            f"{side:>5}^3 "
-            + " ".join(f"{norm[f]:>7.3f}" for f in sorted(freqs, reverse=True))
-        )
+    print(_render_fig4(series, args.freqs))
     if args.plot:
         from repro.analysis.ascii_plot import line_chart
 
@@ -178,12 +176,8 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 def _cmd_fig5(args: argparse.Namespace) -> int:
     from repro.experiments.frequency import figure5_series
 
-    freqs = tuple(float(f) for f in args.freqs)
-    series = figure5_series(freqs_mhz=freqs, num_steps=args.steps)
-    ordered = sorted(freqs, reverse=True)
-    print(f"{'Function':>24} " + " ".join(f"{f:>7.0f}" for f in ordered))
-    for fn, norm in series.items():
-        print(f"{fn:>24} " + " ".join(f"{norm[f]:>7.3f}" for f in ordered))
+    series = figure5_series(freqs_mhz=tuple(args.freqs), num_steps=args.steps)
+    print(_render_fig5(series, args.freqs))
     if args.plot:
         from repro.analysis.ascii_plot import line_chart
 
@@ -249,18 +243,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print()
         print(result.audit.render())
     if args.timeseries:
-        from repro.timeseries import export_bundle
-
-        collector = result.timeseries
-        artifacts = export_bundle(
-            args.artifacts_dir,
-            collector.store,
-            collector.spans,
-            metadata=_run_metadata(result),
-            basename=_artifact_basename(args.case, args.cards),
-        )
         print()
-        print(artifact_report(artifacts))
+        print(artifact_report(_export_artifacts(result, args.artifacts_dir, args)))
     if args.out:
         result.run.write(args.out)
         print(f"measurements written to {args.out}")
@@ -279,18 +263,24 @@ def _audit_mode(args: argparse.Namespace) -> "bool | str | None":
     return None
 
 
-def _artifact_basename(case: str, cards: int) -> str:
-    return f"{case.replace(' ', '-').lower()}-{cards}c"
+def _export_artifacts(result, out_dir: str, args: argparse.Namespace) -> dict:
+    """Write a run's retained telemetry as the observability bundle."""
+    from repro.timeseries import export_bundle
 
-
-def _run_metadata(result) -> dict:
-    return {
-        "system": result.system.name,
-        "test_case": result.test_case.name,
-        "num_cards": result.num_cards,
-        "gpu_freq_mhz": result.gpu_freq_mhz,
-        "num_steps": result.run.num_steps,
-    }
+    collector = result.timeseries
+    return export_bundle(
+        out_dir,
+        collector.store,
+        collector.spans,
+        metadata={
+            "system": result.system.name,
+            "test_case": result.test_case.name,
+            "num_cards": result.num_cards,
+            "gpu_freq_mhz": result.gpu_freq_mhz,
+            "num_steps": result.run.num_steps,
+        },
+        basename=f"{args.case.replace(' ', '-').lower()}-{args.cards}c",
+    )
 
 
 def _run_with_collector(args: argparse.Namespace, collector=None):
@@ -309,18 +299,10 @@ def _run_with_collector(args: argparse.Namespace, collector=None):
 
 def _cmd_export_trace(args: argparse.Namespace) -> int:
     from repro.instrumentation.reporting import artifact_report
-    from repro.timeseries import export_bundle
 
     result = _run_with_collector(args)
-    collector = result.timeseries
-    artifacts = export_bundle(
-        args.out_dir,
-        collector.store,
-        collector.spans,
-        metadata=_run_metadata(result),
-        basename=_artifact_basename(args.case, args.cards),
-    )
-    summary = collector.summary()
+    artifacts = _export_artifacts(result, args.out_dir, args)
+    summary = result.timeseries.summary()
     print(
         f"{args.case} on {args.system}: "
         f"{summary['samples']} samples over {summary['channels']} channels, "
@@ -485,46 +467,37 @@ def _campaign_spec(args: argparse.Namespace):
     from repro.experiments.scaling import weak_scaling_spec
     from repro.experiments.validation import figure1_spec
 
-    def _governed(spec):
-        governor = getattr(args, "governor", None)
-        return spec if governor is None else replace(spec, governor=governor)
-
     if args.sweep == "fig4":
-        return _governed(
-            figure4_spec(
-                cube_sides=tuple(args.sides),
-                freqs_mhz=tuple(float(f) for f in args.freqs),
-                num_steps=args.steps,
-                seed=args.seed,
-            )
+        spec = figure4_spec(
+            cube_sides=tuple(args.sides),
+            freqs_mhz=tuple(args.freqs),
+            num_steps=args.steps,
+            seed=args.seed,
         )
-    if args.sweep == "fig5":
-        return _governed(
-            figure5_spec(
-                freqs_mhz=tuple(float(f) for f in args.freqs),
-                cube_side=args.side,
-                num_steps=args.steps,
-                seed=args.seed,
-            )
+    elif args.sweep == "fig5":
+        spec = figure5_spec(
+            freqs_mhz=tuple(args.freqs),
+            cube_side=args.side,
+            num_steps=args.steps,
+            seed=args.seed,
         )
-    if args.sweep == "fig1":
-        return _governed(
-            figure1_spec(
-                get_system(args.system),
-                tuple(args.cards),
-                num_steps=args.steps,
-                seed=args.seed,
-            )
+    elif args.sweep == "fig1":
+        spec = figure1_spec(
+            get_system(args.system),
+            tuple(args.cards),
+            num_steps=args.steps,
+            seed=args.seed,
         )
-    # weak-scaling
-    return _governed(
-        weak_scaling_spec(
+    else:  # weak-scaling
+        spec = weak_scaling_spec(
             get_system(args.system),
             tuple(args.cards),
             num_steps=args.steps if args.steps is not None else 100,
             seed=args.seed,
         )
-    )
+    if args.governor is None:
+        return spec
+    return replace(spec, governor=args.governor)
 
 
 def _cache_dir(args: argparse.Namespace) -> str:
@@ -752,7 +725,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         MINIHPC,
         SUBSONIC_TURBULENCE,
         num_cards=2,
-        freqs_mhz=tuple(float(f) for f in args.freqs),
+        freqs_mhz=tuple(args.freqs),
         num_steps=args.steps,
         particles_per_rank=float(args.side) ** 3,
         objective=args.objective,
@@ -811,22 +784,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig4", help="EDP vs frequency per problem size")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
     p.add_argument("--sides", nargs="+", type=int, default=[200, 300, 450])
-    p.add_argument("--freqs", nargs="+", default=[1410, 1230, 1005])
+    _add_freqs(p)
     _add_steps(p)
     p.set_defaults(func=_cmd_fig4)
 
     p = sub.add_parser("fig5", help="per-function EDP vs frequency")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
-    p.add_argument("--freqs", nargs="+", default=[1410, 1230, 1005])
+    _add_freqs(p)
     _add_steps(p)
     p.set_defaults(func=_cmd_fig5)
 
     p = sub.add_parser("report", help="one instrumented run, full reports")
-    p.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
-    p.add_argument(
-        "--case", default="Subsonic Turbulence", choices=sorted(TEST_CASES)
-    )
-    p.add_argument("--cards", type=int, default=8)
+    _add_run_options(p, TEST_CASES, "Subsonic Turbulence", interval=False)
     p.add_argument("--out", default=None, help="write measurement JSON here")
     p.add_argument(
         "--inject-fault",
@@ -875,15 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export-trace",
         help="run a case, export Chrome-trace/Prometheus/CSV artifacts",
     )
-    p.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
-    p.add_argument(
-        "--case", default="Sedov Blast", choices=sorted(OBSERVABILITY_CASES)
-    )
-    p.add_argument("--cards", type=int, default=8)
-    p.add_argument(
-        "--interval", type=float, default=None,
-        help="sampling period in simulated seconds (default 1.0)",
-    )
+    _add_run_options(p)
     p.add_argument(
         "--out-dir", default="artifacts", help="artifact directory"
     )
@@ -893,15 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "watch", help="live per-node power sparklines while a run executes"
     )
-    p.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
-    p.add_argument(
-        "--case", default="Sedov Blast", choices=sorted(OBSERVABILITY_CASES)
-    )
-    p.add_argument("--cards", type=int, default=8)
-    p.add_argument(
-        "--interval", type=float, default=None,
-        help="sampling period in simulated seconds (default 1.0)",
-    )
+    _add_run_options(p)
     p.add_argument(
         "--every", type=int, default=50,
         help="render a frame every N sampler ticks (default 50)",
@@ -968,15 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-ticks", type=int, default=32,
         help="sampler ticks buffered per published batch (default 32)",
     )
-    p.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
-    p.add_argument(
-        "--case", default="Sedov Blast", choices=sorted(OBSERVABILITY_CASES)
-    )
-    p.add_argument("--cards", type=int, default=8)
-    p.add_argument(
-        "--interval", type=float, default=None,
-        help="sampling period in simulated seconds (default 1.0)",
-    )
+    _add_run_options(p)
     _add_steps(p, default=20)
     p.set_defaults(func=_cmd_publish)
 
@@ -999,19 +944,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     action = p.add_subparsers(dest="action", required=True)
 
-    def _add_campaign_options(cp, with_sweep: bool = True) -> None:
-        if with_sweep:
-            cp.add_argument(
-                "sweep",
-                choices=CAMPAIGN_SWEEPS,
-                help="the named sweep to operate on",
-            )
+    def _add_cache_dir(cp) -> None:
         cp.add_argument(
             "--cache-dir",
             default=None,
             help="result cache root (default: $REPRO_CACHE_DIR or "
             f"{DEFAULT_CAMPAIGN.cache_dir})",
         )
+
+    def _add_campaign_options(cp, **sweep) -> None:
+        sweep.setdefault("help", "the named sweep to operate on")
+        cp.add_argument("sweep", choices=CAMPAIGN_SWEEPS, **sweep)
+        _add_cache_dir(cp)
         cp.add_argument("--seed", type=int, default=0)
         cp.add_argument(
             "--steps",
@@ -1021,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # Sweep-axis options (each sweep reads the ones it understands).
         cp.add_argument("--sides", nargs="+", type=int, default=[200, 300, 450])
-        cp.add_argument("--freqs", nargs="+", default=[1410, 1230, 1005])
+        _add_freqs(cp)
         cp.add_argument("--side", type=int, default=450)
         cp.add_argument(
             "--system", default="CSCS-A100", choices=sorted(SYSTEMS)
@@ -1083,22 +1027,20 @@ def build_parser() -> argparse.ArgumentParser:
         "gc",
         help="reap orphan temp files, stale leases, and corrupt entries",
     )
-    _add_campaign_options(cp, with_sweep=False)
+    _add_cache_dir(cp)
     cp.set_defaults(func=_cmd_campaign_gc)
 
     cp = action.add_parser("clean", help="drop cache entries")
-    cp.add_argument(
-        "sweep",
+    _add_campaign_options(
+        cp,
         nargs="?",
         default=None,
-        choices=CAMPAIGN_SWEEPS,
         help="only this sweep's entries (default: the whole cache)",
     )
-    _add_campaign_options(cp, with_sweep=False)
     cp.set_defaults(func=_cmd_campaign_clean)
 
     p = sub.add_parser("tune", help="dynamic per-function DVFS (extension)")
-    p.add_argument("--freqs", nargs="+", default=[1410, 1230, 1005])
+    _add_freqs(p)
     p.add_argument("--side", type=int, default=450)
     p.add_argument("--objective", default="edp", choices=["edp", "energy"])
     p.add_argument("--max-slowdown", type=float, default=None)

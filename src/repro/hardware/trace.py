@@ -93,11 +93,6 @@ class PowerTrace:
         """Number of stored breakpoints (>= 1)."""
         return self._n
 
-    @property
-    def last_time(self) -> float:
-        """Time of the most recent breakpoint."""
-        return float(self._times[self._n - 1])
-
     def power_at(self, t: float) -> float:
         """Instantaneous power in watts at time ``t``.
 

@@ -75,10 +75,6 @@ class RankPlacement:
             )
         return self._locations[rank]
 
-    def node_of(self, rank: int):
-        """The :class:`~repro.hardware.node.Node` hosting ``rank``."""
-        return self.cluster.nodes[self.location(rank).node_index]
-
     def gpu_of(self, rank: int):
         """The GPU unit ``rank`` drives."""
         loc = self.location(rank)

@@ -82,10 +82,6 @@ class State:
         """All measurement names, primary first."""
         return tuple(m.name for m in self.measurements)
 
-    def degraded_names(self) -> tuple[str, ...]:
-        """Names of measurements that are not plain sensor reads."""
-        return tuple(m.name for m in self.measurements if m.quality != "ok")
-
     def measurement(self, name: str) -> Measurement:
         """Look a measurement up by name."""
         for m in self.measurements:

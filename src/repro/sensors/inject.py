@@ -31,13 +31,6 @@ from repro.sensors.telemetry import NodeTelemetry
 FAULT_KINDS = ("freeze", "dropout", "glitch")
 
 
-def _swap_counter(holder, wrapper_factory):
-    """Replace ``holder.counter`` with a fault wrapper around it."""
-    wrapper = wrapper_factory(holder.counter)
-    holder.counter = wrapper
-    return wrapper
-
-
 def _resolve_setter(telemetry: NodeTelemetry, target: str):
     """Return ``(get_counter, set_counter)`` for a target name."""
     pm = telemetry.pm_counters

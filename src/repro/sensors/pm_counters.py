@@ -98,21 +98,9 @@ class PmCounters:
         return self.counters[""]
 
     @property
-    def cpu_counter(self) -> SampledEnergyCounter:
-        """The CPU counter."""
-        return self.counters["cpu"]
-
-    @property
     def memory_counter(self) -> SampledEnergyCounter | None:
         """The memory counter, if the platform provides one."""
         return self.counters.get("memory")
-
-    @property
-    def accel_counters(self) -> list[SampledEnergyCounter]:
-        """Per-card accelerator counters, in card order."""
-        return [
-            self.counters[f"accel{i}"] for i in range(len(self.node.cards))
-        ]
 
     # -- sysfs surface --------------------------------------------------------
 
@@ -147,10 +135,6 @@ class PmCounters:
     def read_node(self, t: float) -> SensorReading:
         """Node-level counter state at time ``t``."""
         return self.node_counter.read(t)
-
-    def read_cpu(self, t: float) -> SensorReading:
-        """CPU counter state at time ``t``."""
-        return self.cpu_counter.read(t)
 
     def read_memory(self, t: float) -> SensorReading:
         """Memory counter state; raises if the platform lacks the sensor."""

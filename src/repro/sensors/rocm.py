@@ -44,10 +44,6 @@ class RocmCard:
             lambda t: str(int(round(self.counter.read(t).watts * 1e6))),
         )
 
-    def power_average_uw(self, t: float) -> int:
-        """The ``power1_average`` register in microwatts."""
-        return int(round(self.counter.read(t).watts * 1e6))
-
     def read(self, t: float) -> SensorReading:
         """Raw counter state (SI units) at time ``t``."""
         return self.counter.read(t)

@@ -65,6 +65,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
+from math import isfinite
 
 import numpy as np
 
@@ -338,8 +339,8 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
 
     The quality column is optional on the wire (all-``ok`` when absent).
     Every column must be one-dimensional, column lengths must agree and
-    times must be non-decreasing *within the batch* (cross-batch ordering
-    is the store's check).
+    times must be finite and non-decreasing *within the batch*
+    (cross-batch ordering is the store's check).
     """
     if not isinstance(channel_payload, dict):
         raise ProtocolError("malformed batch columns: channel is not an object")
@@ -371,8 +372,10 @@ def batch_columns(channel_payload: dict) -> tuple[np.ndarray, ...]:
         )
     if len(t) == 0:
         raise ProtocolError("batch channel carries no samples")
-    if np.any(np.diff(t) < 0):
-        raise ProtocolError("batch sample times must be non-decreasing")
+    # Any NaN fails the ``>=``; with the order holding, an infinity can
+    # only sit at an end.
+    if not (np.all(np.diff(t) >= 0) and isfinite(t[0]) and isfinite(t[-1])):
+        raise ProtocolError("batch sample times must be finite and non-decreasing")
     return t, watts, joules, quality
 
 

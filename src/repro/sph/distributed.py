@@ -33,7 +33,6 @@ from repro.errors import SimulationError
 from repro.sph.box import Box
 from repro.sph.cornerstone.domain import DomainDecomposition
 from repro.sph.hooks import ProfilingHooks
-from repro.sph.kernels.cubic_spline import CubicSplineKernel
 from repro.sph.neighbors import BufferPool, CsrNeighborList, csr_neighbors
 from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
@@ -97,7 +96,6 @@ class DistributedHydro:
         n_target: int = 100,
         courant: float = 0.2,
         bucket_size: int = 32,
-        kernel=CubicSplineKernel,
         accel: str = "numpy",
     ) -> None:
         if n_ranks <= 0:
@@ -113,7 +111,6 @@ class DistributedHydro:
         self.av_alpha = av_alpha
         self.n_target = n_target
         self.courant = courant
-        self.kernel = kernel
         self._step = 0
         self._dt_prev: float | None = None
         # Per-rank persistent scratch pools: neighbor-build buffers and
@@ -240,8 +237,7 @@ class DistributedHydro:
                 locals_.append(lps)
                 rank_ctxs.append(
                     CsrStepContext(
-                        csr, lps.h, self.kernel,
-                        pool=self._kernel_pools[rank],
+                        csr, lps.h, pool=self._kernel_pools[rank],
                         cfast=self._cfast,
                     )
                 )
@@ -253,7 +249,7 @@ class DistributedHydro:
         with hooks.region("Density"):
             for rank in range(self.n_ranks):
                 lps = locals_[rank]
-                compute_density(lps, rank_ctxs[rank], self.kernel)
+                compute_density(lps, rank_ctxs[rank])
                 self._scatter(
                     ps, lps, owned_global[rank], n_owned[rank], ("rho",)
                 )
@@ -273,7 +269,7 @@ class DistributedHydro:
             for rank in range(self.n_ranks):
                 lps = locals_[rank]
                 self._refresh(ps, lps, local_idx[rank], ("p", "c"))
-                compute_iad_and_divcurl(lps, rank_ctxs[rank], self.kernel)
+                compute_iad_and_divcurl(lps, rank_ctxs[rank])
                 self._scatter(
                     ps, lps, owned_global[rank], n_owned[rank],
                     ("div_v", "curl_v"),
@@ -294,7 +290,7 @@ class DistributedHydro:
                 # the context re-derive its IAD vectors from them.
                 lps.c_iad = ps.c_iad[local_idx[rank]].copy()
                 compute_momentum_energy(
-                    lps, rank_ctxs[rank], self.kernel, av_alpha=self.av_alpha
+                    lps, rank_ctxs[rank], av_alpha=self.av_alpha
                 )
                 ps.acc[owned_global[rank]] = lps.acc[: n_owned[rank]]
                 ps.du[owned_global[rank]] = lps.du[: n_owned[rank]]

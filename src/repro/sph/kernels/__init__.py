@@ -1,6 +1,5 @@
 """SPH smoothing kernels."""
 
 from repro.sph.kernels.cubic_spline import CubicSplineKernel
-from repro.sph.kernels.wendland import WendlandC2Kernel
 
-__all__ = ["CubicSplineKernel", "WendlandC2Kernel"]
+__all__ = ["CubicSplineKernel"]

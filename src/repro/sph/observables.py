@@ -114,14 +114,3 @@ def density_pdf_stats(ps: ParticleSet) -> dict[str, float]:
     sigma = float(np.std(s))
     skew = float(np.mean((s - s.mean()) ** 3) / sigma**3) if sigma > 0 else 0.0
     return {"mean_rho": mean_rho, "sigma_s": sigma, "skew_s": skew}
-
-
-def driving_scale_dominates(
-    k: np.ndarray, spectrum: np.ndarray, k_drive_max: float = 3.0
-) -> bool:
-    """Whether most spectral energy sits at/below the driving shell."""
-    total = float(np.sum(spectrum))
-    if total <= 0:
-        return False
-    low = float(np.sum(spectrum[k <= k_drive_max]))
-    return low > 0.5 * total

@@ -11,10 +11,7 @@ reused buffers; per-particle sums run as *segment reductions*
 skin-cached candidate structure survives the SFC relabeling of
 ``DomainDecompAndSync`` by composing the per-step permutation into a
 build-label -> current-label map — an O(N) update — rather than
-re-sorting the O(N k) flat arrays.  Optionally the per-pair arrays are
-held in float32 while every segment reduction still accumulates in
-float64 (``pair_dtype="float32"``); the float64 default is gated by the
-1e-12 physics-oracle tolerance the tests enforce.
+re-sorting the O(N k) flat arrays.
 
 The Verlet list's caching contract: the neighbor search runs with an
 inflated cutoff ``2 max(h_i, h_j) + skin`` and the candidate list is
@@ -37,11 +34,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sph.box import Box
-from repro.sph.kernels.cubic_spline import (
-    _SIGMA_3D,
-    SUPPORT_RADIUS,
-    CubicSplineKernel,
-)
+from repro.sph.kernels.cubic_spline import _SIGMA_3D, SUPPORT_RADIUS
 from repro.sph.neighbors import (
     BufferPool,
     CsrNeighborList,
@@ -52,9 +45,6 @@ from repro.sph.neighbors import (
 
 #: Default Verlet skin, as a fraction of the mean kernel support.
 DEFAULT_SKIN_FACTOR = 0.3
-
-#: Pair-array dtypes the CSR engine accepts.
-_PAIR_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 # -- scatter-add helpers (the directed reference kernels) -----------------------
@@ -294,21 +284,17 @@ class CsrStepContext:
     run as float64 segment reductions over the CSR offsets
     (:meth:`reduce_sum` / :meth:`reduce_sum_rows` / :meth:`reduce_max`),
     scattered through the segment-to-particle map when the list's
-    segments are in build order.
+    segments are in build order.  Every per-entry array is float64.
 
-    ``pair_dtype`` selects the dtype of the per-entry arrays.  float32
-    halves pair-array bandwidth while reductions still accumulate in
-    float64; the float64 default is what the 1e-12 oracle-equivalence
-    tests gate on (float32 agrees only to ~1e-4 relative).
-
-    For :class:`~repro.sph.kernels.cubic_spline.CubicSplineKernel` the
-    kernel shape is evaluated branchlessly in the buffers via ::
+    The cubic-spline kernel shape
+    (:class:`~repro.sph.kernels.cubic_spline.CubicSplineKernel`) is
+    evaluated branchlessly in the buffers via ::
 
         w(q)  = 0.25 max(2-q, 0)^3 - max(1-q, 0)^3
         w'(q) = -0.75 max(2-q, 0)^2 + 3 max(1-q, 0)^2
 
     (algebraically identical to the piecewise definition on [0, 2] and
-    zero beyond); other kernels fall back to their ``value`` method.
+    zero beyond).
 
     Per-entry buffers come from a small table of pool slots shared by
     liveness rather than one name per temporary.  A slot's view is valid
@@ -323,7 +309,6 @@ class CsrStepContext:
     ct_dhown       1     ``dwdh_own`` (memoized; grad-h runs only)
     ct_d           3     ``d`` (memoized)
     ct_aown/aoth   3+3   the IAD vectors (memoized per matrix set)
-    ct_dx32/r32    3+1   float32 casts of ``dx``/``r`` (float32 runs only)
     ct_t0..ct_t3   1     temporaries of one kernel evaluation
     ct_cb          9     the matrix gather of :meth:`iad_vectors`; lent
                          to IADVelocityDivCurl's tau geometry (6 cols),
@@ -347,38 +332,19 @@ class CsrStepContext:
         self,
         csr: CsrNeighborList,
         h: np.ndarray,
-        kernel=CubicSplineKernel,
         pool: BufferPool | None = None,
-        pair_dtype: str | np.dtype = "float64",
         cfast=None,
     ) -> None:
-        if isinstance(pair_dtype, str):
-            if pair_dtype not in _PAIR_DTYPES:
-                raise SimulationError(
-                    f"pair_dtype must be one of {sorted(_PAIR_DTYPES)}, "
-                    f"got {pair_dtype!r}"
-                )
-            pair_dtype = _PAIR_DTYPES[pair_dtype]
         self.csr = csr
         self.h = h
-        self.kernel = kernel
         self.pool = pool if pool is not None else BufferPool()
-        self.fdtype = np.dtype(pair_dtype)
-        # The compiled physics kernels hardcode the float64 cubic spline;
-        # any other configuration silently stays on the NumPy path.
-        self.cfast = (
-            cfast
-            if self.fdtype == np.float64 and kernel is CubicSplineKernel
-            else None
-        )
+        self.cfast = cfast
         self.nnz = csr.n_pairs
         # Reduction plan: non-empty segments and their output particles,
         # shared by every reduction this step.
         idx, seg = _nonempty_starts(csr.offsets)
         self._red_idx = idx
         self._out_rows = seg if csr.targets is None else csr.targets[seg]
-        self._dx_f: np.ndarray | None = None
-        self._r_f: np.ndarray | None = None
         self._d: np.ndarray | None = None
         self._w_own: np.ndarray | None = None
         self._w_other: np.ndarray | None = None
@@ -402,33 +368,11 @@ class CsrStepContext:
         return self.csr.indices
 
     @property
-    def dx_f(self) -> np.ndarray:
-        """``dx`` in the pair dtype (a cast buffer for float32)."""
-        if self.fdtype == np.float64:
-            return self.csr.dx
-        if self._dx_f is None:
-            buf = self.pool.rows("ct_dx32", self.nnz, 3, self.fdtype)
-            buf[:] = self.csr.dx
-            self._dx_f = buf
-        return self._dx_f
-
-    @property
-    def r_f(self) -> np.ndarray:
-        """``r`` in the pair dtype (a cast buffer for float32)."""
-        if self.fdtype == np.float64:
-            return self.csr.r
-        if self._r_f is None:
-            buf = self.pool.get("ct_r32", self.nnz, self.fdtype)
-            buf[:] = self.csr.r
-            self._r_f = buf
-        return self._r_f
-
-    @property
     def d(self) -> np.ndarray:
         """``x_col - x_row`` per entry (``-dx``), the IAD direction."""
         if self._d is None:
-            buf = self.pool.rows("ct_d", self.nnz, 3, self.fdtype)
-            np.negative(self.dx_f, out=buf)
+            buf = self.pool.rows("ct_d", self.nnz, 3, np.float64)
+            np.negative(self.csr.dx, out=buf)
             self._d = buf
         return self._d
 
@@ -437,68 +381,54 @@ class CsrStepContext:
     def _idx(self, side: str) -> np.ndarray:
         return self.csr.row if side == "row" else self.csr.indices
 
-    def _cast(self, arr: np.ndarray) -> np.ndarray:
-        return arr if arr.dtype == self.fdtype else arr.astype(self.fdtype)
-
     def gather(self, arr: np.ndarray, side: str, name: str) -> np.ndarray:
         """Per-entry gather ``arr[row]`` or ``arr[col]`` into a pooled buffer."""
-        buf = self.pool.get(name, self.nnz, self.fdtype)
-        np.take(self._cast(arr), self._idx(side), out=buf, mode="clip")
+        buf = self.pool.get(name, self.nnz, np.float64)
+        np.take(arr, self._idx(side), out=buf, mode="clip")
         return buf
 
     def gather_rows(self, arr: np.ndarray, side: str, name: str) -> np.ndarray:
         """Per-entry gather of ``(n, m)`` rows into a pooled buffer."""
         m = arr.shape[1]
-        buf = self.pool.rows(name, self.nnz, m, self.fdtype)
-        np.take(self._cast(arr), self._idx(side), axis=0, out=buf, mode="clip")
+        buf = self.pool.rows(name, self.nnz, m, np.float64)
+        np.take(arr, self._idx(side), axis=0, out=buf, mode="clip")
         return buf
 
     def scratch(self, name: str, width: int = 1) -> np.ndarray:
-        """A pooled per-entry scratch array in the pair dtype."""
+        """A pooled per-entry float64 scratch array."""
         if width == 1:
-            return self.pool.get(name, self.nnz, self.fdtype)
-        return self.pool.rows(name, self.nnz, width, self.fdtype)
+            return self.pool.get(name, self.nnz, np.float64)
+        return self.pool.rows(name, self.nnz, width, np.float64)
 
     # -- kernel evaluations ----------------------------------------------------
 
     def _kernel_value(self, side: str, name: str) -> np.ndarray:
         """``W(r, h_side)`` per entry into the named buffer."""
-        out = self.pool.get(name, self.nnz, self.fdtype)
-        if self.kernel is CubicSplineKernel:
-            hb = self.gather(self.h, side, "ct_t0")
-            t1 = self.pool.get("ct_t1", self.nnz, self.fdtype)
-            q = out
-            np.divide(self.r_f, hb, out=q)
-            np.subtract(1.0, q, out=t1)
-            np.maximum(t1, 0.0, out=t1)
-            t1 *= t1 * t1
-            np.subtract(2.0, q, out=q)
-            np.maximum(q, 0.0, out=q)
-            q *= q * q
-            q *= 0.25
-            q -= t1
-            hb *= hb * hb
-            q /= hb
-            q *= _SIGMA_3D
-            return q
-        out[:] = self.kernel.value(self.csr.r, np.take(self.h, self._idx(side)))
-        return out
+        q = self.pool.get(name, self.nnz, np.float64)
+        hb = self.gather(self.h, side, "ct_t0")
+        t1 = self.pool.get("ct_t1", self.nnz, np.float64)
+        np.divide(self.csr.r, hb, out=q)
+        np.subtract(1.0, q, out=t1)
+        np.maximum(t1, 0.0, out=t1)
+        t1 *= t1 * t1
+        np.subtract(2.0, q, out=q)
+        np.maximum(q, 0.0, out=q)
+        q *= q * q
+        q *= 0.25
+        q -= t1
+        hb *= hb * hb
+        q /= hb
+        q *= _SIGMA_3D
+        return q
 
     def _kernel_dh(self, side: str, name: str) -> np.ndarray:
         """``dW/dh`` per entry into the named buffer."""
-        out = self.pool.get(name, self.nnz, self.fdtype)
-        if self.kernel is not CubicSplineKernel:
-            from repro.sph.physics.grad_h import kernel_dh
-
-            out[:] = kernel_dh(
-                self.csr.r, np.take(self.h, self._idx(side)), self.kernel
-            )
-            return out
+        out = self.pool.get(name, self.nnz, np.float64)
         hb = self.gather(self.h, side, "ct_t0")
-        q = self.pool.get("ct_t1", self.nnz, self.fdtype)
-        t1 = self.pool.get("ct_t2", self.nnz, self.fdtype)
-        t2 = self.pool.get("ct_t3", self.nnz, self.fdtype)
-        np.divide(self.r_f, hb, out=q)
+        q = self.pool.get("ct_t1", self.nnz, np.float64)
+        t1 = self.pool.get("ct_t2", self.nnz, np.float64)
+        t2 = self.pool.get("ct_t3", self.nnz, np.float64)
+        np.divide(self.csr.r, hb, out=q)
         np.subtract(1.0, q, out=t1)
         np.maximum(t1, 0.0, out=t1)
         np.subtract(2.0, q, out=t2)
@@ -550,10 +480,10 @@ class CsrStepContext:
         """
         if self._iad is None or self._iad_key is not c_iad:
             d = self.d
-            c_src = self._cast(c_iad).reshape(len(c_iad), 9)
-            a_own = self.pool.rows("ct_aown", self.nnz, 3, self.fdtype)
-            a_oth = self.pool.rows("ct_aoth", self.nnz, 3, self.fdtype)
-            cb = self.pool.rows("ct_cb", self.nnz, 9, self.fdtype)
+            c_src = c_iad.reshape(len(c_iad), 9)
+            a_own = self.pool.rows("ct_aown", self.nnz, 3, np.float64)
+            a_oth = self.pool.rows("ct_aoth", self.nnz, 3, np.float64)
+            cb = self.pool.rows("ct_cb", self.nnz, 9, np.float64)
             np.take(c_src, self.csr.row, axis=0, out=cb, mode="clip")
             np.einsum(
                 "kab,kb->ka", cb.reshape(self.nnz, 3, 3), d, out=a_own

@@ -32,22 +32,20 @@ def _density_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
         contrib = ctx.gather(ps.mass, "col", "ph_s0")
         contrib *= ctx.w_own
         rho = ctx.reduce_sum(contrib)
-    rho += ps.mass * ctx.kernel.value(np.zeros(ps.n), ps.h)
+    rho += ps.mass * CubicSplineKernel.value(np.zeros(ps.n), ps.h)
     ps.rho = rho
 
 
-def compute_density(
-    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
-) -> None:
+def compute_density(ps: ParticleSet, pairs: PairList | CsrStepContext) -> None:
     """Fill ``ps.rho`` from the pair list."""
     if isinstance(pairs, CsrStepContext):
         _density_csr(ps, pairs)
         return
-    w = kernel.value(pairs.r, ps.h[pairs.i])
+    w = CubicSplineKernel.value(pairs.r, ps.h[pairs.i])
     contrib = ps.mass[pairs.j] * w
     rho = np.bincount(pairs.i, weights=contrib, minlength=ps.n).astype(
         np.float64
     )
     # Self-contribution W(0, h_i) = 1 / (pi h^3).
-    rho += ps.mass * kernel.value(np.zeros(ps.n), ps.h)
+    rho += ps.mass * CubicSplineKernel.value(np.zeros(ps.n), ps.h)
     ps.rho = rho

@@ -29,15 +29,16 @@ from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 
 
-def kernel_dh(r: np.ndarray, h: np.ndarray, kernel=CubicSplineKernel) -> np.ndarray:
+def kernel_dh(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``dW/dh`` of the cubic spline, vectorized."""
     h = np.asarray(h, dtype=np.float64)
     q = np.asarray(r, dtype=np.float64) / h
-    return -(_SIGMA_3D / h**4) * (3.0 * kernel.w(q) + q * kernel.dw(q))
+    w, dw = CubicSplineKernel.w, CubicSplineKernel.dw
+    return -(_SIGMA_3D / h**4) * (3.0 * w(q) + q * dw(q))
 
 
 def compute_omega(
-    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList | CsrStepContext
 ) -> np.ndarray:
     """The grad-h correction factor per particle (requires ``ps.rho``).
 
@@ -49,13 +50,12 @@ def compute_omega(
         terms = pairs.gather(ps.mass, "col", "ph_s0")
         terms *= pairs.dwdh_own
         sums = pairs.reduce_sum(terms)
-        kernel = pairs.kernel
     else:
-        dwdh = kernel_dh(pairs.r, ps.h[pairs.i], kernel)
+        dwdh = kernel_dh(pairs.r, ps.h[pairs.i])
         sums = np.bincount(
             pairs.i, weights=ps.mass[pairs.j] * dwdh, minlength=ps.n
         ).astype(np.float64)
     # Self-contribution: dW/dh at r = 0 is -3 sigma / h^4 * w(0).
-    sums += ps.mass * kernel_dh(np.zeros(ps.n), ps.h, kernel)
+    sums += ps.mass * kernel_dh(np.zeros(ps.n), ps.h)
     omega = 1.0 + ps.h / (3.0 * np.maximum(ps.rho, 1e-300)) * sums
     return np.clip(omega, 0.4, 2.5)

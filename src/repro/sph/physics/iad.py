@@ -37,7 +37,7 @@ from repro.sph.particles import ParticleSet
 
 
 def iad_vectors(
-    ps: ParticleSet, pairs: PairList, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList
 ) -> tuple[np.ndarray, np.ndarray]:
     """The corrected gradient vectors ``A_i,ij`` and ``A_j,ij`` per pair.
 
@@ -45,8 +45,8 @@ def iad_vectors(
     particle j's (both along ``x_j - x_i``).  Requires ``ps.c_iad``.
     """
     d = -pairs.dx  # x_j - x_i
-    w_hi = kernel.value(pairs.r, ps.h[pairs.i])
-    w_hj = kernel.value(pairs.r, ps.h[pairs.j])
+    w_hi = CubicSplineKernel.value(pairs.r, ps.h[pairs.i])
+    w_hj = CubicSplineKernel.value(pairs.r, ps.h[pairs.j])
     a_i = np.einsum("kab,kb->ka", ps.c_iad[pairs.i], d) * w_hi[:, None]
     a_j = np.einsum("kab,kb->ka", ps.c_iad[pairs.j], d) * w_hj[:, None]
     return a_i, a_j
@@ -131,14 +131,14 @@ def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
 
 
 def compute_iad_and_divcurl(
-    ps: ParticleSet, pairs: PairList | CsrStepContext, kernel=CubicSplineKernel
+    ps: ParticleSet, pairs: PairList | CsrStepContext
 ) -> None:
     """Fill ``ps.c_iad``, ``ps.div_v`` and ``ps.curl_v``."""
     if isinstance(pairs, CsrStepContext):
         _iad_and_divcurl_csr(ps, pairs)
         return
     d = -pairs.dx  # x_j - x_i
-    w = kernel.value(pairs.r, ps.h[pairs.i])
+    w = CubicSplineKernel.value(pairs.r, ps.h[pairs.i])
     vol = ps.mass[pairs.j] / ps.rho[pairs.j]
     weight = vol * w
 

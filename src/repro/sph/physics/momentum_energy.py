@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sph import csolver
-from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
+from repro.sph.kernels.cubic_spline import _SIGMA_3D
 from repro.sph.neighbors import PairList
 from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
 from repro.sph.particles import ParticleSet
@@ -129,8 +129,8 @@ def _momentum_energy_csr(
 
     # Per-entry AV strength and signal velocity (Monaghan + Balsara).
     w_pair = ctx.scratch("ph_s2")
-    np.einsum("ka,ka->k", v_ij, ctx.dx_f, out=w_pair)
-    w_pair /= np.maximum(ctx.r_f, 1e-300)
+    np.einsum("ka,ka->k", v_ij, ctx.csr.dx, out=w_pair)
+    w_pair /= np.maximum(ctx.csr.r, 1e-300)
     v_sig = ctx.gather(ps.c, "row", "ph_s3")
     v_sig += ctx.gather(ps.c, "col", "ph_g")
     v_sig -= 3.0 * w_pair
@@ -182,7 +182,6 @@ def _momentum_energy_csr(
 def compute_momentum_energy(
     ps: ParticleSet,
     pairs: PairList | CsrStepContext,
-    kernel=CubicSplineKernel,
     av_alpha: float = DEFAULT_AV_ALPHA,
     use_balsara: bool = True,
     omega=None,
@@ -198,7 +197,7 @@ def compute_momentum_energy(
         _momentum_energy_csr(ps, pairs, av_alpha, use_balsara, omega)
         return
 
-    a_i, a_j = iad_vectors(ps, pairs, kernel)
+    a_i, a_j = iad_vectors(ps, pairs)
     a_bar = 0.5 * (a_i + a_j)
 
     i, j = pairs.i, pairs.j

@@ -33,7 +33,6 @@ from repro.sph.cornerstone.domain import DomainDecomposition
 from repro.sph.driving import TurbulenceDriver
 from repro.sph.gravity import BarnesHutGravity
 from repro.sph.hooks import ProfilingHooks
-from repro.sph.kernels.cubic_spline import CubicSplineKernel
 from repro.sph.neighbors import BufferPool
 from repro.sph.pair_cache import DEFAULT_SKIN_FACTOR, CsrStepContext, CsrVerletList
 from repro.sph.particles import ParticleSet
@@ -100,10 +99,6 @@ class Propagator:
     skin_factor:
         Verlet skin width as a fraction of the mean kernel support; 0
         rebuilds the neighbor list every step (the pre-cache behaviour).
-    pair_dtype:
-        Dtype of the CSR engine's per-pair arrays (``"float64"`` or
-        ``"float32"``); segment reductions accumulate in float64 either
-        way.  The float64 default is gated by the 1e-12 oracle tolerance.
     accel:
         ``"numpy"`` (default) runs the pure-NumPy kernels; ``"auto"``
         additionally compiles the :mod:`repro.sph.csolver` C fast path
@@ -130,9 +125,7 @@ class Propagator:
         gravity_theta: float = 0.6,
         gravity_eps: float = 0.02,
         use_grad_h: bool = False,
-        kernel=CubicSplineKernel,
         skin_factor: float = DEFAULT_SKIN_FACTOR,
-        pair_dtype: str = "float64",
         accel: str = "numpy",
     ) -> None:
         from repro.sph import csolver
@@ -150,8 +143,6 @@ class Propagator:
         self.gravity_theta = gravity_theta
         self.gravity_eps = gravity_eps
         self.use_grad_h = use_grad_h
-        self.kernel = kernel
-        self.pair_dtype = pair_dtype
         self.neighbor_list = CsrVerletList(box, skin_factor, cfast=self._cfast)
         # Kernel-engine buffers persist across steps (and substeps): each
         # step's context reuses them instead of reallocating.
@@ -179,9 +170,7 @@ class Propagator:
                 self.neighbor_list.reorder(sync.order)
             pairs = self.neighbor_list.query(ps.pos, ps.h)
             ctx = CsrStepContext(
-                pairs, ps.h, self.kernel,
-                pool=self._kernel_pool, pair_dtype=self.pair_dtype,
-                cfast=self._cfast,
+                pairs, ps.h, pool=self._kernel_pool, cfast=self._cfast
             )
             ps.nc = pairs.neighbor_counts()
             rebuilt = self.neighbor_list.n_builds > builds_before

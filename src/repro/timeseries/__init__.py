@@ -21,7 +21,6 @@ from repro.timeseries.export import (
     write_csv,
     write_jsonl,
     write_prometheus,
-    write_trace_csv,
 )
 from repro.timeseries.live import LiveView, attach_live_printer
 from repro.timeseries.rolling import RollingMean
@@ -58,5 +57,4 @@ __all__ = [
     "write_csv",
     "write_jsonl",
     "write_prometheus",
-    "write_trace_csv",
 ]

@@ -321,20 +321,6 @@ def write_jsonl(path: str | Path, store: SampleStore) -> Path:
     return path
 
 
-def write_trace_csv(path: str | Path, name: str, trace) -> Path:
-    """Dump a ground-truth :class:`~repro.hardware.trace.PowerTrace`.
-
-    Uses the trace's public :meth:`~repro.hardware.trace.PowerTrace.as_arrays`
-    view — exporters never reach into the trace's private buffers.
-    """
-    path = Path(path)
-    times, watts = trace.as_arrays()
-    lines = ["time_s,watts"]
-    lines += [f"{t:.9g},{w:.9g}" for t, w in zip(times, watts)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def export_bundle(
     out_dir: str | Path,
     store: SampleStore,

@@ -13,14 +13,8 @@ import math
 # SI prefixes
 # ---------------------------------------------------------------------------
 
-KILO = 1e3
 MEGA = 1e6
 GIGA = 1e9
-TERA = 1e12
-
-MILLI = 1e-3
-MICRO = 1e-6
-NANO = 1e-9
 
 #: Ordered (factor, symbol) pairs used by the generic formatter.
 _SI_STEPS = [
@@ -50,44 +44,9 @@ def hz_to_mhz(value: float) -> float:
     return value / MEGA
 
 
-def kilojoules(value: float) -> float:
-    """Convert kJ to J."""
-    return value * KILO
-
-
-def megajoules(value: float) -> float:
-    """Convert MJ to J."""
-    return value * MEGA
-
-
 def joules_to_megajoules(value: float) -> float:
     """Convert J to MJ."""
     return value / MEGA
-
-
-def milliwatts(value: float) -> float:
-    """Convert mW to W."""
-    return value * MILLI
-
-
-def watts_to_milliwatts(value: float) -> float:
-    """Convert W to mW."""
-    return value / MILLI
-
-
-def microjoules(value: float) -> float:
-    """Convert uJ to J."""
-    return value * MICRO
-
-
-def watt_hours(value: float) -> float:
-    """Convert Wh to J (1 Wh = 3600 J)."""
-    return value * 3600.0
-
-
-def joules_to_watt_hours(value: float) -> float:
-    """Convert J to Wh."""
-    return value / 3600.0
 
 
 def minutes(value: float) -> float:

@@ -9,6 +9,7 @@ a silent imbalance.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,6 @@ from repro.audit import (
     check_device_partition,
     check_function_partition,
     check_pmt_vs_slurm,
-    strictened,
     tolerances_for,
 )
 from repro.config import SYSTEMS, TEST_CASES
@@ -144,7 +144,7 @@ class TestTolerances:
         assert tolerances_for(None) == AuditTolerances()
 
     def test_strictened(self):
-        tight = strictened(AuditTolerances(), counter_slack_joules=0.0)
+        tight = replace(AuditTolerances(), counter_slack_joules=0.0)
         assert tight.counter_slack_joules == 0.0
         assert tight.device_partition_max_excess == (
             AuditTolerances().device_partition_max_excess

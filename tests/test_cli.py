@@ -1,8 +1,10 @@
 """Tests for the command-line interface (reduced step counts)."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestStaticCommands:
@@ -106,3 +108,211 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         assert "Optimization targets" in out
         assert "MomentumEnergy" in out
+
+
+def option_table(parser, path=()):
+    """``{command path: [option row, ...]}`` for a parser and its subparsers.
+
+    A row is ``(option strings, dest, default, choices, nargs, required,
+    type name)``, in declaration order (the order ``--help`` lists them).
+    """
+    table = {}
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                table.update(option_table(child, path + (name,)))
+            continue
+        rows.append(
+            (
+                tuple(action.option_strings),
+                action.dest,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.nargs,
+                action.required,
+                getattr(action.type, "__name__", None),
+            )
+        )
+    table[" ".join(path)] = rows
+    return table
+
+
+class TestOptionSurface:
+    def test_every_command_option_is_pinned(self):
+        """Every subcommand's options, defaults and types, as declared.
+
+        A change here changes what users can type; update the table
+        only on purpose.
+        """
+        assert option_table(build_parser()) == CLI_OPTIONS
+
+    def test_campaign_gc_takes_only_the_cache_dir(self, capsys, tmp_path):
+        assert main(["campaign", "gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "0 temp files reaped" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["campaign", "gc", "--cache-dir", str(tmp_path), "--seed", "1"])
+
+
+# fmt: off
+CLI_OPTIONS = {
+    "": [],
+    "backends": [],
+    "campaign": [],
+    "campaign clean": [
+        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), "?", False, None),
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        (("--seed",), "seed", 0, None, None, False, "int"),
+        (("--steps",), "steps", None, None, None, False, "int"),
+        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--side",), "side", 450, None, None, False, "int"),
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
+        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+    ],
+    "campaign gc": [
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+    ],
+    "campaign run": [
+        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        (("--seed",), "seed", 0, None, None, False, "int"),
+        (("--steps",), "steps", None, None, None, False, "int"),
+        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--side",), "side", 450, None, None, False, "int"),
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
+        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+        (("--workers",), "workers", None, None, None, False, "int"),
+        (("--no-cache",), "no_cache", False, None, 0, False, None),
+        (("--quiet",), "quiet", False, None, 0, False, None),
+        (("--audit",), "audit", False, None, 0, False, None),
+        (("--audit-strict",), "audit_strict", False, None, 0, False, None),
+    ],
+    "campaign status": [
+        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        (("--seed",), "seed", 0, None, None, False, "int"),
+        (("--steps",), "steps", None, None, None, False, "int"),
+        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--side",), "side", 450, None, None, False, "int"),
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
+        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+    ],
+    "campaign work": [
+        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        (("--seed",), "seed", 0, None, None, False, "int"),
+        (("--steps",), "steps", None, None, None, False, "int"),
+        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--side",), "side", 450, None, None, False, "int"),
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
+        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+        (("--profile-systems",), "profile_systems", None, ("CSCS-A100", "LUMI-G", "miniHPC"), "*", False, None),
+    ],
+    "compare": [
+        (("--system-a",), "system_a", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--system-b",), "system_b", "LUMI-G", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--case",), "case", "Subsonic Turbulence", ("Evrard Collapse", "Subsonic Turbulence"), None, False, None),
+        (("--cards",), "cards", 8, None, None, False, "int"),
+        (("--counter",), "counter", "gpu", ("gpu", "cpu", "node"), None, False, None),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "export-trace": [
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--case",), "case", "Sedov Blast", ("Evrard Collapse", "Sedov Blast", "Subsonic Turbulence"), None, False, None),
+        (("--cards",), "cards", 8, None, None, False, "int"),
+        (("--interval",), "interval", None, None, None, False, "float"),
+        (("--out-dir",), "out_dir", "artifacts", None, None, False, None),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "fig1": [
+        (("--plot",), "plot", False, None, 0, False, None),
+        (("--systems",), "systems", ["LUMI-G", "CSCS-A100"], ("CSCS-A100", "LUMI-G", "miniHPC"), "+", False, None),
+        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "fig2": [
+        (("--plot",), "plot", False, None, 0, False, None),
+        (("--cards",), "cards", 48, None, None, False, "int"),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "fig3": [
+        (("--cards",), "cards", 48, None, None, False, "int"),
+        (("--top",), "top", 6, None, None, False, "int"),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "fig4": [
+        (("--plot",), "plot", False, None, 0, False, None),
+        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "fig5": [
+        (("--plot",), "plot", False, None, 0, False, None),
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "publish": [
+        (("--url",), "url", None, None, None, True, None),
+        (("--tenant",), "tenant", "default", None, None, False, None),
+        (("--backpressure",), "backpressure", "wait", ("wait", "shed"), None, False, None),
+        (("--batch-ticks",), "batch_ticks", 32, None, None, False, "int"),
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--case",), "case", "Sedov Blast", ("Evrard Collapse", "Sedov Blast", "Subsonic Turbulence"), None, False, None),
+        (("--cards",), "cards", 8, None, None, False, "int"),
+        (("--interval",), "interval", None, None, None, False, "float"),
+        (("--steps",), "steps", 20, None, None, False, "int"),
+    ],
+    "report": [
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--case",), "case", "Subsonic Turbulence", ("Evrard Collapse", "Subsonic Turbulence"), None, False, None),
+        (("--cards",), "cards", 8, None, None, False, "int"),
+        (("--out",), "out", None, None, None, False, None),
+        (("--inject-fault",), "inject_fault", None, ("freeze", "dropout", "glitch"), None, False, None),
+        (("--fault-target",), "fault_target", "gpu0", None, None, False, None),
+        (("--no-resilient",), "no_resilient", False, None, 0, False, None),
+        (("--timeseries",), "timeseries", False, None, 0, False, None),
+        (("--artifacts-dir",), "artifacts_dir", "artifacts", None, None, False, None),
+        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+        (("--power-cap",), "power_cap", None, None, None, False, "float"),
+        (("--audit",), "audit", False, None, 0, False, None),
+        (("--audit-strict",), "audit_strict", False, None, 0, False, None),
+        (("--steps",), "steps", 100, None, None, False, "int"),
+    ],
+    "serve": [
+        (("--host",), "host", "127.0.0.1", None, None, False, None),
+        (("--port",), "port", 0, None, None, False, "int"),
+        (("--http-port",), "http_port", 0, None, None, False, "int"),
+        (("--max-pending",), "max_pending", 262144, None, None, False, "int"),
+    ],
+    "table1": [],
+    "tune": [
+        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
+        (("--side",), "side", 450, None, None, False, "int"),
+        (("--objective",), "objective", "edp", ("edp", "energy"), None, False, None),
+        (("--max-slowdown",), "max_slowdown", None, None, None, False, "float"),
+        (("--steps",), "steps", 40, None, None, False, "int"),
+    ],
+    "watch": [
+        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
+        (("--case",), "case", "Sedov Blast", ("Evrard Collapse", "Sedov Blast", "Subsonic Turbulence"), None, False, None),
+        (("--cards",), "cards", 8, None, None, False, "int"),
+        (("--interval",), "interval", None, None, None, False, "float"),
+        (("--every",), "every", 50, None, None, False, "int"),
+        (("--width",), "width", 48, None, None, False, "int"),
+        (("--url",), "url", None, None, None, False, None),
+        (("--tenant",), "tenant", None, None, None, False, None),
+        (("--frames",), "frames", None, None, None, False, "int"),
+        (("--steps",), "steps", 20, None, None, False, "int"),
+    ],
+}
+# fmt: on

@@ -1,6 +1,5 @@
-"""Tests for the A/B comparison report and the Wendland C2 kernel."""
+"""Tests for the A/B comparison report."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.compare import (
@@ -11,12 +10,6 @@ from repro.analysis.compare import (
 from repro.config import CSCS_A100, LUMI_G, SUBSONIC_TURBULENCE
 from repro.errors import AnalysisError
 from repro.experiments.runner import run_scaled_experiment
-from repro.sph import Simulation
-from repro.sph.initial_conditions import make_turbulence
-from repro.sph.kernels import CubicSplineKernel, WendlandC2Kernel
-from repro.sph.neighbors import find_neighbors
-from repro.sph.physics import compute_density
-from repro.sph.propagator import Propagator
 
 
 @pytest.fixture(scope="module")
@@ -75,53 +68,3 @@ class TestCompareRuns:
         with pytest.raises(AnalysisError):
             compare_runs(broken, cscs)
 
-
-class TestWendlandKernel:
-    K = WendlandC2Kernel
-
-    def test_peak_value(self):
-        val = self.K.value(np.array([0.0]), np.array([1.0]))[0]
-        assert val == pytest.approx(21.0 / (16.0 * np.pi))
-
-    def test_compact_support(self):
-        w = self.K.value(np.array([1.99, 2.0, 3.0]), np.ones(3))
-        assert w[0] > 0 and w[1] == 0 and w[2] == 0
-
-    def test_normalization_3d(self):
-        for h in (0.5, 1.0, 2.0):
-            r = np.linspace(0, 2 * h, 20001)
-            w = self.K.value(r, np.full_like(r, h))
-            integral = np.trapezoid(4 * np.pi * r**2 * w, r)
-            assert integral == pytest.approx(1.0, rel=1e-6)
-
-    def test_gradient_matches_finite_difference(self):
-        r = np.linspace(0.05, 1.9, 150)
-        h = np.full_like(r, 1.0)
-        eps = 1e-6
-        numeric = (self.K.value(r + eps, h) - self.K.value(r - eps, h)) / (2 * eps)
-        assert np.allclose(self.K.grad_r(r, h), numeric, rtol=1e-4, atol=1e-8)
-
-    def test_smoothness_properties(self):
-        """Derivative vanishes at the origin, and decays toward the
-        support edge with a higher order than the cubic spline (the C2
-        property at q = 2)."""
-        q0 = np.array([1e-6])
-        assert abs(self.K.dw(q0)[0]) < 1e-4
-        q_edge = np.array([1.95])
-        assert abs(self.K.dw(q_edge)[0]) < abs(CubicSplineKernel.dw(q_edge)[0])
-
-    def test_density_with_wendland(self):
-        ps, box = make_turbulence(n_side=8, rho0=1.5, seed=41)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs, kernel=WendlandC2Kernel)
-        assert np.median(ps.rho) == pytest.approx(1.5, rel=0.08)
-
-    def test_full_step_with_wendland(self):
-        ps, box = make_turbulence(n_side=8, seed=42)
-        rng = np.random.default_rng(42)
-        ps.vel = rng.normal(0.0, 0.05, size=ps.vel.shape)
-        p0 = ps.momentum().copy()
-        sim = Simulation(ps, Propagator(box, kernel=WendlandC2Kernel))
-        sim.run(3)
-        assert np.abs(ps.momentum() - p0).max() < 1e-12
-        ps.validate()

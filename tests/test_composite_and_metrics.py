@@ -1,17 +1,10 @@
-"""Tests for the composite PMT backend and the efficiency metrics."""
+"""Tests for the composite PMT backend."""
 
 import pytest
 
 import repro.pmt as pmt
-from repro.analysis.metrics import (
-    EfficiencyMetrics,
-    pareto_front,
-    rank_operating_points,
-    run_metrics,
-)
-from repro.config import CSCS_A100, SUBSONIC_TURBULENCE
-from repro.errors import AnalysisError, BackendError
-from repro.experiments.runner import run_scaled_experiment
+from repro.config import CSCS_A100
+from repro.errors import BackendError
 from repro.hardware import Node, VirtualClock
 from repro.pmt import PMT
 from repro.sensors import NodeTelemetry
@@ -70,53 +63,3 @@ class TestCompositeBackend:
         with pytest.raises(BackendError):
             pmt.create("composite", meters={"a": gpu, "b": other})
 
-
-class TestEfficiencyMetrics:
-    def test_derived_quantities(self):
-        m = EfficiencyMetrics(energy_joules=100.0, seconds=4.0)
-        assert m.edp == 400.0
-        assert m.ed2p == 1600.0
-        assert m.average_watts == 25.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(AnalysisError):
-            EfficiencyMetrics(energy_joules=-1.0, seconds=1.0)
-        with pytest.raises(AnalysisError):
-            EfficiencyMetrics(energy_joules=1.0, seconds=0.0)
-
-    def test_run_metrics_from_experiment(self):
-        result = run_scaled_experiment(
-            CSCS_A100, SUBSONIC_TURBULENCE, 8, num_steps=3
-        )
-        m = run_metrics(result.run)
-        assert m.energy_joules > 0
-        assert m.seconds == pytest.approx(result.run.app_seconds)
-        assert m.average_watts > 100  # 8 GPUs plus CPUs
-
-    def test_ranking_objectives(self):
-        fast_hungry = EfficiencyMetrics(energy_joules=200.0, seconds=1.0)
-        slow_frugal = EfficiencyMetrics(energy_joules=100.0, seconds=3.0)
-        table = {1410.0: fast_hungry, 1005.0: slow_frugal}
-        assert rank_operating_points(table, "time")[0] == 1410.0
-        assert rank_operating_points(table, "energy")[0] == 1005.0
-        assert rank_operating_points(table, "edp")[0] == 1410.0  # 200 < 300
-        assert rank_operating_points(table, "ed2p")[0] == 1410.0
-
-    def test_ranking_unknown_objective(self):
-        with pytest.raises(AnalysisError):
-            rank_operating_points({}, "vibes")
-
-    def test_pareto_front(self):
-        table = {
-            1410.0: EfficiencyMetrics(energy_joules=200.0, seconds=1.0),
-            1200.0: EfficiencyMetrics(energy_joules=150.0, seconds=2.0),
-            1005.0: EfficiencyMetrics(energy_joules=100.0, seconds=3.0),
-            # Dominated: slower AND hungrier than the 1200 point.
-            900.0: EfficiencyMetrics(energy_joules=180.0, seconds=4.0),
-        }
-        front = pareto_front(table)
-        assert front == [1005.0, 1200.0, 1410.0]
-
-    def test_pareto_single_point(self):
-        table = {1410.0: EfficiencyMetrics(energy_joules=1.0, seconds=1.0)}
-        assert pareto_front(table) == [1410.0]

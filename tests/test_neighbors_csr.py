@@ -60,10 +60,10 @@ def assert_matches_oracle(csr, oracle):
     assert np.array_equal(counts, oracle.neighbor_counts())
 
 
-def run_csr(ps, box, pair_dtype="float64", pool=None):
+def run_csr(ps, box, pool=None):
     """The physics chain through the CSR/SoA engine."""
     csr = csr_neighbors(ps.pos, ps.h, box)
-    ctx = CsrStepContext(csr, ps.h, pool=pool, pair_dtype=pair_dtype)
+    ctx = CsrStepContext(csr, ps.h, pool=pool)
     ps.nc = csr.neighbor_counts()
     compute_density(ps, ctx)
     ideal_gas_eos(ps)
@@ -199,24 +199,6 @@ class TestCsrPhysics:
         net = np.sum(out.mass[:, None] * out.acc, axis=0)
         scale = np.sum(np.abs(out.mass[:, None] * out.acc)) + 1e-300
         assert np.abs(net).max() < 1e-13 * scale * 10
-
-    def test_float32_pairs_gated_looser(self):
-        """float32 pair storage fails the 1e-12 gate (which is why it is
-        not the default) but must stay within single-precision error of
-        the oracle, with reductions still accumulated in float64."""
-        ps, box = make_case("turbulence")
-        oracle = run_oracle(clone(ps), box)
-        f32 = run_csr(clone(ps), box, pair_dtype="float32")
-        scale = np.abs(oracle.acc).max()
-        dev = np.abs(oracle.acc - f32.acc).max() / scale
-        assert dev < 1e-4        # single-precision ballpark ...
-        assert np.allclose(oracle.rho, f32.rho, rtol=1e-4)
-
-    def test_pair_dtype_validated(self):
-        ps, box = make_case("turbulence")
-        csr = csr_neighbors(ps.pos, ps.h, box)
-        with pytest.raises(SimulationError, match="pair_dtype"):
-            CsrStepContext(csr, ps.h, pair_dtype="float16")
 
     def test_kernel_values_match_legacy_context(self):
         """The branchless in-buffer cubic spline is the same polynomial

@@ -134,6 +134,10 @@ class TestProtocol:
             (lambda c: c["watts"].pop(), "equal length"),
             (lambda c: c.update(t=[]), "equal length"),
             (lambda c: c.update(t=list(reversed(c["t"]))), "non-decreasing"),
+            (lambda c: c["t"].__setitem__(3, float("nan")), "finite"),
+            (lambda c: c["t"].__setitem__(7, float("inf")), "finite"),
+            (lambda c: c["t"].__setitem__(0, float("-inf")), "finite"),
+            (lambda c: c.update(t=[np.nan], watts=[1.0], joules=[1.0]), "finite"),
             (lambda c: c.update(t=c["t"], watts=["x"] * 8), "malformed"),
             (lambda c: c.update(quality=[1.7] * 8), "quality"),
             (lambda c: c.update(quality=np.full(8, 300)), "quality"),
@@ -652,7 +656,19 @@ class TestServerRoundTrip:
         assert "render exploded" in service.last_drain_error
 
 
+def _with_time(n, k, value):
+    cols = _columns(n)
+    cols["t"][k] = value
+    return cols
+
+
+#: ``case: (channels, samples the batch carries)``.  The non-finite
+#: times keep each batch otherwise in order, so only the finiteness
+#: check can refuse them.
 _BAD_CHANNELS = {
+    "time-nan": ({"p": _with_time(3, 1, float("nan"))}, 3),
+    "time-inf-last": ({"p": _with_time(3, 2, float("inf"))}, 3),
+    "time-inf-first": ({"p": _with_time(3, 0, float("-inf"))}, 3),
     "quality-above-255": ({"p": {**_columns(2), "quality": [0, 300]}}, 2),
     "quality-negative": ({"p": {**_columns(1), "quality": [-1]}}, 1),
     "quality-non-integral": ({"p": {**_columns(2), "quality": [0, 1.7]}}, 2),
@@ -684,7 +700,15 @@ class TestMalformedBatchesAccounted:
             client.publish(0, channels)
             client.publish(0, {"p": _columns(8)})
             ack = client.sync()
+            published = client.published_samples
         _assert_one_rejected(ack, samples, 8)
+        assert ack["samples_offered"] == published
+        out = http_get_json(
+            service.host,
+            service.http_port,
+            f"/query/range?tenant=s-{case}&node=0&channel=p",
+        )
+        assert out["n"] == ack["samples_ingested"]
 
     @pytest.mark.parametrize("case", sorted(_BAD_CHANNELS))
     def test_http_ingest_survives(self, service, case):
@@ -701,6 +725,7 @@ class TestMalformedBatchesAccounted:
         )
         assert out["accepted"] == 1
         _assert_one_rejected(out, samples, 8)
+        assert out["samples_offered"] == samples + 8
 
     def test_http_ingest_non_object_batches_rejected(self, service):
         out = http_post_json(

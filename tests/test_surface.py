@@ -1,0 +1,109 @@
+"""Guards on the public surface of ``repro``.
+
+* Every ``repro`` import in ``examples/`` and ``perfbench/`` resolves.
+  Nothing else imports those scripts, so without this a deleted or
+  renamed definition would break them silently.
+* Every public top-level function and class in ``src/repro`` has a
+  caller: its name is used as a code identifier (a name or an attribute,
+  not an import, ``__all__`` entry, string or comment) somewhere under
+  ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  Tests do
+  not count.  Registered PMT backends are reached by name and are
+  exempt; the few test oracles kept on purpose are listed below.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+#: Public definitions whose only callers are tests, kept on purpose.
+TEST_ORACLES = {
+    "profile_stats": "how the runner-sampler tests measure the sampler",
+    "power_timeline_chart": "renders the sampler profile the same tests take",
+    "canonical_payload": "the tests' oracle for what a run-key digest covers",
+    "parse_pm_file": "the tests' oracle for the pm_counters file format",
+    "http_get_text": "the only client of the service's /healthz",
+    "http_post_json": "the only client of the service's /ingest",
+    "decode_morton": "inverts encode_morton in the cornerstone tests",
+    "validate_cornerstone": "checks the octree invariants in its tests",
+    "direct_sum_acceleration": "O(N^2) gravity oracle for Barnes-Hut",
+    "direct_sum_potential": "O(N^2) potential oracle for Barnes-Hut",
+    "make_noh": "initial conditions of the Noh shock validation",
+    "noh_shock_speed": "analytic Noh solution the shock tests compare to",
+    "noh_post_shock_density": "analytic Noh solution the shock tests compare to",
+    "brute_force_pairs": "O(N^2) neighbor oracle for the CSR search",
+}
+
+
+def _scripts():
+    return sorted((ROOT / "examples").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    )
+
+
+def _repro_imports(path):
+    """``(module, name or None)`` for every repro import, nested ones too."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "repro" or node.module.startswith("repro."):
+                for alias in node.names:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro" or alias.name.startswith("repro."):
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("path", _scripts(), ids=lambda p: p.name)
+def test_script_imports_resolve(path):
+    for module_name, name in _repro_imports(path):
+        module = importlib.import_module(module_name)
+        if name is None or hasattr(module, name):
+            continue
+        # ``from package import submodule`` imports the submodule.
+        importlib.import_module(f"{module_name}.{name}")
+
+
+def _used_identifiers():
+    used = set()
+    for tree_root in ("src", "benchmarks", "examples", "perfbench"):
+        for path in (ROOT / tree_root).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def _public_definitions():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            decorators = [ast.unparse(d) for d in node.decorator_list]
+            if any("register_backend" in d for d in decorators):
+                continue
+            yield path.relative_to(ROOT), node.name
+
+
+def test_every_public_definition_has_a_caller():
+    used = _used_identifiers()
+    unreached = [
+        f"{path}:{name}"
+        for path, name in _public_definitions()
+        if name not in used and name not in TEST_ORACLES
+    ]
+    assert unreached == []
+
+
+def test_oracle_list_has_no_stale_entries():
+    public = {name for _, name in _public_definitions()}
+    used = _used_identifiers()
+    assert sorted(set(TEST_ORACLES) - (public - used)) == []

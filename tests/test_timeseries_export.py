@@ -24,7 +24,6 @@ from repro.timeseries import (
     write_chrome_trace,
     write_csv,
     write_jsonl,
-    write_trace_csv,
 )
 
 #: Keys the Trace Event Format requires on every event.
@@ -298,15 +297,6 @@ class TestPowerTraceAsArrays:
         assert len(t2) == 2
         assert len(times) == 1  # earlier view is a stable snapshot
 
-    def test_write_trace_csv(self, tmp_path):
-        trace = PowerTrace(initial_watts=100.0)
-        trace.set_power(2.0, 300.0)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, "gpu0", trace)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "time_s,watts"
-        assert rows[1] == "0,100"
-        assert rows[2] == "2,300"
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -15,29 +15,8 @@ class TestConversions:
     def test_hz_to_mhz_roundtrip(self):
         assert units.hz_to_mhz(units.mhz(1700)) == pytest.approx(1700)
 
-    def test_megajoules(self):
-        assert units.megajoules(24.4) == pytest.approx(24.4e6)
-
     def test_joules_to_megajoules(self):
         assert units.joules_to_megajoules(12.5e6) == pytest.approx(12.5)
-
-    def test_kilojoules(self):
-        assert units.kilojoules(3) == 3000
-
-    def test_milliwatts(self):
-        assert units.milliwatts(250_000) == pytest.approx(250.0)
-
-    def test_watts_to_milliwatts(self):
-        assert units.watts_to_milliwatts(0.4) == pytest.approx(400.0)
-
-    def test_microjoules(self):
-        assert units.microjoules(15.3) == pytest.approx(15.3e-6)
-
-    def test_watt_hours(self):
-        assert units.watt_hours(1) == 3600
-
-    def test_joules_to_watt_hours_roundtrip(self):
-        assert units.joules_to_watt_hours(units.watt_hours(2.5)) == pytest.approx(2.5)
 
     def test_minutes(self):
         assert units.minutes(1.5) == 90

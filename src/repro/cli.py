@@ -61,6 +61,12 @@ def _add_run_options(
         )
 
 
+def _add_governor(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--governor", default=None, choices=GOVERNOR_POLICIES, help=help
+    )
+
+
 def _add_audit(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--audit",
@@ -823,12 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="artifacts",
         help="directory for --timeseries exports (default: artifacts/)",
     )
-    p.add_argument(
-        "--governor",
-        default=None,
-        choices=GOVERNOR_POLICIES,
-        help="steer GPU clocks online with the energy-aware governor",
-    )
+    _add_governor(p, "steer GPU clocks online with the energy-aware governor")
     p.add_argument(
         "--power-cap",
         type=float,
@@ -973,12 +974,10 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument(
             "--cards", nargs="+", type=int, default=[8, 16, 24, 32, 40, 48]
         )
-        cp.add_argument(
-            "--governor",
-            default=None,
-            choices=GOVERNOR_POLICIES,
-            help="run every point under the online governor "
-            "(part of the cache identity)",
+        _add_governor(
+            cp,
+            "run every point under the online governor (part of the cache "
+            "identity)",
         )
 
     cp = action.add_parser("run", help="execute a sweep (cache misses only)")

@@ -17,6 +17,9 @@ plain blocking sockets:
   publishes with **zero perturbation** — per-region energies and report
   artifacts are bit-identical with the publisher on or off;
 * small HTTP/SSE helpers the ``watch --url`` CLI and the tests use.
+  GETs keep one persistent connection per thread and server and ask
+  for the columnar range body; POSTs get a connection each and are
+  never resent.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.service import protocol
@@ -229,6 +235,94 @@ class ServiceCollector(TimeseriesCollector):
 
 # -- HTTP helpers ------------------------------------------------------------
 
+#: Sent with every request: the columnar range body first, anything else
+#: (JSON, text) after it.
+_ACCEPT = f"{protocol.RANGE_MEDIA_TYPE}, */*;q=0.5"
+
+#: Pooled connections per thread; the least recently opened is closed
+#: past this, so a thread that talked to many services holds few sockets.
+_POOL_SIZE = 8
+
+
+class _Connections(dict):
+    """One thread's persistent GET connections, keyed by ``(host, port)``.
+
+    Closed when the thread ends and its thread-local storage drops them.
+    """
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+_pool = threading.local()
+
+
+def _pooled(host: str, port: int, timeout_s: float) -> http.client.HTTPConnection:
+    conns = getattr(_pool, "conns", None)
+    if conns is None:
+        conns = _pool.conns = _Connections()
+    conn = conns.get((host, port))
+    if conn is None:
+        if len(conns) >= _POOL_SIZE:
+            conns.pop(next(iter(conns))).close()
+        conn = conns[(host, port)] = http.client.HTTPConnection(
+            host, port, timeout=timeout_s
+        )
+    conn.timeout = timeout_s
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout_s)
+    return conn
+
+
+def _exchange(
+    conn: http.client.HTTPConnection, method: str, path: str, body: bytes | None
+) -> tuple[int, str, bytes]:
+    headers = {"Accept": _ACCEPT}
+    if body:
+        headers["Content-Length"] = str(len(body))
+    if method != "GET":
+        headers["Connection"] = "close"
+    try:
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.getheader("Content-Type", ""), response.read()
+    except BaseException:
+        conn.close()
+        raise
+
+
+def _http(
+    host: str,
+    port: int,
+    path: str,
+    method: str = "GET",
+    body: bytes | None = None,
+    timeout_s: float = 30.0,
+) -> tuple[int, str, bytes]:
+    """``(status, content type, body)`` of one request.
+
+    A GET reuses this thread's persistent connection to ``(host, port)``
+    and, when the server has closed that connection meanwhile, is sent
+    once more on a fresh one.  Any other method gets a connection of its
+    own and is never resent: a replayed ``POST /ingest`` could be applied
+    twice.
+    """
+    if method != "GET":
+        conn = http.client.HTTPConnection(host, int(port), timeout=timeout_s)
+        try:
+            return _exchange(conn, method, path, body)
+        finally:
+            conn.close()
+    conn = _pooled(host, int(port), timeout_s)
+    reused = conn.sock is not None
+    try:
+        return _exchange(conn, method, path, body)
+    except ConnectionError:
+        if not reused:
+            raise
+    return _exchange(conn, method, path, body)
+
 
 def http_request(
     host: str,
@@ -238,27 +332,27 @@ def http_request(
     body: bytes | None = None,
     timeout_s: float = 30.0,
 ) -> tuple[int, bytes]:
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout_s)
-    try:
-        conn.request(
-            method,
-            path,
-            body=body,
-            headers={"Content-Length": str(len(body))} if body else {},
-        )
-        response = conn.getresponse()
-        return response.status, response.read()
-    finally:
-        conn.close()
+    status, _, data = _http(host, port, path, method, body, timeout_s)
+    return status, data
+
+
+def _decode_body(content_type: str, data: bytes):
+    """A response body by its content type: columnar range or JSON."""
+    if content_type == protocol.RANGE_MEDIA_TYPE:
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in protocol.decode_range(data).items()
+        }
+    return json.loads(data)
 
 
 def http_get_json(host: str, port: int, path: str, timeout_s: float = 30.0):
-    status, data = http_request(host, port, path, timeout_s=timeout_s)
+    status, content_type, data = _http(host, port, path, timeout_s=timeout_s)
     if status != 200:
         raise ConfigurationError(
             f"GET {path} -> {status}: {data.decode(errors='replace')}"
         )
-    return json.loads(data)
+    return _decode_body(content_type, data)
 
 
 def http_get_text(host: str, port: int, path: str, timeout_s: float = 30.0) -> str:

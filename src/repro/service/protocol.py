@@ -34,6 +34,19 @@ server cannot tell which one a publisher sent.  The format needs no
 negotiation: :func:`encode_frame` picks it per message, and a protocol-1
 publisher that only sends JSON keeps working.
 
+HTTP range-query responses have a columnar form of their own
+(:func:`encode_range`), served as :data:`RANGE_MEDIA_TYPE` to a client
+whose ``Accept`` names it (all integers little-endian)::
+
+    u8   magic 0xC2
+    f8   t0, f8 t1
+    u64  point count n
+    u32  column count
+    u32  tenant length, then that many UTF-8 bytes of the tenant
+    per column: u32 name length + UTF-8 name, u32 dtype length + ASCII
+                NumPy dtype string ("<f8" or "|u1")
+    per column, in header order: n values of its dtype
+
 Message kinds, client -> server:
 
 * ``hello`` — opens a session: tenant name, a source label, the protocol
@@ -88,6 +101,12 @@ BACKPRESSURE_MODES = ("wait", "shed")
 #: First payload byte of a columnar batch frame (never valid UTF-8).
 BATCH_MAGIC = 0xC1
 
+#: First byte of a columnar range-query body.
+RANGE_MAGIC = 0xC2
+
+#: Media type of the columnar range-query body.
+RANGE_MEDIA_TYPE = "application/vnd.repro.range"
+
 _LEN = struct.Struct(">I")
 _BATCH_HEAD = struct.Struct("<BqI")  # magic, node, channel count
 _NAME_LEN = struct.Struct("<I")
@@ -98,6 +117,9 @@ _INT64 = np.iinfo(np.int64)
 _FLOAT_COLUMNS = ("t", "watts", "joules")
 _FLOATS = frozenset(_FLOAT_COLUMNS)
 _FLOAT_ROW_BYTES = len(_FLOAT_COLUMNS) * _F8.itemsize
+_RANGE_HEAD = struct.Struct("<BddQI")  # magic, t0, t1, n, column count
+#: Column dtypes a range body may carry, by their wire string.
+_RANGE_DTYPES = {_F8.str: _F8, _U1.str: _U1}
 
 
 class ProtocolError(ConfigurationError):
@@ -172,7 +194,7 @@ def _columnar_payload(message: dict) -> bytes | None:
         if not isinstance(payload, dict) or payload.keys() - {"quality"} != _FLOATS:
             return None
         try:
-            raw_name = name.encode()
+            name_field = _text_field(name)
             columns = [np.asarray(payload[key], dtype=_F8) for key in _FLOAT_COLUMNS]
             if "quality" in payload:
                 columns.append(_quality_codes(payload["quality"]))
@@ -182,8 +204,7 @@ def _columnar_payload(message: dict) -> bytes | None:
         if len(shape) != 1 or any(col.shape != shape for col in columns):
             return None
         parts += [
-            _NAME_LEN.pack(len(raw_name)),
-            raw_name,
+            name_field,
             _CHANNEL_HEAD.pack(shape[0], "quality" in payload),
             *(col.tobytes() for col in columns),
         ]
@@ -194,9 +215,27 @@ def _check_room(payload: bytes, offset: int, nbytes: int, what: str) -> None:
     """Raise unless ``payload`` holds ``nbytes`` more bytes at ``offset``."""
     if offset + nbytes > len(payload):
         raise ProtocolError(
-            f"columnar batch truncated: {what} needs {nbytes} bytes at "
+            f"columnar payload truncated: {what} needs {nbytes} bytes at "
             f"offset {offset}, payload has {len(payload)}"
         )
+
+
+def _read_text(payload: bytes, offset: int, what: str) -> tuple[str, int]:
+    """The length-prefixed UTF-8 string at ``offset`` and the offset after it."""
+    _check_room(payload, offset, _NAME_LEN.size, f"{what} length")
+    (length,) = _NAME_LEN.unpack_from(payload, offset)
+    offset += _NAME_LEN.size
+    _check_room(payload, offset, length, what)
+    try:
+        text = payload[offset : offset + length].decode()
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} is not UTF-8: {exc}") from None
+    return text, offset + length
+
+
+def _text_field(text: str) -> bytes:
+    raw = text.encode()
+    return _NAME_LEN.pack(len(raw)) + raw
 
 
 def _decode_columnar(payload: bytes) -> dict:
@@ -206,16 +245,10 @@ def _decode_columnar(payload: bytes) -> dict:
     offset = _BATCH_HEAD.size
     pairs = []
     for _ in range(num_channels):
-        _check_room(payload, offset, _NAME_LEN.size, "channel name length")
-        (name_len,) = _NAME_LEN.unpack_from(payload, offset)
-        offset += _NAME_LEN.size
-        _check_room(payload, offset, name_len + _CHANNEL_HEAD.size, "channel name")
-        try:
-            name = payload[offset : offset + name_len].decode()
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"channel name is not UTF-8: {exc}") from None
-        n, has_quality = _CHANNEL_HEAD.unpack_from(payload, offset + name_len)
-        offset += name_len + _CHANNEL_HEAD.size
+        name, offset = _read_text(payload, offset, "channel name")
+        _check_room(payload, offset, _CHANNEL_HEAD.size, "channel header")
+        n, has_quality = _CHANNEL_HEAD.unpack_from(payload, offset)
+        offset += _CHANNEL_HEAD.size
         if has_quality > 1:
             raise ProtocolError(f"bad has-quality flag {has_quality}")
         row_bytes = _FLOAT_ROW_BYTES + has_quality
@@ -233,6 +266,67 @@ def _decode_columnar(payload: bytes) -> dict:
             f"columnar batch has {len(payload) - offset} trailing bytes"
         )
     return {"kind": "batch", "node": node, "channels": _object(pairs)}
+
+
+def encode_range(
+    tenant: str, t0: float, t1: float, columns: dict[str, np.ndarray]
+) -> bytes:
+    """The columnar body of one range-query answer.
+
+    ``columns`` maps each column name to a one-dimensional array of one
+    common length; each travels in its little-endian dtype, which must be
+    one of ``<f8`` or ``|u1``.
+    """
+    arrays = [np.asarray(col) for col in columns.values()]
+    n = len(arrays[0]) if arrays else 0
+    head = [
+        _RANGE_HEAD.pack(RANGE_MAGIC, t0, t1, n, len(arrays)),
+        _text_field(tenant),
+    ]
+    data = []
+    for name, arr in zip(columns, arrays):
+        wire = arr.dtype.newbyteorder("<")
+        if wire.str not in _RANGE_DTYPES or arr.shape != (n,):
+            raise ProtocolError(
+                f"range column {name!r} of dtype {arr.dtype.str} and shape "
+                f"{arr.shape} does not travel columnar"
+            )
+        head += [_text_field(name), _text_field(wire.str)]
+        data.append(arr.astype(wire, copy=False).tobytes())
+    return b"".join(head + data)
+
+
+def decode_range(payload: bytes) -> dict:
+    """The range-query answer of one columnar body.
+
+    Returns ``{"tenant", "t0", "t1", "n", <column>: array, ...}`` with
+    zero-copy read-only columns.  Every offset is checked before it is
+    read, so a truncated body, a lying count or an unknown dtype raises
+    :class:`ProtocolError` and nothing else.
+    """
+    _check_room(payload, 0, _RANGE_HEAD.size, "range header")
+    magic, t0, t1, n, num_columns = _RANGE_HEAD.unpack_from(payload)
+    if magic != RANGE_MAGIC:
+        raise ProtocolError(f"range body starts with 0x{magic:02X}, not 0xC2")
+    tenant, offset = _read_text(payload, _RANGE_HEAD.size, "tenant")
+    out = {"tenant": tenant, "t0": t0, "t1": t1, "n": n}
+    layout = []
+    for _ in range(num_columns):
+        name, offset = _read_text(payload, offset, "column name")
+        code, offset = _read_text(payload, offset, "column dtype")
+        if code not in _RANGE_DTYPES:
+            raise ProtocolError(f"range column {name!r} has unknown dtype {code!r}")
+        if name in out:
+            raise ProtocolError(f"range body repeats key {name!r}")
+        out[name] = None
+        layout.append((name, _RANGE_DTYPES[code]))
+    for name, dtype in layout:
+        _check_room(payload, offset, n * dtype.itemsize, f"column {name!r}")
+        out[name] = np.frombuffer(payload, dtype, n, offset)
+        offset += n * dtype.itemsize
+    if offset != len(payload):
+        raise ProtocolError(f"range body has {len(payload) - offset} trailing bytes")
+    return out
 
 
 class FrameDecoder:

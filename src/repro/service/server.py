@@ -14,7 +14,10 @@ TenantRegistry` and exposes it on two loopback-friendly listeners:
   (served off the store's energy-preserving cumulative-joules knots),
   the multi-tenant Prometheus scrape, tenant accounting snapshots, JSON
   ingest for low-rate publishers, and an SSE live-watch stream the
-  ``watch --url`` CLI attaches to.
+  ``watch --url`` CLI attaches to.  Connections persist (HTTP/1.1
+  keep-alive), and a range query answers in the columnar body of
+  :func:`~repro.service.protocol.encode_range` when the request's
+  ``Accept`` names it, in JSON otherwise.
 
 A single drainer task applies queued batches to the tiered stores in
 bounded chunks, yielding between chunks so query latency stays flat
@@ -60,6 +63,18 @@ MAX_HTTP_BYTES = 32 * 1024 * 1024
 #: Pending live-watch frames per SSE subscriber before frames are dropped
 #: (with accounting — a slow watcher terminal must not stall ingest).
 WATCH_QUEUE_FRAMES = 64
+
+
+#: ``(status, body, content type)`` of one HTTP response.
+_Response = tuple[int, str | bytes, str]
+
+
+def _header_tokens(headers: dict[str, str], name: str) -> set[str]:
+    """The comma-separated values of one header, parameters stripped."""
+    return {
+        item.split(";", 1)[0].strip().lower()
+        for item in headers.get(name, "").split(",")
+    }
 
 
 class _Watcher:
@@ -109,7 +124,8 @@ class TelemetryService:
         self._work: asyncio.Event | None = None
         self._drained: asyncio.Condition | None = None
         self._watchers: dict[str, list[_Watcher]] = {}
-        self._sse_tasks: set[asyncio.Task] = set()
+        #: Handler tasks of open connections on either listener.
+        self._conn_tasks: set[asyncio.Task] = set()
         #: Frames/requests processed (the serve CLI's idle detector).
         self.activity = 0
         #: Per-tenant live-watch frame ledger (sent/dropped), by name.
@@ -137,25 +153,49 @@ class TelemetryService:
         self._work = asyncio.Event()
         self._drained = asyncio.Condition()
         self._stream_server = await asyncio.start_server(
-            self._handle_stream, self.host, self._want_port
+            self._tracked(self._handle_stream), self.host, self._want_port
         )
         self._http_server = await asyncio.start_server(
-            self._handle_http, self.host, self._want_http_port
+            self._tracked(self._handle_http), self.host, self._want_http_port
         )
         self._drainer = asyncio.create_task(self._drain_loop())
 
+    def _tracked(self, handler):
+        """``handler`` registered in :attr:`_conn_tasks` while it runs."""
+
+        async def run(reader, writer) -> None:
+            task = asyncio.current_task()
+            self._conn_tasks.add(task)
+            try:
+                await handler(reader, writer)
+            except asyncio.CancelledError:
+                # Only stop() cancels a connection, and the handler has
+                # closed it.  Ending quietly keeps Python 3.11's stream
+                # callback from logging the cancelled task as an error.
+                pass
+            finally:
+                self._conn_tasks.discard(task)
+
+        return run
+
     async def stop(self) -> None:
-        for server in (self._stream_server, self._http_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        # SSE handlers park on their frame queue; cancel them explicitly so
-        # nothing survives the loop.
-        for task in list(self._sse_tasks):
-            task.cancel()
-        if self._sse_tasks:
-            await asyncio.gather(*self._sse_tasks, return_exceptions=True)
-        self._sse_tasks.clear()
+        servers = [
+            s for s in (self._stream_server, self._http_server) if s is not None
+        ]
+        for server in servers:
+            server.close()
+        # Idle keep-alive clients, SSE watchers and open stream sessions
+        # park their handlers on a socket read; cancel them, or
+        # ``wait_closed`` (which waits for every connection on Python
+        # >= 3.12) never returns.
+        while self._conn_tasks:
+            tasks = list(self._conn_tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            self._conn_tasks.difference_update(tasks)
+        for server in servers:
+            await server.wait_closed()
         if self._drainer is not None:
             self._drainer.cancel()
             try:
@@ -389,33 +429,10 @@ class TelemetryService:
     async def _handle_http(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve requests on one connection until either side ends it."""
         try:
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-                return
-            request_line, _, header_block = head.partition(b"\r\n")
-            try:
-                method, target, _version = (
-                    request_line.decode("latin-1").split(" ", 2)
-                )
-            except ValueError:
-                await self._respond(writer, 400, "malformed request line")
-                return
-            headers = {}
-            for line in header_block.decode("latin-1").split("\r\n"):
-                key, sep, value = line.partition(":")
-                if sep:
-                    headers[key.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length", "0") or 0)
-            if length > MAX_HTTP_BYTES:
-                await self._respond(writer, 413, "body too large")
-                return
-            if length:
-                body = await reader.readexactly(length)
-            self.activity += 1
-            await self._route(writer, method, target, body)
+            while await self._serve_http(reader, writer):
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -425,47 +442,100 @@ class TelemetryService:
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
 
+    async def _serve_http(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Answer one request; whether the connection stays open after it.
+
+        HTTP/1.1 connections persist unless the request says
+        ``Connection: close``.  A 400 or 413 ends the connection, since
+        the framing of whatever follows can no longer be trusted, and so
+        does the ``/watch`` stream.
+        """
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            return False
+        request_line, _, header_block = head.partition(b"\r\n")
+        try:
+            method, target, version = request_line.decode("latin-1").split(" ", 2)
+        except ValueError:
+            await self._respond(writer, 400, "malformed request line")
+            return False
+        headers = {}
+        for line in header_block.decode("latin-1").split("\r\n"):
+            key, sep, value = line.partition(":")
+            if sep:
+                headers[key.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            await self._respond(writer, 400, "bad Content-Length")
+            return False
+        if length > MAX_HTTP_BYTES:
+            await self._respond(writer, 413, "body too large")
+            return False
+        body = await reader.readexactly(length) if length else b""
+        self.activity += 1
+        try:
+            response = await self._route(writer, method, target, headers, body)
+        except ConfigurationError as exc:
+            response = 400, str(exc), "text/plain"
+        if response is None:
+            return False
+        status, data, content_type = response
+        keep_alive = (
+            status != 400
+            and version == "HTTP/1.1"
+            and "close" not in _header_tokens(headers, "connection")
+        )
+        await self._respond(writer, status, data, content_type, keep_alive)
+        return keep_alive
+
     async def _route(
-        self, writer: asyncio.StreamWriter, method: str, target: str, body: bytes
-    ) -> None:
+        self,
+        writer: asyncio.StreamWriter,
+        method: str,
+        target: str,
+        headers: dict[str, str],
+        body: bytes,
+    ) -> _Response | None:
+        """The response to one request, or None once ``/watch`` owned the
+        connection."""
         parts = urlsplit(target)
         path = parts.path
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
-        try:
-            if method == "GET" and path == "/healthz":
-                await self._respond(writer, 200, "ok")
-            elif method == "GET" and path == "/metrics":
-                await self._drain_known(query.get("tenant"))
-                text = prometheus_text_multi(self.registry.stores())
-                await self._respond(
-                    writer, 200, text, "text/plain; version=0.0.4"
-                )
-            elif method == "GET" and path == "/tenants":
-                await self._drain_known(None)
-                payload = {
+        if method == "GET" and path == "/healthz":
+            return 200, "ok", "text/plain"
+        if method == "GET" and path == "/metrics":
+            await self._drain_known(query.get("tenant"))
+            text = prometheus_text_multi(self.registry.stores())
+            return 200, text, "text/plain; version=0.0.4"
+        if method == "GET" and path == "/tenants":
+            await self._drain_known(None)
+            return self._json(
+                {
                     "tenants": self.registry.snapshot(),
-                    "watch_frames_sent": dict(
-                        sorted(self.watch_frames_sent.items())
-                    ),
+                    "watch_frames_sent": dict(sorted(self.watch_frames_sent.items())),
                     "watch_frames_dropped": dict(
                         sorted(self.watch_frames_dropped.items())
                     ),
                     "drain_errors": self.drain_errors,
                     "last_drain_error": self.last_drain_error,
                 }
-                await self._respond_json(writer, 200, payload)
-            elif method == "GET" and path == "/query/range":
-                await self._query_range(writer, query)
-            elif method == "GET" and path == "/query/energy":
-                await self._query_energy(writer, query)
-            elif method == "POST" and path == "/ingest":
-                await self._http_ingest(writer, query, body)
-            elif method == "GET" and path == "/watch":
-                await self._watch_sse(writer, query)
-            else:
-                await self._respond(writer, 404, f"no route {method} {path}")
-        except ConfigurationError as exc:
-            await self._respond(writer, 400, str(exc))
+            )
+        if method == "GET" and path == "/query/range":
+            return self._query_range(query, headers)
+        if method == "GET" and path == "/query/energy":
+            return self._query_energy(query)
+        if method == "POST" and path == "/ingest":
+            return await self._http_ingest(query, body)
+        if method == "GET" and path == "/watch":
+            await self._watch_sse(writer, query)
+            return None
+        return 404, f"no route {method} {path}", "text/plain"
 
     async def _drain_known(self, tenant_name: str | None) -> None:
         if tenant_name is not None:
@@ -505,14 +575,17 @@ class TelemetryService:
 
     @classmethod
     def _bounds(cls, query: dict, series) -> tuple[float, float]:
-        pts = series.points()
-        t_lo = float(pts["t"][0]) if len(pts["t"]) else 0.0
-        t_hi = float(pts["t"][-1]) if len(pts["t"]) else 0.0
-        t0 = cls._query_number(query, "t0", t_lo, float)
-        t1 = cls._query_number(query, "t1", t_hi, float)
+        """The query's ``t0``/``t1``; a missing one defaults to the series'
+        first or last point."""
+        t0 = cls._query_number(query, "t0", None, float)
+        t1 = cls._query_number(query, "t1", None, float)
+        if t0 is None or t1 is None:
+            first, last = series.time_span()
+            t0 = first if t0 is None else t0
+            t1 = last if t1 is None else t1
         return t0, t1
 
-    async def _query_range(self, writer: asyncio.StreamWriter, query: dict) -> None:
+    def _query_range(self, query: dict, headers: dict[str, str]) -> _Response:
         # Range/energy queries serve the *applied* state: a batch is only
         # guaranteed visible once its session synced (which drains fully),
         # so skipping the inline drain keeps query latency flat under
@@ -520,45 +593,39 @@ class TelemetryService:
         tenant, series = self._series(query)
         t0, t1 = self._bounds(query, series)
         pts = series.range_query(t0, t1)
-        await self._respond_json(
-            writer,
-            200,
+        columns = {name: pts[name] for name in ("t", "watts", "joules", "tier")}
+        if protocol.RANGE_MEDIA_TYPE in _header_tokens(headers, "accept"):
+            body = protocol.encode_range(tenant.name, t0, t1, columns)
+            return 200, body, protocol.RANGE_MEDIA_TYPE
+        return self._json(
             {
                 "tenant": tenant.name,
                 "t0": t0,
                 "t1": t1,
-                "n": int(len(pts["t"])),
-                "t": [float(v) for v in pts["t"]],
-                "watts": [float(v) for v in pts["watts"]],
-                "joules": [float(v) for v in pts["joules"]],
-                "tier": [int(v) for v in pts["tier"]],
-            },
+                "n": len(pts["t"]),
+                **{name: col.tolist() for name, col in columns.items()},
+            }
         )
 
-    async def _query_energy(self, writer: asyncio.StreamWriter, query: dict) -> None:
+    def _query_energy(self, query: dict) -> _Response:
         tenant, series = self._series(query)
         t0, t1 = self._bounds(query, series)
-        await self._respond_json(
-            writer,
-            200,
+        return self._json(
             {
                 "tenant": tenant.name,
                 "t0": t0,
                 "t1": t1,
                 "joules": series.energy_between(t0, t1),
-            },
+            }
         )
 
-    async def _http_ingest(
-        self, writer: asyncio.StreamWriter, query: dict, body: bytes
-    ) -> None:
+    async def _http_ingest(self, query: dict, body: bytes) -> _Response:
         tenant = self.registry.get_or_create(query.get("tenant", "") or "default")
         try:
             doc = protocol.loads(body)
         except ValueError as exc:
             tenant.reject(f"body not JSON: {exc}")
-            await self._respond(writer, 400, "body is not JSON")
-            return
+            return 400, "body is not JSON", "text/plain"
         if isinstance(doc, protocol.RepeatedKeys) and "batches" in doc:
             # Only the last repeat would be read: refuse the whole body,
             # booking the samples of every repeat.
@@ -570,8 +637,7 @@ class TelemetryService:
             ]
             samples = sum(protocol.batch_num_samples(batch) for batch in listed)
             tenant.reject("body repeats 'batches'", samples)
-            await self._respond(writer, 400, "body repeats 'batches'")
-            return
+            return 400, "body repeats 'batches'", "text/plain"
         batches = doc.get("batches", [doc]) if isinstance(doc, dict) else doc
         if not isinstance(batches, list):
             batches = [batches]
@@ -590,15 +656,13 @@ class TelemetryService:
                 shed += 1
         self._kick()
         await self._drain_tenant(tenant)
-        await self._respond_json(
-            writer,
-            200,
+        return self._json(
             {
                 "accepted": accepted,
                 "shed": shed,
                 "rejected": rejected,
                 **tenant.snapshot(),
-            },
+            }
         )
 
     async def _watch_sse(self, writer: asyncio.StreamWriter, query: dict) -> None:
@@ -612,9 +676,6 @@ class TelemetryService:
             width=self._query_number(query, "width", 48, int),
         )
         self._watchers.setdefault(name, []).append(watcher)
-        task = asyncio.current_task()
-        if task is not None:
-            self._sse_tasks.add(task)
         try:
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -636,39 +697,31 @@ class TelemetryService:
             pass
         finally:
             self._watchers[name].remove(watcher)
-            if task is not None:
-                self._sse_tasks.discard(task)
+
+    @staticmethod
+    def _json(payload: dict | list) -> _Response:
+        return 200, json.dumps(payload, sort_keys=True), "application/json"
 
     @staticmethod
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
-        body: str,
+        body: str | bytes,
         content_type: str = "text/plain",
+        keep_alive: bool = False,
     ) -> None:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Too Large"}
-        data = body.encode()
+        data = body.encode() if isinstance(body, str) else body
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason.get(status, 'Status')}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(data)}\r\n"
-                f"Connection: close\r\n\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
             ).encode()
             + data
         )
         await writer.drain()
-
-    @classmethod
-    async def _respond_json(
-        cls, writer: asyncio.StreamWriter, status: int, payload: dict | list
-    ) -> None:
-        await cls._respond(
-            writer,
-            status,
-            json.dumps(payload, sort_keys=True),
-            "application/json",
-        )
 
 
 class ServiceThread:

@@ -440,6 +440,22 @@ class ChannelSeries:
             "tier": tier,
         }
 
+    def time_span(self) -> tuple[float, float]:
+        """First and last ``t`` of :meth:`points` without building it
+        (``(0.0, 0.0)`` for an empty series)."""
+        parts = [
+            p
+            for p in (
+                self._lttb.view("t"),
+                self._buckets.view("t0"),
+                self._raw.view("t"),
+            )
+            if len(p)
+        ]
+        if not parts:
+            return 0.0, 0.0
+        return float(parts[0][0]), float(parts[-1][-1])
+
     def _knot_view(self) -> tuple[np.ndarray, np.ndarray]:
         """Time-ordered ``(t, cumulative joules)`` knots across all tiers."""
         if self._knots is None:

@@ -6,9 +6,11 @@ sockets through :class:`ServiceThread`, exactly as the CLI and the load
 harness use it.
 """
 
+import http.client
 import json
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +36,10 @@ from repro.service import (
     parse_endpoint,
     run_load,
 )
+from repro.service import client as client_module
 from repro.service import protocol
 from repro.service.client import http_request
+from repro.service.server import TelemetryService
 from repro.service.protocol import ProtocolError
 from repro.timeseries import TimeseriesCollector
 
@@ -1010,3 +1014,318 @@ class TestLoadHarness:
         second = run_load(self.SPEC).deterministic_text()
         assert first == second
         assert "accounting identity: True" in first
+
+
+# -- HTTP read path: JSON pins, columnar range body, keep-alive --------------
+
+#: Small tiers, so the fixed feed below fills lttb, buckets and raw.
+_PIN_CONFIG = TenantConfig(
+    raw_capacity=16, bucket_size=4, bucket_capacity=4, lttb_capacity=8
+)
+
+
+def _pin_feed(svc) -> None:
+    """40 samples of node 3 channel ``gpu``, one watts value NaN."""
+    t = [0.25 * k for k in range(40)]
+    watts = [100.0 + (k % 7) * 0.3 for k in range(40)]
+    joules, acc = [], 0.0
+    for w in watts:
+        joules.append(acc)
+        acc += w * 0.25
+    watts[37] = float("nan")
+    quality = [k % 3 for k in range(40)]
+    with ServiceClient(svc.host, svc.port, "pin") as client:
+        client.publish(
+            3, {"gpu": {"t": t, "watts": watts, "joules": joules, "quality": quality}}
+        )
+        client.sync()
+
+
+def _plain_get(svc, path: str) -> tuple[str, bytes]:
+    """Content type and body of a GET that sends no ``Accept`` header."""
+    conn = http.client.HTTPConnection(svc.host, svc.http_port, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.getheader("Content-Type"), response.read()
+    finally:
+        conn.close()
+
+
+_PIN = "/query/{}?tenant=pin&node=3&channel=gpu"
+
+#: JSON bodies of the fixed feed, as the service wrote them before the
+#: columnar range body and keep-alive existed.
+_PINNED_JSON = {
+    _PIN.format("range"): (
+        b'{"joules": [0.0, 100.44999999999999, 201.575, 302.325, '
+        b"403.22499999999997, 504.275, 604.95, 630.1750000000001, 655.475, "
+        b"680.85, 706.3000000000001, 731.3000000000001, 756.3750000000001, "
+        b"781.5250000000001, 806.7500000000001, 832.0500000000001, "
+        b"857.4250000000001, 882.8750000000001, 907.8750000000001, "
+        b'932.9500000000002, 958.1000000000001, 983.3250000000002], "n": 22, '
+        b'"t": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.25, 6.5, 6.75, 7.0, 7.25, '
+        b'7.5, 7.75, 8.0, 8.25, 8.5, 8.75, 9.0, 9.25, 9.5, 9.75], "t0": 0.0, '
+        b'"t1": 9.75, "tenant": "pin", "tier": [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, '
+        b'2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], "watts": [100.3, 101.5, '
+        b"100.59999999999998, 101.09999999999998, 100.90000000000002, "
+        b"100.70000000000012, 100.9, 101.2, 101.5, 101.8, 100.0, 100.3, 100.6, "
+        b"100.9, 101.2, 101.5, 101.8, 100.0, 100.3, NaN, 100.9, 101.2]}"
+    ),
+    _PIN.format("range") + "&t0=2.1&t1=8.6": (
+        b'{"joules": [302.325, 403.22499999999997, 504.275, 604.95, '
+        b"630.1750000000001, 655.475, 680.85, 706.3000000000001, "
+        b"731.3000000000001, 756.3750000000001, 781.5250000000001, "
+        b"806.7500000000001, 832.0500000000001, 857.4250000000001], "
+        b'"n": 14, "t": [3.0, 4.0, 5.0, 6.0, 6.25, 6.5, 6.75, 7.0, 7.25, 7.5, '
+        b'7.75, 8.0, 8.25, 8.5], "t0": 2.1, "t1": 8.6, "tenant": "pin", '
+        b'"tier": [1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], "watts": '
+        b"[101.09999999999998, 100.90000000000002, 100.70000000000012, 100.9, "
+        b"101.2, 101.5, 101.8, 100.0, 100.3, 100.6, 100.9, 101.2, 101.5, "
+        b"101.8]}"
+    ),
+    _PIN.format("range") + "&t0=20&t1=30": (
+        b'{"joules": [], "n": 0, "t": [], "t0": 20.0, "t1": 30.0, '
+        b'"tenant": "pin", "tier": [], "watts": []}'
+    ),
+    _PIN.format("energy"): (
+        b'{"joules": 983.3250000000002, "t0": 0.0, "t1": 9.75, "tenant": "pin"}'
+    ),
+    _PIN.format("energy") + "&t0=1.3": (
+        b'{"joules": 852.5375000000001, "t0": 1.3, "t1": 9.75, "tenant": "pin"}'
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with ServiceThread(tenant_config=_PIN_CONFIG) as handle:
+        _pin_feed(handle)
+        yield handle
+
+
+def _float_bits(column) -> bytes:
+    return np.asarray(column, dtype=np.float64).tobytes()
+
+
+class TestRangeBody:
+    @pytest.mark.parametrize("path", sorted(_PINNED_JSON))
+    def test_json_body_is_pinned(self, pinned, path):
+        content_type, body = _plain_get(pinned, path)
+        assert content_type == "application/json"
+        assert body == _PINNED_JSON[path]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in sorted(_PINNED_JSON) if "/range" in p]
+    )
+    def test_columnar_body_decodes_to_the_json_body(self, pinned, path):
+        _, json_body = _plain_get(pinned, path)
+        want = json.loads(json_body)
+        status, content_type, data = client_module._http(
+            pinned.host, pinned.http_port, path
+        )
+        assert (status, content_type) == (200, protocol.RANGE_MEDIA_TYPE)
+        got = http_get_json(pinned.host, pinned.http_port, path)
+        assert got.keys() == want.keys()
+        for key in ("tenant", "n", "tier"):
+            assert got[key] == want[key]
+        for key in ("t0", "t1", "t", "watts", "joules"):
+            assert _float_bits(got[key]) == _float_bits(want[key])
+        assert all(type(v) is float for v in got["watts"])
+        assert all(type(v) is int for v in got["tier"])
+        raw = protocol.decode_range(data)
+        assert raw["watts"].dtype == np.float64 and raw["tier"].dtype == np.uint8
+
+    def test_empty_range_round_trips(self):
+        body = protocol.encode_range(
+            "x", 2.0, 1.5, {"t": np.empty(0), "tier": np.empty(0, np.uint8)}
+        )
+        out = protocol.decode_range(body)
+        assert (out["tenant"], out["t0"], out["t1"], out["n"]) == ("x", 2.0, 1.5, 0)
+        assert len(out["t"]) == len(out["tier"]) == 0
+
+    @staticmethod
+    def _body(n=5):
+        return protocol.encode_range(
+            "tenant-a",
+            0.0,
+            1.0,
+            {
+                "t": np.linspace(0.0, 1.0, n),
+                "watts": np.full(n, np.nan),
+                "tier": np.arange(n, dtype=np.uint8),
+            },
+        )
+
+    def test_every_truncation_raises_protocol_error(self):
+        body = self._body()
+        for cut in range(len(body)):
+            with pytest.raises(ProtocolError):
+                protocol.decode_range(body[:cut])
+        with pytest.raises(ProtocolError, match="trailing"):
+            protocol.decode_range(body + b"\x00")
+
+    @pytest.mark.parametrize("lie", [0, 4, 6, 2**40, 2**64 - 1])
+    def test_lying_point_count_raises_protocol_error(self, lie):
+        body = bytearray(self._body())
+        body[17:25] = struct.pack("<Q", lie)  # after magic, t0, t1
+        with pytest.raises(ProtocolError):
+            protocol.decode_range(bytes(body))
+
+    def test_unknown_dtype_and_magic_raise_protocol_error(self):
+        body = self._body()
+        with pytest.raises(ProtocolError, match="unknown dtype"):
+            protocol.decode_range(body.replace(b"<f8", b"<f4", 1))
+        with pytest.raises(ProtocolError, match="0xC2"):
+            protocol.decode_range(b"\xc1" + body[1:])
+        with pytest.raises(ProtocolError, match="does not travel"):
+            protocol.encode_range("x", 0.0, 1.0, {"t": np.zeros(2, np.float32)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_garbled_body_raises_only_protocol_error(self, data):
+        body = bytearray(self._body(data.draw(st.integers(0, 6))))
+        for _ in range(data.draw(st.integers(1, 6))):
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(
+                st.integers(0, 255)
+            )
+        try:
+            out = protocol.decode_range(bytes(body))
+        except ProtocolError:
+            return
+        assert isinstance(out["n"], int)
+
+
+class _CountingService(TelemetryService):
+    """Counts the HTTP connections the service accepted; can drop a
+    ``POST /ingest`` after applying it, before answering."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.http_connections = 0
+        self.drop_ingest_reply = False
+
+    async def _handle_http(self, reader, writer) -> None:
+        self.http_connections += 1
+        await super()._handle_http(reader, writer)
+
+    async def _http_ingest(self, query, body):
+        response = await super()._http_ingest(query, body)
+        if self.drop_ingest_reply:
+            raise ConnectionResetError("reply dropped on purpose")
+        return response
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a fresh thread (an empty connection pool); its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert out, "request thread failed"
+    return out[0]
+
+
+def _exchange_raw(sock, request: bytes) -> tuple[bytes, dict]:
+    """Send one request; the response status line and headers (body read)."""
+    sock.sendall(request)
+    fh = sock.makefile("rb")
+    status = fh.readline()
+    headers = {}
+    while (line := fh.readline().strip()):
+        key, _, value = line.decode().partition(":")
+        headers[key.strip().lower()] = value.strip()
+    fh.read(int(headers.get("content-length", 0)))
+    return status, headers
+
+
+def _closed_by_server(sock) -> bool:
+    sock.settimeout(5)
+    return sock.recv(1) == b""
+
+
+class TestKeepAlive:
+    def test_gets_from_one_thread_share_one_connection(self):
+        service = _CountingService()
+        with ServiceThread(service) as svc:
+            texts = _in_thread(
+                lambda: [
+                    http_get_text(svc.host, svc.http_port, "/healthz")
+                    for _ in range(10)
+                ]
+            )
+            assert texts == ["ok"] * 10
+            assert service.http_connections == 1
+
+    def test_keep_alive_is_the_default_and_announced(self, service):
+        with socket.create_connection((service.host, service.http_port)) as sock:
+            for _ in range(3):
+                status, headers = _exchange_raw(
+                    sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                assert status.startswith(b"HTTP/1.1 200")
+                assert headers["connection"] == "keep-alive"
+
+    @pytest.mark.parametrize(
+        "request_bytes, code",
+        [
+            (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", b"200"),
+            (b"GET /healthz HTTP/1.0\r\n\r\n", b"200"),
+            (b"GET /query/range?tenant=ghost HTTP/1.1\r\n\r\n", b"400"),
+            (b"NONSENSE\r\n\r\n", b"400"),
+            (b"POST /ingest HTTP/1.1\r\nContent-Length: -3\r\n\r\n", b"400"),
+            (b"POST /ingest HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", b"413"),
+        ],
+    )
+    def test_closing_requests_end_the_connection(self, service, request_bytes, code):
+        with socket.create_connection((service.host, service.http_port)) as sock:
+            status, headers = _exchange_raw(sock, request_bytes)
+            assert status.split()[1] == code
+            assert headers["connection"] == "close"
+            assert _closed_by_server(sock)
+
+    def test_get_retried_once_when_the_server_closed_the_connection(self):
+        first = ServiceThread().start()
+        port = first.http_port
+        assert http_get_text(first.host, port, "/healthz") == "ok"
+        first.stop()  # closes the pooled connection from the server side
+        service = _CountingService(http_port=port)
+        with ServiceThread(service) as svc:
+            assert http_get_text(svc.host, port, "/healthz") == "ok"
+            assert service.http_connections == 1
+
+    def test_post_ingest_is_never_replayed(self):
+        service = _CountingService(tenant_config=TenantConfig())
+        with ServiceThread(service) as svc:
+            batch = protocol.batch_message(0, {"p": _columns(4)})
+            http_post_json(svc.host, svc.http_port, "/ingest?tenant=once", batch)
+            service.drop_ingest_reply = True
+            with pytest.raises(ConnectionError):
+                http_post_json(
+                    svc.host,
+                    svc.http_port,
+                    "/ingest?tenant=once",
+                    protocol.batch_message(0, {"p": _columns(4, t0=1.0)}),
+                )
+            service.drop_ingest_reply = False
+            http_post_json(
+                svc.host,
+                svc.http_port,
+                "/ingest?tenant=once",
+                protocol.batch_message(0, {"p": _columns(4, t0=2.0)}),
+            )
+            ledger = http_get_json(svc.host, svc.http_port, "/tenants")["tenants"]
+        (once,) = [t for t in ledger if t["tenant"] == "once"]
+        assert once["batches_offered"] == once["batches_ingested"] == 3
+        assert service.http_connections == 4  # three POSTs, one GET
+
+    def test_stop_returns_with_an_idle_keep_alive_client(self):
+        svc = ServiceThread().start()
+        with socket.create_connection((svc.host, svc.http_port)) as sock:
+            _, headers = _exchange_raw(sock, b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert headers["connection"] == "keep-alive"
+            stopper = threading.Thread(target=svc.stop)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            assert _closed_by_server(sock)

@@ -1,19 +1,11 @@
-"""Ablation: neighbor-engine scaling — CSR (NumPy) vs CSR+C.
+"""Ablation: neighbor-engine scaling of the CSR engine.
 
-Sweeps the particle count on the turbulence box and reports, per
-accelerator, the achieved steps/sec and the peak Python-side allocation
-of one full propagator step (tracemalloc), up to the 10^6-particle target
-of the hot-path round-2 work.  The recorded reference point is the
-retired half-pair engine's baseline at N = 27^3 = 19683 (0.347 steps/s,
-kept as history; that engine no longer exists); the CSR engine with the
-compiled fast path must clear 10x that number.
-
-Size caps are explicit, never silent:
-
-* ``csr`` (pure NumPy) stops at N = 125000 — correct at any size, but
-  the 10^6 rows belong to the compiled path that makes them tractable;
-* ``csr+c`` runs the full sweep including N = 10^6 (skipped cleanly when
-  no C toolchain is available).
+Sweeps the particle count on the turbulence box up to N = 125000 and
+reports the achieved steps/sec and the peak Python-side allocation of
+one full propagator step (tracemalloc).  The recorded reference point is
+the retired half-pair engine's baseline at N = 27^3 = 19683 (0.347
+steps/s, kept as history; that engine no longer exists); the CSR engine
+must hold at least half that number.
 """
 
 import time
@@ -22,7 +14,6 @@ import tracemalloc
 import numpy as np
 from conftest import write_result
 
-from repro.sph import csolver
 from repro.sph.driving import TurbulenceDriver
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.initial_conditions import make_turbulence
@@ -33,10 +24,7 @@ BASELINE_PR1_STEPS_PER_SEC = 0.347
 BASELINE_N_SIDE = 27
 
 #: Full-sweep sizes (cubes, so the lattice stays uniform).
-N_SIDES = (12, 27, 50, 100)
-
-#: Documented NumPy-path size cap (see module docstring).
-CSR_NUMPY_MAX_N = 50**3
+N_SIDES = (12, 27, 50)
 
 #: Allocation ceiling for one smoke-sized CSR step (tracemalloc peak).
 #: The measured peak is ~81 MiB — the kernel slot table's per-entry
@@ -45,11 +33,10 @@ CSR_NUMPY_MAX_N = 50**3
 #: this budget means a new unbounded temporary slipped into the hot path.
 SMOKE_ALLOC_BUDGET_BYTES = 160 * 2**20
 
-#: Verlet skin for this sweep, re-tuned for the round-2 engine: the
-#: compiled filter makes per-step queries cheap relative to rebuilds,
-#: moving the throughput optimum from the default 0.3 to
-#: 0.45 (measured on the 27^3 box).  Pair sets and physics are skin
-#: independent — every query re-filters to the exact cutoff.
+#: Verlet skin for this sweep, tuned on the 27^3 box when a compiled
+#: filter (since retired) made per-step queries cheap relative to
+#: rebuilds.  Pair sets and physics are skin independent — every query
+#: re-filters to the exact cutoff.
 SKIN_FACTOR = 0.45
 
 
@@ -59,14 +46,14 @@ def _setup(n_side: int):
     return ps, box, TurbulenceDriver(box, seed=1)
 
 
-def _propagator(box, driver, accel: str, skin_factor=SKIN_FACTOR) -> Propagator:
-    return Propagator(box, driver=driver, accel=accel, skin_factor=skin_factor)
+def _propagator(box, driver, skin_factor=SKIN_FACTOR) -> Propagator:
+    return Propagator(box, driver=driver, skin_factor=skin_factor)
 
 
-def _throughput(n_side: int, accel: str, *, warmup: int, steps: int):
+def _throughput(n_side: int, *, warmup: int, steps: int):
     """steps/s over ``steps`` timed steps after ``warmup`` untimed ones."""
     ps, box, driver = _setup(n_side)
-    prop = _propagator(box, driver, accel)
+    prop = _propagator(box, driver)
     hooks = ProfilingHooks()
     for _ in range(warmup):
         prop.step(ps, hooks)
@@ -77,27 +64,16 @@ def _throughput(n_side: int, accel: str, *, warmup: int, steps: int):
     return steps / elapsed
 
 
-def _peak_alloc(n_side: int, accel: str) -> int:
+def _peak_alloc(n_side: int) -> int:
     """tracemalloc peak of one cold propagator step (list build + physics)."""
     ps, box, driver = _setup(n_side)
-    prop = _propagator(box, driver, accel)
+    prop = _propagator(box, driver)
     hooks = ProfilingHooks()
     tracemalloc.start()
     prop.step(ps, hooks)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak
-
-
-def _engines():
-    rows = [("csr", "numpy")]
-    if csolver.load() is not None:
-        rows.append(("csr+c", "c"))
-    return rows
-
-
-def _cap(label: str, n: int) -> bool:
-    return label == "csr" and n > CSR_NUMPY_MAX_N
 
 
 def bench_neighbor_scaling(results_dir):
@@ -110,54 +86,31 @@ def bench_neighbor_scaling(results_dir):
         f"N={BASELINE_N_SIDE ** 3} (retired half-pair engine)",
         f"{'engine':>9} {'N':>8} {'steps/s':>9} {'peak MiB':>9}",
     ]
-    at_target = {}
-    for label, accel in _engines():
-        for n_side in N_SIDES:
-            n = n_side**3
-            if _cap(label, n):
-                lines.append(
-                    f"{label:>9} {n:>8} {'capped':>9} {'-':>9}  "
-                    f"(documented size cap, see module docstring)"
-                )
-                continue
-            # Fewer timed steps at the big sizes: one step is seconds to
-            # minutes there and the variance we care about is at 27^3,
-            # where the window is long enough to amortize list rebuilds.
-            steps = 15 if n <= 27**3 else (3 if n <= 50**3 else 2)
-            warmup = 2 if n <= 27**3 else 1
-            sps = _throughput(n_side, accel, warmup=warmup, steps=steps)
-            peak = _peak_alloc(n_side, accel)
-            lines.append(
-                f"{label:>9} {n:>8} {sps:>9.3f} {peak / 2**20:>9.1f}"
-            )
-            if n_side == BASELINE_N_SIDE:
-                at_target[label] = sps
-    if "csr+c" in at_target:
-        ratio = at_target["csr+c"] / BASELINE_PR1_STEPS_PER_SEC
-        lines.append(
-            f"csr+c at N={BASELINE_N_SIDE ** 3}: {ratio:.2f}x the PR-1 "
-            "baseline"
-        )
-        assert ratio >= 10.0, (
-            f"hot-path round 2 target is >= 10x PR-1 "
-            f"({BASELINE_PR1_STEPS_PER_SEC} steps/s), got {ratio:.2f}x"
-        )
-    else:
-        lines.append("csr+c: skipped (no C toolchain)")
-    # The pure-NumPy CSR engine must at least hold half the baseline.
-    assert at_target["csr"] > 0.5 * BASELINE_PR1_STEPS_PER_SEC
+    at_target = None
+    for n_side in N_SIDES:
+        n = n_side**3
+        # Fewer timed steps at the big size: one step is seconds there
+        # and the variance we care about is at 27^3, where the window is
+        # long enough to amortize list rebuilds.
+        steps = 15 if n <= 27**3 else 3
+        warmup = 2 if n <= 27**3 else 1
+        sps = _throughput(n_side, warmup=warmup, steps=steps)
+        peak = _peak_alloc(n_side)
+        lines.append(f"{'csr':>9} {n:>8} {sps:>9.3f} {peak / 2**20:>9.1f}")
+        if n_side == BASELINE_N_SIDE:
+            at_target = sps
+    # The CSR engine must at least hold half the baseline.
+    assert at_target > 0.5 * BASELINE_PR1_STEPS_PER_SEC
     write_result(results_dir, "ablation_neighbor_scaling", "\n".join(lines))
 
 
 def bench_smoke_neighbor_scaling(results_dir):
     """CI-sized variant: deterministic quantities plus the allocation gate.
 
-    Pinned to ``accel="numpy"`` so the committed output is byte-identical
-    on machines without a C toolchain; wall-clock throughput stays in the
-    full run.  The skin-cached run is checked against a fresh search every
-    step (``skin_factor=0``).  The tracemalloc assertion is the
-    allocation-regression gate: the engine's step footprint is budgeted,
-    not just its speed.
+    Wall-clock throughput stays in the full run.  The skin-cached run is
+    checked against a fresh search every step (``skin_factor=0``).  The
+    tracemalloc assertion is the allocation-regression gate: the engine's
+    step footprint is budgeted, not just its speed.
     """
     lines = ["neighbor-engine smoke: turbulence, skin cache agrees with "
              "fresh search, allocation within budget"]
@@ -165,7 +118,7 @@ def bench_smoke_neighbor_scaling(results_dir):
         finals = {}
         for skin in (SKIN_FACTOR, 0.0):
             ps, box, driver = _setup(n_side)
-            prop = _propagator(box, driver, "numpy", skin_factor=skin)
+            prop = _propagator(box, driver, skin_factor=skin)
             hooks = ProfilingHooks()
             stats = None
             for _ in range(3):
@@ -184,7 +137,7 @@ def bench_smoke_neighbor_scaling(results_dir):
             f"N={n_side ** 3}: pairs={stats_c.n_pairs} "
             f"energy={energy:.9e} cache-agrees=yes"
         )
-    peak = _peak_alloc(12, "numpy")
+    peak = _peak_alloc(12)
     assert peak < SMOKE_ALLOC_BUDGET_BYTES, (
         f"CSR step peak allocation {peak / 2**20:.0f} MiB exceeds the "
         f"{SMOKE_ALLOC_BUDGET_BYTES / 2**20:.0f} MiB budget"

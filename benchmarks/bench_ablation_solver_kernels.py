@@ -7,8 +7,8 @@ stand on), not the simulated cluster.
 
 ``bench_solver_kernels_table`` writes the committed
 ``ablation_solver_kernels.txt``: per-kernel timings of the directed
-reference kernels plus the whole-step cost of the CSR/SoA engine (NumPy
-and, when a toolchain is available, the compiled fast path) on one box.
+reference kernels plus the whole-step cost of the CSR/SoA engine on one
+box.
 """
 
 import time
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from conftest import write_result
 
-from repro.sph import csolver
 from repro.sph.gravity import BarnesHutGravity
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.initial_conditions import make_turbulence
@@ -119,25 +118,15 @@ def bench_solver_kernels_table(results_dir):
         f"{_best_of(lambda: compute_momentum_energy(ps, pairs)):>9.2f}",
     ]
 
-    accels = ["numpy"] + (["c"] if csolver.load() is not None else [])
     lines.append("csr engine, steady-state step:")
-    step_ms = {}
-    for accel in accels:
-        ps_e, box_e = make_turbulence(n_side=N_SIDE, seed=5)
-        ps_e.vel = np.random.default_rng(5).normal(
-            0.0, 0.05, size=ps_e.vel.shape
-        )
-        prop = Propagator(box_e, accel=accel)
-        hooks = ProfilingHooks()
-        for _ in range(2):  # build the list, warm the pools
-            prop.step(ps_e, hooks)
-        step_ms[accel] = _best_of(lambda: prop.step(ps_e, hooks))
-        lines.append(f"  accel={accel:<6} {step_ms[accel]:>9.2f}")
-    if "c" not in step_ms:
-        lines.append("  accel=c      skipped (no C toolchain)")
-    else:
-        # The compiled path must actually pay for its complexity.
-        assert step_ms["c"] < step_ms["numpy"]
+    ps_e, box_e = make_turbulence(n_side=N_SIDE, seed=5)
+    ps_e.vel = np.random.default_rng(5).normal(0.0, 0.05, size=ps_e.vel.shape)
+    prop = Propagator(box_e)
+    hooks = ProfilingHooks()
+    for _ in range(2):  # build the list, warm the pools
+        prop.step(ps_e, hooks)
+    step_ms = _best_of(lambda: prop.step(ps_e, hooks))
+    lines.append(f"  step            {step_ms:>9.2f}")
     write_result(results_dir, "ablation_solver_kernels", "\n".join(lines))
 
 

@@ -123,7 +123,11 @@ def bench_smoke_service(results_dir):
 
 
 def bench_service_load(results_dir):
-    """Full matrix + the acceptance point (wall-clock asserted, not committed)."""
+    """Full matrix + the acceptance point (wall-clock asserted, not committed).
+
+    Only each point's deterministic text goes to the committed table; the
+    wall-clock ``perf:`` lines are printed.
+    """
     lines = []
     for spec in TOPOLOGY_SCALE_MATRIX:
         report = run_load(spec, timer=time.perf_counter)
@@ -131,8 +135,8 @@ def bench_service_load(results_dir):
         assert report.memory_within_cap, spec.name
         assert report.shed_samples == 0, spec.name
         lines.append(report.deterministic_text())
-        lines.append(report.perf_text())
         lines.append("")
+        print(report.perf_text())
 
     report = run_load(ACCEPTANCE_SPEC, timer=time.perf_counter)
     assert report.accounting_identity_holds
@@ -148,5 +152,5 @@ def bench_service_load(results_dir):
         f"p99 range query {report.query_p99_ms:.2f} ms >= 50 ms under ingest"
     )
     lines.append(report.deterministic_text())
-    lines.append(report.perf_text())
+    print(report.perf_text())
     write_result(results_dir, "service_load", "\n".join(lines))

@@ -96,14 +96,9 @@ class DistributedHydro:
         n_target: int = 100,
         courant: float = 0.2,
         bucket_size: int = 32,
-        accel: str = "numpy",
     ) -> None:
         if n_ranks <= 0:
             raise SimulationError("need at least one rank")
-        from repro.sph import csolver
-
-        self.accel = accel
-        self._cfast = csolver.resolve(accel)
         self.box = box
         self.n_ranks = n_ranks
         self.domain = DomainDecomposition(box, n_ranks, bucket_size)
@@ -230,16 +225,12 @@ class DistributedHydro:
                     csr_neighbors(
                         lps.pos, lps.h, self.box,
                         pool=self._build_pools[rank],
-                        cfast=self._cfast,
                     ),
                     n_owned[rank],
                 )
                 locals_.append(lps)
                 rank_ctxs.append(
-                    CsrStepContext(
-                        csr, lps.h, pool=self._kernel_pools[rank],
-                        cfast=self._cfast,
-                    )
+                    CsrStepContext(csr, lps.h, pool=self._kernel_pools[rank])
                 )
                 n_owned_entries += csr.n_pairs
                 # Every directed entry of an owned row is present, so

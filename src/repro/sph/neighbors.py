@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sph import csolver
 from repro.sph.box import Box
 from repro.sph.kernels.cubic_spline import SUPPORT_RADIUS
 
@@ -352,60 +351,18 @@ def _stencil_table(
     return np.stack(ids, axis=1), np.stack(lens, axis=1)
 
 
-def _csr_filtered_fused(
-    pos: np.ndarray,
-    h_search: np.ndarray,
-    box: Box,
-    pool: BufferPool,
-    cfast,
-    *,
-    want_geometry: bool,
-    out_prefix: str,
-) -> _Filtered:
-    """Compiled fused candidate generation + exact self-excluding filter.
-
-    Walks each particle's stencil cells in C and applies the cutoff
-    test inline, producing output bitwise identical to the NumPy stream
-    (:func:`_csr_filtered` without ``cfast``).  The walk runs over the
-    stream's blocks of particles, and before each block the outputs grow
-    by that block's raw candidate count, so like the NumPy stream they
-    hold at most the kept pairs plus one block.
-    """
-    ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
-    raw = _stencil_table(ncell, occ, box.periodic)[1].sum(axis=1)[flat]
-    pos_c = np.ascontiguousarray(pos, dtype=np.float64)
-    h_c = np.ascontiguousarray(h_search, dtype=np.float64)
-    order32 = order.astype(np.int32)
-    out = _CutoffFilter(
-        pos, h_search, box, pool, exclude_self=True,
-        out_prefix=out_prefix, want_geometry=want_geometry,
-    )
-    for p0, p1, block in _blocks(np.cumsum(raw)):
-        out._extend(block)
-        lo = out.size
-        out.size += csolver.cell_filter(
-            cfast, p0, p1, pos_c, h_c, box.length, box.periodic,
-            SUPPORT_RADIUS, ncell, flat, order32, cellstart, occ, out.counts,
-            out.row[lo:], out.cand[lo:],
-            out.dx[lo:] if want_geometry else None,
-            out.r[lo:] if want_geometry else None, True,
-        )
-    return out.result()
-
-
-def _blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int]]:
+def _blocks(ends: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive particle blocks of the candidate stream.
 
     ``ends`` is the cumulative raw candidate count per particle.  Yields
-    ``(p0, p1, raw)``: blocks of whole particles with at most
-    :data:`_CHUNK` raw candidates each (a particle with more is a block
-    of its own), and the block's raw count.
+    ``(p0, p1)``: blocks of whole particles with at most :data:`_CHUNK`
+    raw candidates each (a particle with more is a block of its own).
     """
     p0 = 0
     while p0 < len(ends):
         base = int(ends[p0 - 1]) if p0 else 0
         p1 = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), p0 + 1)
-        yield p0, p1, int(ends[p1 - 1]) - base
+        yield p0, p1
         p0 = p1
 
 
@@ -417,17 +374,15 @@ def _csr_candidates(
     Yields ``(row, cand)`` int32 arrays for consecutive blocks of
     particles: for each particle, in particle order, the occupants of its
     stencil cells (itself included), cell by cell in stencil order and
-    cell-sorted within a cell.  Concatenated, the blocks are the flat
-    candidate list in the order the compiled fused walk emits.  A block
-    holds whole particles and at most :data:`_CHUNK` candidates (a
-    particle with more is a block of its own), so the O(27 nnz) raw list
-    is never materialized.
+    cell-sorted within a cell.  A block holds whole particles and at most
+    :data:`_CHUNK` candidates (a particle with more is a block of its
+    own), so the O(27 nnz) raw list is never materialized.
     """
     ncell, flat, order, occ, cellstart = _cell_bins(pos, h_search, box)
     nb_ids, nb_occ = _stencil_table(ncell, occ, box.periodic)
     counts = nb_occ.sum(axis=1)[flat]
     order32 = order.astype(np.int32)
-    for p0, p1, _ in _blocks(np.cumsum(counts)):
+    for p0, p1 in _blocks(np.cumsum(counts)):
         cells = flat[p0:p1]
         lens = nb_occ[cells].ravel()
         # Candidate t of stencil group g reads sorted slot
@@ -447,8 +402,7 @@ class _CutoffFilter:
     ``want_geometry``, their minimum-image ``dx`` and ``r`` — to pooled
     ``out_prefix`` buffers grown to what is kept (:meth:`BufferPool.grow`),
     so scratch is O(kept + chunk), never O(candidates fed).  Counts are
-    per-segment surviving-entry counts.  The compiled fused walk appends
-    to the same outputs (:func:`_csr_filtered_fused`).
+    per-segment surviving-entry counts.
     """
 
     def __init__(
@@ -566,56 +520,25 @@ def _filter_candidates(
     out_prefix: str,
     want_geometry: bool,
     count_idx: np.ndarray | None = None,
-    cfast=None,
-    label: np.ndarray | None = None,
 ) -> _Filtered:
     """Keep the rows of flat candidate arrays within the exact union cutoff.
 
-    The NumPy path is one :class:`_CutoffFilter` feed: survivors land in
-    pooled ``out_prefix`` buffers sized to what is kept, and every
-    temporary is O(:data:`_CHUNK`).
+    One :class:`_CutoffFilter` feed: survivors land in pooled
+    ``out_prefix`` buffers sized to what is kept, and every temporary is
+    O(:data:`_CHUNK`).
 
     Returns ``(counts, out_row, out_cand, out_dx, out_r)`` where
     ``counts`` is the per-segment surviving-entry count, binned over
     ``count_idx`` when given (a Verlet cache counts by *build* label
     while gathering geometry by current label) and over ``row``
     otherwise.
-
-    ``cfast`` is an optional :mod:`repro.sph.csolver` library handle; the
-    compiled filter performs the identical IEEE operations in the
-    identical order, so its output is bitwise equal to the NumPy path
-    (its outputs are sized to ``len(cand)``, an upper bound on what is
-    kept).  ``label`` (compiled path only) translates build-time labels
-    in ``row``/``cand`` to current particle indices on the fly, so the
-    caller need not materialize the translated arrays.
     """
-    if label is not None and cfast is None:
-        raise SimulationError("label translation requires the compiled filter")
-    if cfast is None:
-        filt = _CutoffFilter(
-            pos, h, box, pool, exclude_self=exclude_self,
-            out_prefix=out_prefix, want_geometry=want_geometry,
-        )
-        filt.feed(row, cand, count_idx)
-        return filt.result()
-
-    nnz = len(cand)
-    out_row = pool.get(out_prefix + "row", nnz, np.int32)
-    out_cand = pool.get(out_prefix + "cand", nnz, np.int32)
-    out_dx = pool.rows(out_prefix + "dx", nnz, 3, np.float64) if want_geometry else None
-    out_r = pool.get(out_prefix + "r", nnz, np.float64) if want_geometry else None
-    counts = np.zeros(len(pos), dtype=np.int64)
-    cursor = csolver.filter_candidates(
-        cfast,
-        np.ascontiguousarray(pos, dtype=np.float64),
-        np.ascontiguousarray(h, dtype=np.float64),
-        box.length, box.periodic, SUPPORT_RADIUS,
-        row, cand, counts, out_row, out_cand, out_dx, out_r,
-        count_idx, exclude_self, label,
+    filt = _CutoffFilter(
+        pos, h, box, pool, exclude_self=exclude_self,
+        out_prefix=out_prefix, want_geometry=want_geometry,
     )
-    out_dx = out_dx[:cursor] if want_geometry else None
-    out_r = out_r[:cursor] if want_geometry else None
-    return counts, out_row[:cursor], out_cand[:cursor], out_dx, out_r
+    filt.feed(row, cand, count_idx)
+    return filt.result()
 
 
 def _csr_filtered(
@@ -623,23 +546,16 @@ def _csr_filtered(
     h_search: np.ndarray,
     box: Box,
     pool: BufferPool,
-    cfast=None,
     *,
     want_geometry: bool,
     out_prefix: str,
 ) -> _Filtered:
     """Self-excluding exact neighbors of every particle within ``h_search``.
 
-    The NumPy path filters each block of the :func:`_csr_candidates`
-    stream as it is generated, so its scratch is O(kept + chunk); with
-    ``cfast`` the compiled fused walk runs instead (bitwise identical).
-    Same return shape as :func:`_filter_candidates`, counts per particle.
+    Filters each block of the :func:`_csr_candidates` stream as it is
+    generated, so scratch is O(kept + chunk).  Same return shape as
+    :func:`_filter_candidates`, counts per particle.
     """
-    if cfast is not None:
-        return _csr_filtered_fused(
-            pos, h_search, box, pool, cfast,
-            want_geometry=want_geometry, out_prefix=out_prefix,
-        )
     filt = _CutoffFilter(
         pos, h_search, box, pool, exclude_self=True,
         out_prefix=out_prefix, want_geometry=want_geometry,
@@ -654,14 +570,11 @@ def csr_neighbors(
     h: np.ndarray,
     box: Box,
     pool: BufferPool | None = None,
-    cfast=None,
 ) -> CsrNeighborList:
     """Exact CSR neighbor search (one code path for every N).
 
     The returned arrays are views into ``pool`` (a private pool when
-    ``None``), valid until the pool's next search.  ``cfast`` optionally
-    routes the search through the compiled fast path (bitwise identical
-    output; see :mod:`repro.sph.csolver`).
+    ``None``), valid until the pool's next search.
     """
     n = len(pos)
     if n != len(h):
@@ -669,7 +582,7 @@ def csr_neighbors(
     if pool is None:
         pool = BufferPool()
     counts, row, cand, dx, r = _csr_filtered(
-        pos, h, box, pool, cfast, want_geometry=True, out_prefix="cs_q"
+        pos, h, box, pool, want_geometry=True, out_prefix="cs_q"
     )
     offsets = pool.get("cs_qoff", n + 1, np.int64)
     offsets[0] = 0

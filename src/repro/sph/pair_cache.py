@@ -128,17 +128,12 @@ class CsrVerletList:
     relabeling) and publish the segment-to-particle map as
     ``CsrNeighborList.targets``.  This keeps the skin cache valid across
     the per-step relabelings without ever re-sorting the flat arrays.
-
-    ``cfast`` optionally routes both the build filter and the per-query
-    exact filter through the compiled fast path (bitwise identical; see
-    :mod:`repro.sph.csolver`).
     """
 
     def __init__(
         self,
         box: Box,
         skin_factor: float = DEFAULT_SKIN_FACTOR,
-        cfast=None,
     ) -> None:
         if skin_factor < 0:
             raise SimulationError(
@@ -146,7 +141,6 @@ class CsrVerletList:
             )
         self.box = box
         self.skin_factor = skin_factor
-        self.cfast = cfast
         #: Number of candidate-structure (re)builds performed.
         self.n_builds = 0
         #: Number of queries served (builds + cache reuses).
@@ -206,17 +200,11 @@ class CsrVerletList:
         if self.skin_factor == 0.0:
             # No skin: every query is a fresh exact search.
             self.n_builds += 1
-            return csr_neighbors(pos, h, self.box, self.pool, cfast=self.cfast)
+            return csr_neighbors(pos, h, self.box, self.pool)
         if self._needs_rebuild(pos, h):
             self._build(pos, h)
-        label = None
         if self._cur_label is None:
             row_cur, cand_cur, count_idx, targets = self._row, self._cand, None, None
-        elif self.cfast is not None:
-            # The compiled filter translates build labels on the fly, so
-            # the two O(nnz) np.take gather passes are never materialized.
-            row_cur, cand_cur, label = self._row, self._cand, self._cur_label
-            count_idx, targets = self._row, self._cur_label
         else:
             if self._trans_dirty:
                 nnz = len(self._cand)
@@ -230,7 +218,7 @@ class CsrVerletList:
         counts, qrow, qcand, qdx, qr = _filter_candidates(
             pos, h, self.box, row_cur, cand_cur, self.pool,
             exclude_self=False, out_prefix="vl_q", want_geometry=True,
-            count_idx=count_idx, cfast=self.cfast, label=label,
+            count_idx=count_idx,
         )
         offsets = self.pool.get("vl_qoff", self._n + 1, np.int64)
         offsets[0] = 0
@@ -261,7 +249,7 @@ class CsrVerletList:
         # cutoff exactly 2 max(h_i, h_j) + skin.
         h_search = h + self._skin / SUPPORT_RADIUS
         _, self._row, self._cand, _, _ = _csr_filtered(
-            pos, h_search, self.box, self.pool, self.cfast,
+            pos, h_search, self.box, self.pool,
             want_geometry=False, out_prefix="vl_b",
         )
         self._ref_pos = pos.copy()
@@ -333,12 +321,10 @@ class CsrStepContext:
         csr: CsrNeighborList,
         h: np.ndarray,
         pool: BufferPool | None = None,
-        cfast=None,
     ) -> None:
         self.csr = csr
         self.h = h
         self.pool = pool if pool is not None else BufferPool()
-        self.cfast = cfast
         self.nnz = csr.n_pairs
         # Reduction plan: non-empty segments and their output particles,
         # shared by every reduction this step.

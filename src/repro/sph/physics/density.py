@@ -18,20 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sph import csolver
-from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
+from repro.sph.kernels.cubic_spline import CubicSplineKernel
 from repro.sph.neighbors import PairList
 from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 
 
 def _density_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
-    if ctx.cfast is not None:
-        rho = csolver.density(ctx.cfast, ctx, ps.mass, _SIGMA_3D)
-    else:
-        contrib = ctx.gather(ps.mass, "col", "ph_s0")
-        contrib *= ctx.w_own
-        rho = ctx.reduce_sum(contrib)
+    contrib = ctx.gather(ps.mass, "col", "ph_s0")
+    contrib *= ctx.w_own
+    rho = ctx.reduce_sum(contrib)
     rho += ps.mass * CubicSplineKernel.value(np.zeros(ps.n), ps.h)
     ps.rho = rho
 

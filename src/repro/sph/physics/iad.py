@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sph import csolver
-from repro.sph.kernels.cubic_spline import _SIGMA_3D, CubicSplineKernel
+from repro.sph.kernels.cubic_spline import CubicSplineKernel
 from repro.sph.neighbors import PairList
 from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
 from repro.sph.particles import ParticleSet
@@ -81,15 +80,6 @@ def _assemble_tau(entries: np.ndarray, n: int) -> np.ndarray:
 
 
 def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
-    if ctx.cfast is not None:
-        entries = csolver.tau(ctx.cfast, ctx, ps.mass, ps.rho, _SIGMA_3D)
-        ps.c_iad = csolver.tau_invert(ctx.cfast, entries)
-        ps.div_v, curl = csolver.divcurl(
-            ctx.cfast, ctx, ps.mass, ps.rho, ps.vel, ps.c_iad, _SIGMA_3D
-        )
-        ps.curl_v = np.linalg.norm(curl, axis=1)
-        return
-
     d = ctx.d  # x_col - x_row
 
     # Volume-weighted kernel value per entry, then the six unique tau

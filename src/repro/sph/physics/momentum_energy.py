@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sph import csolver
-from repro.sph.kernels.cubic_spline import _SIGMA_3D
 from repro.sph.neighbors import PairList
 from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
 from repro.sph.particles import ParticleSet
@@ -95,21 +93,6 @@ def _momentum_energy_csr(
     use_balsara: bool,
     omega,
 ) -> None:
-    if ctx.cfast is not None:
-        if omega is None:
-            pr = ps.p / ps.rho**2
-        else:
-            pr = ps.p / (omega * ps.rho**2)
-        bal = balsara_factor(ps) if use_balsara else None
-        acc, du, v_sig_seg = csolver.momentum(
-            ctx.cfast, ctx, ps.mass, ps.rho, pr, ps.c, bal, ps.vel,
-            np.ascontiguousarray(ps.c_iad), _SIGMA_3D, av_alpha,
-        )
-        ps.acc = acc
-        ps.du = du
-        ps.v_sig_max = np.maximum(v_sig_seg, ps.c)
-        return
-
     a_own, a_oth = ctx.iad_vectors(ps.c_iad)
     a_bar = ctx.scratch("ph_v0", 3)
     np.add(a_own, a_oth, out=a_bar)

@@ -99,18 +99,14 @@ class Propagator:
     skin_factor:
         Verlet skin width as a fraction of the mean kernel support; 0
         rebuilds the neighbor list every step (the pre-cache behaviour).
-    accel:
-        ``"numpy"`` (default) runs the pure-NumPy kernels; ``"auto"``
-        additionally compiles the :mod:`repro.sph.csolver` C fast path
-        when a toolchain is available (falling back silently); ``"c"``
-        requires it.  The compiled neighbor filter is bitwise identical
-        to NumPy's; the compiled physics kernels agree to the 1e-12
-        oracle tolerance (associativity of tiny dot products differs),
-        which is why the portable default stays ``"numpy"``.
     """
 
     #: The step engine (CSR/SoA, the only one), recorded by run reports.
     engine = "csr"
+    #: The kernel implementation (NumPy, the only one) and the compiled
+    #: library handle (none), both recorded by run reports.
+    accel = "numpy"
+    _cfast = None
 
     def __init__(
         self,
@@ -126,12 +122,7 @@ class Propagator:
         gravity_eps: float = 0.02,
         use_grad_h: bool = False,
         skin_factor: float = DEFAULT_SKIN_FACTOR,
-        accel: str = "numpy",
     ) -> None:
-        from repro.sph import csolver
-
-        self.accel = accel
-        self._cfast = csolver.resolve(accel)
         self.box = box
         self.domain = DomainDecomposition(box, n_ranks)
         self.gamma = gamma
@@ -143,7 +134,7 @@ class Propagator:
         self.gravity_theta = gravity_theta
         self.gravity_eps = gravity_eps
         self.use_grad_h = use_grad_h
-        self.neighbor_list = CsrVerletList(box, skin_factor, cfast=self._cfast)
+        self.neighbor_list = CsrVerletList(box, skin_factor)
         # Kernel-engine buffers persist across steps (and substeps): each
         # step's context reuses them instead of reallocating.
         self._kernel_pool = BufferPool()
@@ -169,9 +160,7 @@ class Propagator:
             if sync.order is not None:
                 self.neighbor_list.reorder(sync.order)
             pairs = self.neighbor_list.query(ps.pos, ps.h)
-            ctx = CsrStepContext(
-                pairs, ps.h, pool=self._kernel_pool, cfast=self._cfast
-            )
+            ctx = CsrStepContext(pairs, ps.h, pool=self._kernel_pool)
             ps.nc = pairs.neighbor_counts()
             rebuilt = self.neighbor_list.n_builds > builds_before
 

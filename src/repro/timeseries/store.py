@@ -402,6 +402,35 @@ class ChannelSeries:
             raise AnalysisError(f"unknown tier {tier!r}; expected one of {TIERS}")
         return {name: src.view(name).copy() for name in src.arrays}
 
+    #: Per tier, in ``tier``-code order (the order of :data:`TIERS`), the
+    #: columns that give its timeline points' ``t``, ``watts``,
+    #: ``joules`` and ``quality``.
+    _POINT_COLUMNS = (
+        ("t", "watts", "joules", "quality"),
+        ("t0", "watts_mean", "joules0", "quality"),
+        ("t", "watts", "joules", "quality"),
+    )
+
+    def _tiers(self) -> tuple[_Columns, _Columns, _Columns]:
+        return self._lttb, self._buckets, self._raw
+
+    def _join(self, slices: list[tuple[int, int, int]]) -> dict[str, np.ndarray]:
+        """One timeline from ``(tier code, lo, hi)`` row slices."""
+        tiers = self._tiers()
+        out = {
+            key: np.concatenate(
+                [
+                    tiers[code].arrays[self._POINT_COLUMNS[code][k]][lo:hi]
+                    for code, lo, hi in slices
+                ]
+            )
+            for k, key in enumerate(("t", "watts", "joules", "quality"))
+        }
+        out["tier"] = np.concatenate(
+            [np.full(hi - lo, code, dtype=np.uint8) for code, lo, hi in slices]
+        )
+        return out
+
     def points(self) -> dict[str, np.ndarray]:
         """The full retained timeline, oldest first, one row per point.
 
@@ -409,48 +438,16 @@ class ChannelSeries:
         energy-preserving mean power; ``tier`` codes the origin
         (0 = lttb, 1 = buckets, 2 = raw).
         """
-        parts_t = [
-            self._lttb.view("t"),
-            self._buckets.view("t0"),
-            self._raw.view("t"),
-        ]
-        parts_w = [
-            self._lttb.view("watts"),
-            self._buckets.view("watts_mean"),
-            self._raw.view("watts"),
-        ]
-        parts_j = [
-            self._lttb.view("joules"),
-            self._buckets.view("joules0"),
-            self._raw.view("joules"),
-        ]
-        parts_q = [
-            self._lttb.view("quality"),
-            self._buckets.view("quality"),
-            self._raw.view("quality"),
-        ]
-        tier = np.concatenate(
-            [np.full(len(p), code, dtype=np.uint8) for code, p in enumerate(parts_t)]
-        )
-        return {
-            "t": np.concatenate(parts_t),
-            "watts": np.concatenate(parts_w),
-            "joules": np.concatenate(parts_j),
-            "quality": np.concatenate(parts_q),
-            "tier": tier,
-        }
+        tiers = enumerate(self._tiers())
+        return self._join([(code, 0, tier.n) for code, tier in tiers])
 
     def time_span(self) -> tuple[float, float]:
         """First and last ``t`` of :meth:`points` without building it
         (``(0.0, 0.0)`` for an empty series)."""
         parts = [
-            p
-            for p in (
-                self._lttb.view("t"),
-                self._buckets.view("t0"),
-                self._raw.view("t"),
-            )
-            if len(p)
+            tier.view(names[0])
+            for tier, names in zip(self._tiers(), self._POINT_COLUMNS)
+            if tier.n
         ]
         if not parts:
             return 0.0, 0.0
@@ -490,13 +487,24 @@ class ChannelSeries:
         return self.joules_at(t1) - self.joules_at(t0)
 
     def range_query(self, t0: float, t1: float) -> dict[str, np.ndarray]:
-        """All retained points with ``t0 <= t <= t1`` (O(log n) bisection)."""
+        """All retained points with ``t0 <= t <= t1``, as :meth:`points` rows.
+
+        Each tier is bisected on its own and only the slices are joined.
+        Tiers are time-ordered (neighbours may share a seam timestamp), so
+        this equals bisecting the whole of :meth:`points`.
+        """
         if t1 < t0:
             raise AnalysisError(f"range_query interval reversed: [{t0}, {t1}]")
-        pts = self.points()
-        lo = int(np.searchsorted(pts["t"], t0, side="left"))
-        hi = int(np.searchsorted(pts["t"], t1, side="right"))
-        return {name: arr[lo:hi] for name, arr in pts.items()}
+        slices = []
+        for code, tier in enumerate(self._tiers()):
+            t = tier.view(self._POINT_COLUMNS[code][0])
+            if not len(t) or t[-1] < t0 or t[0] > t1:
+                continue
+            lo = int(t.searchsorted(t0, side="left"))
+            hi = int(t.searchsorted(t1, side="right"))
+            slices.append((code, lo, hi))
+        # With no tier in range, an empty raw slice carries the dtypes.
+        return self._join(slices or [(2, 0, 0)])
 
     def degraded_points(self) -> int:
         """Retained points whose quality is not ``ok``."""
@@ -525,14 +533,16 @@ class SampleStore:
         key = (int(node_index), str(name))
         series = self._channels.get(key)
         if series is None:
-            series = ChannelSeries(
-                raw_capacity=self.raw_capacity,
-                bucket_size=self.bucket_size,
-                bucket_capacity=self.bucket_capacity,
-                lttb_capacity=self.lttb_capacity,
-            )
-            self._channels[key] = series
+            series = self._channels[key] = self._new_series()
         return series
+
+    def _new_series(self) -> ChannelSeries:
+        return ChannelSeries(
+            raw_capacity=self.raw_capacity,
+            bucket_size=self.bucket_size,
+            bucket_capacity=self.bucket_capacity,
+            lttb_capacity=self.lttb_capacity,
+        )
 
     def record(
         self,
@@ -567,12 +577,9 @@ class SampleStore:
         return sum(s.nbytes for s in self._channels.values())
 
     def memory_cap_bytes(self) -> int:
-        """The worst-case per-channel buffer memory this store permits."""
-        raw_row = 8 + 8 + 8 + 1
-        bucket_row = 7 * 8 + 8 + 1
-        per_channel = (
-            self.raw_capacity * raw_row
-            + self.bucket_capacity * bucket_row
-            + self.lttb_capacity * raw_row
-        )
-        return per_channel * max(1, len(self._channels))
+        """The worst-case buffer memory this store permits: one channel's
+        :meth:`ChannelSeries.memory_cap_bytes` per channel (at least one)."""
+        series = next(iter(self._channels.values()), None)
+        if series is None:
+            series = self._new_series()
+        return series.memory_cap_bytes() * max(1, len(self._channels))

@@ -237,6 +237,16 @@ class TestPropagatorIntegration:
         with pytest.raises(TypeError):
             Propagator(box, engine="csr")
 
+    def test_numpy_is_the_only_kernel_implementation(self):
+        box = Box(length=1.0)
+        assert Propagator.accel == "numpy"
+        assert Propagator._cfast is None
+        prop = Propagator(box)
+        assert prop.accel == "numpy" and prop._cfast is None
+        for mode in ("c", "numpy"):
+            with pytest.raises(TypeError):
+                Propagator(box, accel=mode)
+
     def test_verlet_propagator_matches_no_skin(self):
         """Caching must not change the trajectory (same pair sets, so any
         difference is accumulation-order round-off)."""

@@ -118,3 +118,8 @@ class TestCommAccounting:
         _, box = make_state()
         with pytest.raises(SimulationError):
             DistributedHydro(box, n_ranks=0)
+
+    def test_no_kernel_implementation_option(self):
+        _, box = make_state()
+        with pytest.raises(TypeError):
+            DistributedHydro(box, 2, accel="c")

@@ -9,10 +9,13 @@
   ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  Tests do
   not count.  Registered PMT backends are reached by name and are
   exempt; the few test oracles kept on purpose are listed below.
+* The ``REPRO_*`` environment variables that ``src/repro`` names are
+  exactly the documented set, so a new environment knob fails a test.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,26 @@ def test_oracle_list_has_no_stale_entries():
     public = {name for _, name in _public_definitions()}
     used = _used_identifiers()
     assert sorted(set(TEST_ORACLES) - (public - used)) == []
+
+
+#: Every environment variable the package reads.
+ENV_VARS = {
+    "REPRO_AUDIT",
+    "REPRO_CACHE_DIR",
+    "REPRO_CAMPAIGN_WORKERS",
+    "REPRO_LEASE_TTL_S",
+    "REPRO_MAX_ATTEMPTS",
+    "REPRO_WORKER_SYSTEMS",
+}
+
+
+def test_environment_variables_are_the_documented_set():
+    named = {
+        node.value
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+    }
+    assert named == ENV_VARS

@@ -74,6 +74,18 @@ class TestChannelSeries:
         buckets = ch.tier_arrays("buckets")
         assert stats.raw + int(buckets["count"].sum()) == n
 
+    def test_store_cap_is_the_channel_cap_per_channel(self):
+        caps = dict(
+            raw_capacity=40, bucket_size=5, bucket_capacity=7, lttb_capacity=9
+        )
+        store = SampleStore(**caps)
+        per_channel = ChannelSeries(**caps).memory_cap_bytes()
+        assert per_channel == 40 * 25 + 7 * 65 + 9 * 25
+        assert store.memory_cap_bytes() == per_channel
+        for name in ("a", "b", "c"):
+            store.channel(0, name)
+        assert store.memory_cap_bytes() == 3 * per_channel
+
     def test_memory_strictly_bounded_on_million_samples(self):
         store = SampleStore()
         ch = store.channel(0, "node")
@@ -110,6 +122,35 @@ class TestChannelSeries:
         assert out["t"][0] == 10.0
         assert out["t"][-1] == 20.0
         assert len(out["t"]) == 11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 3), min_size=0, max_size=300),
+        bounds=st.tuples(st.integers(-1, 400), st.integers(-1, 400)),
+        on_seam=st.booleans(),
+    )
+    def test_range_query_equals_slicing_points(self, steps, bounds, on_seam):
+        # Integer time steps (zeros repeat a timestamp) fill any mix of
+        # tiers; bounds land on retained timestamps, seams included.
+        ch = ChannelSeries(
+            raw_capacity=16, bucket_size=4, bucket_capacity=8, lttb_capacity=8
+        )
+        t = np.cumsum(np.asarray(steps, dtype=float))
+        ch.extend(t, 1.0 + t % 5, 2.0 * t)
+        pts = ch.points()
+        t0, t1 = sorted(float(b) for b in bounds)
+        if on_seam and len(pts["t"]):
+            # The first point of each tier after the first one present.
+            seams = pts["t"][np.flatnonzero(np.diff(pts["tier"])) + 1]
+            knots = [float(x) for x in seams] or [float(pts["t"][0])]
+            t0 = t1 = knots[int(bounds[0]) % len(knots)]
+        lo = int(np.searchsorted(pts["t"], t0, side="left"))
+        hi = int(np.searchsorted(pts["t"], t1, side="right"))
+        got = ch.range_query(t0, t1)
+        assert list(got) == list(pts)
+        for name, want in pts.items():
+            assert got[name].dtype == want.dtype
+            np.testing.assert_array_equal(got[name], want[lo:hi])
 
     def test_energy_between_rejects_reversed(self):
         ch = ChannelSeries()

@@ -42,21 +42,32 @@ def attributed_joules(
     """A rank's share of its (possibly shared) counter delta."""
     raw = record.joules.get(counter)
     if raw is None:
-        raise AnalysisError(
-            f"record rank={record.rank} function={record.function!r} has no "
-            f"{counter!r} counter"
-        )
+        raise _missing_counter(record, counter)
     return raw / sensor_sharing_factor(run, counter)
 
 
+def _missing_counter(record: FunctionEnergyRecord, counter: str) -> AnalysisError:
+    return AnalysisError(
+        f"record rank={record.rank} function={record.function!r} has no "
+        f"{counter!r} counter"
+    )
+
+
 def function_totals(run: RunMeasurements, counter: str) -> dict[str, float]:
-    """Total attributed energy per function across all ranks."""
+    """Total attributed energy per function across all ranks.
+
+    Adds each record's :func:`attributed_joules` in record order, with the
+    sharing factor looked up once per counter rather than once per record.
+    """
+    share = sensor_sharing_factor(run, counter)
     totals: dict[str, float] = {}
     for record in run.records:
-        if counter == "memory" and counter not in record.joules:
-            continue  # platform without a memory sensor
-        value = attributed_joules(run, record, counter)
-        totals[record.function] = totals.get(record.function, 0.0) + value
+        raw = record.joules.get(counter)
+        if raw is None:
+            if counter == "memory":
+                continue  # platform without a memory sensor
+            raise _missing_counter(record, counter)
+        totals[record.function] = totals.get(record.function, 0.0) + raw / share
     return totals
 
 

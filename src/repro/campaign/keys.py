@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 
 #: Layout version of the cache entry files.  Bump on incompatible
 #: serialization changes; old entries then read as misses.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Version tag of the measurement/physics code paths.  Bump whenever a
 #: change alters what a run *measures* (solver numerics, power models,

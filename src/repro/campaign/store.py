@@ -102,10 +102,10 @@ def _serialize(key: RunKey, result: CampaignResult, digest: str) -> str:
         "schema": CACHE_SCHEMA_VERSION,
         "hash": digest,
         "key": asdict(key),
-        "run": asdict(result.run),
+        "run": result.run.to_dict(),
         "accounting": asdict(result.accounting),
     }
-    return json.dumps(payload, sort_keys=True, indent=1)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 #: What decoding a rotten, foreign or tampered entry can raise: bad JSON

@@ -11,7 +11,7 @@ simulation", Section 2).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.errors import AnalysisError
@@ -141,10 +141,27 @@ class RunMeasurements:
 
     # -- persistence --------------------------------------------------------------
 
+    def to_dict(self) -> dict:
+        """The JSON-ready payload of a measurement file.
+
+        The records are stored as columns: ``rank``, ``function``,
+        ``calls`` and ``seconds`` are one list each, and ``joules`` and
+        ``health`` map each name to a list in which ``null`` marks a
+        record without that key.
+        """
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _ROW_LISTS
+        }
+        payload["records"] = _record_columns(self.records)
+        payload["node_windows"] = [asdict(w) for w in self.node_windows]
+        payload["telemetry_health"] = [asdict(h) for h in self.telemetry_health]
+        return payload
+
     def to_json(self) -> str:
-        """Serialize to the post-hoc analysis file format."""
-        payload = asdict(self)
-        return json.dumps(payload, indent=1)
+        """Serialize to the post-hoc analysis file format (compact JSON)."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "RunMeasurements":
@@ -162,10 +179,10 @@ class RunMeasurements:
             scalars = {
                 name: value
                 for name, value in payload.items()
-                if name not in ("records", "node_windows", "telemetry_health")
+                if name not in _ROW_LISTS
             }
             return cls(
-                records=[FunctionEnergyRecord(**r) for r in payload["records"]],
+                records=_records_from_columns(payload["records"]),
                 node_windows=[
                     NodeWindowRecord(**w) for w in payload["node_windows"]
                 ],
@@ -187,3 +204,78 @@ class RunMeasurements:
     def read(cls, path: str | Path) -> "RunMeasurements":
         """Load a measurement file."""
         return cls.from_json(Path(path).read_text())
+
+
+#: ``RunMeasurements`` fields stored as lists rather than scalars.
+_ROW_LISTS = ("records", "node_windows", "telemetry_health")
+
+#: Per-record columns that every record has a value in.
+_DENSE_COLUMNS = ("rank", "function", "calls", "seconds")
+
+
+def _sparse_columns(maps: list[dict[str, float]]) -> dict[str, list]:
+    """One list per key over ``maps``; ``None`` where a map lacks the key."""
+    columns: dict[str, list] = {}
+    for i, values in enumerate(maps):
+        for name, value in values.items():
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = [None] * len(maps)
+            column[i] = value
+    return columns
+
+
+def _record_columns(records: list[FunctionEnergyRecord]) -> dict:
+    """The records section of a measurement file, as columns."""
+    return {
+        "rank": [r.rank for r in records],
+        "function": [r.function for r in records],
+        "calls": [r.calls for r in records],
+        "seconds": [r.seconds for r in records],
+        "joules": _sparse_columns([r.joules for r in records]),
+        "health": _sparse_columns([r.health for r in records]),
+    }
+
+
+def _column(columns: dict, name: str, length: int | None) -> list:
+    """One records column, checked to hold ``length`` entries.
+
+    ``zip`` would silently drop the records past a short column, so a
+    column of the wrong length is a malformed file.
+    """
+    column = columns[name]
+    if not isinstance(column, list):
+        raise AnalysisError(f"records column {name!r} is not a list")
+    if length is not None and len(column) != length:
+        raise AnalysisError(
+            f"records column {name!r} has {len(column)} entries, "
+            f"'rank' has {length}"
+        )
+    return column
+
+
+def _sparse_rows(columns: dict, length: int) -> list[dict]:
+    """Per-record maps from name -> column, leaving out the nulls."""
+    rows: list[dict] = [{} for _ in range(length)]
+    for name in columns.keys():
+        for row, value in zip(rows, _column(columns, name, length)):
+            if value is not None:
+                row[name] = value
+    return rows
+
+
+def _records_from_columns(columns: dict) -> list[FunctionEnergyRecord]:
+    """Rebuild the records from their columns (see ``to_dict``)."""
+    n = len(_column(columns, "rank", None))
+    dense = [_column(columns, name, n) for name in _DENSE_COLUMNS]
+    for name, column in zip(_DENSE_COLUMNS, dense):
+        if None in column:
+            raise AnalysisError(f"records column {name!r} holds a null")
+    return [
+        FunctionEnergyRecord(*values)
+        for values in zip(
+            *dense,
+            _sparse_rows(columns["joules"], n),
+            _sparse_rows(columns["health"], n),
+        )
+    ]

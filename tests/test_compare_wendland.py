@@ -55,9 +55,7 @@ class TestCompareRuns:
 
     def test_zero_work_rejected(self, two_system_runs):
         cscs, _ = two_system_runs
-        broken = cscs
-        object.__setattr__ if False else None
-        # Build a shallow broken copy via from_json to avoid mutating.
+        # Build a broken copy through the measurement-file codec.
         import json
 
         payload = json.loads(cscs.to_json())

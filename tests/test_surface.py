@@ -39,6 +39,7 @@ TEST_ORACLES = {
     "noh_shock_speed": "analytic Noh solution the shock tests compare to",
     "noh_post_shock_density": "analytic Noh solution the shock tests compare to",
     "brute_force_pairs": "O(N^2) neighbor oracle for the CSR search",
+    "attributed_joules": "the per-record oracle of function_totals",
 }
 
 

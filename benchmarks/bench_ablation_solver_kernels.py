@@ -5,10 +5,10 @@ problem size, so regressions in the vectorized implementations are
 caught.  These benchmark the *actual solver* (the physics the scaled runs
 stand on), not the simulated cluster.
 
-``bench_solver_kernels_table`` writes the committed
-``ablation_solver_kernels.txt``: per-kernel timings of the directed
-reference kernels plus the whole-step cost of the CSR/SoA engine on one
-box.
+``bench_solver_kernels_table`` writes ``ablation_solver_kernels.txt``:
+per-kernel timings of the CSR search and of the kernels over its
+:class:`~repro.sph.pair_cache.CsrStepContext`, plus the whole-step cost
+of the engine on one box.
 """
 
 import time
@@ -20,7 +20,8 @@ from conftest import write_result
 from repro.sph.gravity import BarnesHutGravity
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.initial_conditions import make_turbulence
-from repro.sph.neighbors import find_neighbors
+from repro.sph.neighbors import csr_neighbors
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.physics import (
     compute_density,
     compute_iad_and_divcurl,
@@ -32,39 +33,51 @@ from repro.sph.propagator import Propagator
 N_SIDE = 16  # 4096 particles
 
 
-@pytest.fixture(scope="module")
-def state():
-    ps, box = make_turbulence(n_side=N_SIDE, seed=5)
+def _prepared(n_side):
+    """A turbulence box through IAD, and its step context."""
+    ps, box = make_turbulence(n_side=n_side, seed=5)
     rng = np.random.default_rng(5)
     ps.vel = rng.normal(0.0, 0.05, size=ps.vel.shape)
-    pairs = find_neighbors(ps.pos, ps.h, box)
-    ps.nc = pairs.neighbor_counts()
-    compute_density(ps, pairs)
+    ctx = CsrStepContext(csr_neighbors(ps.pos, ps.h, box), ps.h)
+    ps.nc = ctx.csr.neighbor_counts()
+    compute_density(ps, ctx)
     ideal_gas_eos(ps)
-    compute_iad_and_divcurl(ps, pairs)
-    return ps, box, pairs
+    compute_iad_and_divcurl(ps, ctx)
+    return ps, box, ctx
+
+
+def _density(ps, ctx):
+    """Density over a fresh context on the same pool, so each call pays
+    the kernel evaluation a step's Density region pays (a context
+    memoizes it); the values, and so ``ctx``'s memo, are unchanged."""
+    compute_density(ps, CsrStepContext(ctx.csr, ps.h, pool=ctx.pool))
+
+
+@pytest.fixture(scope="module")
+def state():
+    return _prepared(N_SIDE)
 
 
 def bench_neighbor_search(benchmark, state):
     ps, box, _ = state
-    pairs = benchmark(find_neighbors, ps.pos, ps.h, box)
-    assert pairs.n_pairs > 0
+    csr = benchmark(csr_neighbors, ps.pos, ps.h, box)
+    assert csr.n_pairs > 0
 
 
 def bench_density(benchmark, state):
-    ps, box, pairs = state
-    benchmark(compute_density, ps, pairs)
+    ps, box, ctx = state
+    benchmark(_density, ps, ctx)
     assert np.all(ps.rho > 0)
 
 
 def bench_iad(benchmark, state):
-    ps, box, pairs = state
-    benchmark(compute_iad_and_divcurl, ps, pairs)
+    ps, box, ctx = state
+    benchmark(compute_iad_and_divcurl, ps, ctx)
 
 
 def bench_momentum_energy(benchmark, state):
-    ps, box, pairs = state
-    benchmark(compute_momentum_energy, ps, pairs)
+    ps, box, ctx = state
+    benchmark(compute_momentum_energy, ps, ctx)
     assert np.all(np.isfinite(ps.acc))
 
 
@@ -94,28 +107,21 @@ def _best_of(fn, repeats=5):
 
 
 def bench_solver_kernels_table(results_dir):
-    """The full result: directed reference kernels + CSR engine steps."""
-    ps, box = make_turbulence(n_side=N_SIDE, seed=5)
-    rng = np.random.default_rng(5)
-    ps.vel = rng.normal(0.0, 0.05, size=ps.vel.shape)
-    pairs = find_neighbors(ps.pos, ps.h, box)
-    ps.nc = pairs.neighbor_counts()
-    compute_density(ps, pairs)
-    ideal_gas_eos(ps)
-    compute_iad_and_divcurl(ps, pairs)
+    """The full result: the engine's kernels + its steady-state step."""
+    ps, box, ctx = _prepared(N_SIDE)
 
     lines = [
         f"solver kernels: turbulence n={N_SIDE ** 3}, best-of-5 wall "
         "clock (ms)",
-        "directed reference kernels:",
+        "csr engine kernels:",
         f"  neighbor_search "
-        f"{_best_of(lambda: find_neighbors(ps.pos, ps.h, box)):>9.2f}",
+        f"{_best_of(lambda: csr_neighbors(ps.pos, ps.h, box)):>9.2f}",
         f"  density         "
-        f"{_best_of(lambda: compute_density(ps, pairs)):>9.2f}",
+        f"{_best_of(lambda: _density(ps, ctx)):>9.2f}",
         f"  iad+divcurl     "
-        f"{_best_of(lambda: compute_iad_and_divcurl(ps, pairs)):>9.2f}",
+        f"{_best_of(lambda: compute_iad_and_divcurl(ps, ctx)):>9.2f}",
         f"  momentum+energy "
-        f"{_best_of(lambda: compute_momentum_energy(ps, pairs)):>9.2f}",
+        f"{_best_of(lambda: compute_momentum_energy(ps, ctx)):>9.2f}",
     ]
 
     lines.append("csr engine, steady-state step:")
@@ -132,16 +138,9 @@ def bench_solver_kernels_table(results_dir):
 
 def bench_smoke_solver_kernels(results_dir):
     # Run every kernel once at a small size; correctness only, no timing.
-    ps, box = make_turbulence(n_side=8, seed=5)
-    rng = np.random.default_rng(5)
-    ps.vel = rng.normal(0.0, 0.05, size=ps.vel.shape)
-    pairs = find_neighbors(ps.pos, ps.h, box)
-    ps.nc = pairs.neighbor_counts()
-    compute_density(ps, pairs)
-    ideal_gas_eos(ps)
-    compute_iad_and_divcurl(ps, pairs)
-    compute_momentum_energy(ps, pairs)
-    assert pairs.n_pairs > 0
+    ps, box, ctx = _prepared(8)
+    compute_momentum_energy(ps, ctx)
+    assert ctx.nnz > 0
     assert np.all(ps.rho > 0)
     assert np.all(np.isfinite(ps.acc))
 
@@ -154,7 +153,7 @@ def bench_smoke_solver_kernels(results_dir):
     lines = [
         "Solver kernel smoke: 512 particles, every kernel runs and stays "
         "finite",
-        f"neighbor pairs: {pairs.n_pairs}",
+        f"neighbor pairs: {ctx.nnz}",
         f"mean density: {float(ps.rho.mean()):.6f}",
         f"max |acc|: {float(np.abs(ps.acc).max()):.6e}",
     ]

@@ -11,7 +11,6 @@ validation (Figure 1).
 """
 
 from repro.analysis.aggregate import (
-    attributed_joules,
     function_totals,
     sensor_sharing_factor,
 )
@@ -25,7 +24,6 @@ from repro.analysis.edp import edp, function_edp, normalized_edp_series, run_edp
 from repro.analysis.validation import ValidationPoint, validate_pmt_against_slurm
 
 __all__ = [
-    "attributed_joules",
     "function_totals",
     "sensor_sharing_factor",
     "DeviceBreakdown",

@@ -36,16 +36,6 @@ def sensor_sharing_factor(run: RunMeasurements, counter: str) -> int:
     )
 
 
-def attributed_joules(
-    run: RunMeasurements, record: FunctionEnergyRecord, counter: str
-) -> float:
-    """A rank's share of its (possibly shared) counter delta."""
-    raw = record.joules.get(counter)
-    if raw is None:
-        raise _missing_counter(record, counter)
-    return raw / sensor_sharing_factor(run, counter)
-
-
 def _missing_counter(record: FunctionEnergyRecord, counter: str) -> AnalysisError:
     return AnalysisError(
         f"record rank={record.rank} function={record.function!r} has no "
@@ -56,8 +46,8 @@ def _missing_counter(record: FunctionEnergyRecord, counter: str) -> AnalysisErro
 def function_totals(run: RunMeasurements, counter: str) -> dict[str, float]:
     """Total attributed energy per function across all ranks.
 
-    Adds each record's :func:`attributed_joules` in record order, with the
-    sharing factor looked up once per counter rather than once per record.
+    Adds each record's raw delta divided by its counter's sharing factor,
+    in record order.
     """
     share = sensor_sharing_factor(run, counter)
     totals: dict[str, float] = {}

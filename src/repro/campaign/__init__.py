@@ -32,7 +32,6 @@ from repro.campaign.keys import (
     CACHE_SCHEMA_VERSION,
     CODE_VERSION,
     RunKey,
-    canonical_payload,
     run_key_hash,
     sort_key,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "WorkerProfile",
     "WorkerStats",
     "campaign_summary",
-    "canonical_payload",
     "drain",
     "execute",
     "execute_key",

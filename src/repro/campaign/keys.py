@@ -113,30 +113,6 @@ def resolve_test_case(name: str) -> TestCaseConfig:
         ) from None
 
 
-def canonical_payload(
-    key: RunKey,
-    system: SystemConfig | None = None,
-    test_case: TestCaseConfig | None = None,
-) -> dict:
-    """The exact content the cache address commits to.
-
-    ``system`` / ``test_case`` default to the registry entries named by
-    the key; passing explicit configs lets callers (and the invalidation
-    tests) hash hypothetical configurations.
-    """
-    system = system if system is not None else get_system(key.system)
-    test_case = (
-        test_case if test_case is not None else resolve_test_case(key.test_case)
-    )
-    return {
-        "schema": CACHE_SCHEMA_VERSION,
-        "code_version": CODE_VERSION,
-        "key": asdict(key),
-        "system": asdict(system),
-        "test_case": asdict(test_case),
-    }
-
-
 #: ``id(config) -> (config, canonical JSON text)``.  Holding the config
 #: pins its ``id`` for as long as the entry lives; identity rather than
 #: equality is the key because equal configs can serialize differently
@@ -175,10 +151,14 @@ def run_key_hash(
 ) -> str:
     """Content address of a run: SHA-256 of the canonical payload.
 
-    The digest is over ``json.dumps(canonical_payload(...),
-    sort_keys=True, separators=(",", ":"))``; the text is assembled from
-    per-config fragments in that same sorted order, so the configs'
-    deep ``asdict`` copies are paid once per config, not once per call.
+    The payload is ``{"schema", "code_version", "key", "system",
+    "test_case"}`` — the cache schema and code versions, the key's fields
+    and the ``asdict`` content of both configs — as ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` would write it.  The text is
+    assembled from per-config fragments in that same sorted order, so the
+    configs' deep ``asdict`` copies are paid once per config, not once
+    per call.  ``system`` / ``test_case`` default to the registry entries
+    named by the key; explicit configs hash hypothetical configurations.
     """
     system = system if system is not None else get_system(key.system)
     test_case = (

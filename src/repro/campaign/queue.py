@@ -637,7 +637,8 @@ def gc_sweep(
 
     * orphaned ``.tmp-*`` files of killed writers;
     * stale leases and tombstones of dead workers;
-    * corrupt entries, quarantined (moved, not deleted) with counts.
+    * corrupt entries, quarantined (moved, not deleted) with counts;
+    * stale entries of an older cache schema, deleted.
 
     Complete entries, live leases, and failure records are never
     touched.  Returns the per-category counts.
@@ -648,6 +649,7 @@ def gc_sweep(
         "tmp_reaped": store.reap_tmp(),
         "leases_swept": queue.sweep(),
         "corrupt_quarantined": store.quarantine_corrupt(),
+        "stale_removed": store.remove_stale(),
     }
 
 

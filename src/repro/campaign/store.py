@@ -16,9 +16,10 @@ clobbering each other's in-flight writes.
 Corrupt or foreign files still read as misses, never as errors — but no
 longer *silently*: :meth:`ResultStore.lookup` distinguishes a corrupt
 entry from a plain miss, :meth:`ResultStore.stats` counts corrupt
-entries and orphaned temp files, and :meth:`ResultStore.quarantine_corrupt`
-moves rot aside so a decaying shared cache is visible instead of just
-slow.
+entries, stale ones (of an older ``CACHE_SCHEMA_VERSION``, so no key
+hashes to them) and orphaned temp files, and ``campaign gc`` moves rot
+aside and deletes stale entries, so a decaying shared cache is visible
+instead of just slow.
 """
 
 from __future__ import annotations
@@ -113,13 +114,20 @@ def _serialize(key: RunKey, result: CampaignResult, digest: str) -> str:
 _CORRUPT = (ValueError, KeyError, TypeError, AnalysisError, ConfigurationError)
 
 
+class _StaleSchema(ValueError):
+    """An entry written under an older ``CACHE_SCHEMA_VERSION``."""
+
+
 def _deserialize(text: str) -> CampaignResult:
     """Decode one entry: one ``json.loads``, records built from the dict."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("cache entry is not a JSON object")
-    if payload.get("schema") != CACHE_SCHEMA_VERSION:
-        raise ValueError(f"cache schema {payload.get('schema')!r}")
+    schema = payload.get("schema")
+    if schema != CACHE_SCHEMA_VERSION:
+        if type(schema) is int and schema < CACHE_SCHEMA_VERSION:
+            raise _StaleSchema(f"cache schema {schema!r}")
+        raise ValueError(f"cache schema {schema!r}")
     acct = payload["accounting"]
     acct["per_node_joules"] = tuple(acct["per_node_joules"])
     return CampaignResult(
@@ -129,18 +137,33 @@ def _deserialize(text: str) -> CampaignResult:
     )
 
 
-def _is_corrupt(path: Path) -> bool:
-    """Whether the entry at ``path`` fails to decode (unreadable counts)."""
-    try:
-        _deserialize(path.read_text())
-    except (OSError, *_CORRUPT):
-        return True
-    return False
-
-
 #: ``lookup`` status values: a complete entry, no entry at all, or a
 #: file at the right address that does not deserialize to the key.
 HIT, MISS, CORRUPT = "hit", "miss", "corrupt"
+
+#: The health scan's extra kind: an entry of an older cache schema.
+STALE = "stale"
+
+
+def _health(path: Path) -> str:
+    """``HIT``, ``STALE`` or ``CORRUPT`` for the entry at ``path``
+    (an unreadable file counts as corrupt)."""
+    try:
+        _deserialize(path.read_text())
+    except _StaleSchema:
+        return STALE
+    except (OSError, *_CORRUPT):
+        return CORRUPT
+    return HIT
+
+
+def _unlink(path: Path) -> bool:
+    """Remove ``path``; whether it was removed (a failure is skipped)."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
 
 
 class ResultStore:
@@ -239,29 +262,24 @@ class ResultStore:
     def stats(self) -> dict[str, int]:
         """Entry/byte counts plus the cache-health counters.
 
-        ``corrupt`` re-parses every entry, so the count reflects the
-        store as it is on disk right now (not just what this process
-        happened to read); ``tmp_orphans`` counts temp files abandoned
-        by killed writers.
+        ``corrupt`` and ``stale`` re-parse every entry, so the counts
+        reflect the store as it is on disk right now (not just what this
+        process happened to read); ``tmp_orphans`` counts temp files
+        abandoned by killed writers.
         """
         entries = self.entries()
+        health = [_health(path) for path in entries]
         return {
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
-            "corrupt": sum(_is_corrupt(path) for path in entries),
+            "corrupt": health.count(CORRUPT),
+            "stale": health.count(STALE),
             "tmp_orphans": len(self.tmp_orphans()),
         }
 
     def reap_tmp(self) -> int:
         """Remove orphaned temp files; returns how many were reaped."""
-        reaped = 0
-        for tmp in self.tmp_orphans():
-            try:
-                tmp.unlink()
-                reaped += 1
-            except OSError:
-                continue
-        return reaped
+        return sum(_unlink(tmp) for tmp in self.tmp_orphans())
 
     def quarantine_entry(self, key: RunKey) -> bool:
         """Move one key's (corrupt) entry into the quarantine directory.
@@ -270,7 +288,9 @@ class ResultStore:
         inspectable, the address reads as a plain miss, and the key is
         re-executed.  Returns whether anything was moved.
         """
-        path = self.path_for(key)
+        return self._quarantine(self.path_for(key))
+
+    def _quarantine(self, path: Path) -> bool:
         target = self.root / self.QUARANTINE_DIR / path.name
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -286,18 +306,15 @@ class ResultStore:
         re-archived by the next sweep) while the rotten bytes stay
         available for inspection.  Returns the number quarantined.
         """
-        moved = 0
-        for path in self.entries():
-            if not _is_corrupt(path):
-                continue
-            target = self.root / self.QUARANTINE_DIR / path.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, target)
-                moved += 1
-            except OSError:
-                continue
-        return moved
+        return sum(self._quarantine(p) for p in self.entries() if _health(p) == CORRUPT)
+
+    def remove_stale(self) -> int:
+        """Delete entries of an older cache schema; returns how many.
+
+        No key hashes to their addresses any more, so nothing can look
+        them up again, and they are intact, so there is no rot to keep.
+        """
+        return sum(_unlink(p) for p in self.entries() if _health(p) == STALE)
 
     def clean(self, keys: tuple[RunKey, ...] | None = None) -> int:
         """Remove entries (all of them, or just those of ``keys``).
@@ -306,18 +323,12 @@ class ResultStore:
         are pruned, and orphaned temp files of killed runs are reaped
         alongside (they are not counted in the return value).
         """
-        removed = 0
         targets = (
             self.entries()
             if keys is None
             else [self.path_for(k) for k in keys]
         )
-        for path in targets:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
+        removed = sum(_unlink(path) for path in targets)
         self.reap_tmp()
         for path in targets:
             parent = path.parent

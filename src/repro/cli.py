@@ -642,7 +642,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     stats = store.stats()
     print(
         f"Store: {stats['entries']} entries, {stats['bytes'] / 1024:.0f} KiB, "
-        f"{stats['corrupt']} corrupt, {stats['tmp_orphans']} orphaned temp "
+        f"{stats['corrupt']} corrupt, {stats['stale']} stale, "
+        f"{stats['tmp_orphans']} orphaned temp "
         f"file{'s' if stats['tmp_orphans'] != 1 else ''}"
     )
     live, stale = LeaseQueue(store.root).active()
@@ -690,7 +691,7 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_gc(args: argparse.Namespace) -> int:
-    """Reap federation debris: orphan temps, stale leases, corrupt rot."""
+    """Reap federation debris: orphan temps, stale leases and entries, rot."""
     from repro.campaign import ResultStore
     from repro.campaign.queue import gc_sweep
     from repro.config import CampaignSettings
@@ -701,7 +702,8 @@ def _cmd_campaign_gc(args: argparse.Namespace) -> int:
     print(
         f"gc {cache_dir}: {counts['tmp_reaped']} temp files reaped, "
         f"{counts['leases_swept']} stale leases swept, "
-        f"{counts['corrupt_quarantined']} corrupt entries quarantined"
+        f"{counts['corrupt_quarantined']} corrupt entries quarantined, "
+        f"{counts['stale_removed']} stale entries removed"
     )
     return 0
 
@@ -1024,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = action.add_parser(
         "gc",
-        help="reap orphan temp files, stale leases, and corrupt entries",
+        help="reap orphan temp files, stale leases, corrupt and stale entries",
     )
     _add_cache_dir(cp)
     cp.set_defaults(func=_cmd_campaign_gc)

@@ -10,7 +10,7 @@ A read takes one typed counter read per file stem
 formatting and parsing the two text files ``"284 W 1663261174293871 us"``
 the real backend reads.  The text files stay registered in the virtual
 sysfs as the fidelity reference: the tests check that every typed value
-equals ``parse_pm_file`` of its file, faults included.
+equals the value parsed from its file, faults included.
 """
 
 from __future__ import annotations

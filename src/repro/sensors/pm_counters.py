@@ -125,8 +125,8 @@ class PmCounters:
         pair at time ``t``, as the two files report them.
 
         One counter read serves both values, truncated to integers exactly
-        as :func:`_format_pm_file` renders them, so each equals
-        ``parse_pm_file(...)[0]`` of its file.  The counter is looked up at
+        as :func:`_format_pm_file` renders them, so each equals the value
+        field of its file.  The counter is looked up at
         read time, like the file readers, so injected faults apply.
         """
         reading = self.counters[stem].read(t)
@@ -152,11 +152,3 @@ class PmCounters:
                 f"{len(self.node.cards)} cards)"
             ) from None
         return sensor.read(t)
-
-
-def parse_pm_file(content: str) -> tuple[float, str, float]:
-    """Parse a pm_counters file body into ``(value, unit, timestamp_s)``."""
-    parts = content.split()
-    if len(parts) != 4 or parts[3] != "us":
-        raise SensorError(f"malformed pm_counters file content: {content!r}")
-    return float(parts[0]), parts[1], float(parts[2]) / 1e6

@@ -10,7 +10,6 @@ gravity solver.
 
 from repro.sph.cornerstone.morton import (
     MAX_COORD,
-    decode_morton,
     encode_morton,
     normalize_positions,
     sfc_keys,
@@ -19,20 +18,17 @@ from repro.sph.cornerstone.octree import (
     KEY_RANGE,
     build_cornerstone,
     leaf_counts,
-    node_aligned,
 )
 from repro.sph.cornerstone.domain import DomainDecomposition, partition_leaves
 
 __all__ = [
     "MAX_COORD",
     "encode_morton",
-    "decode_morton",
     "normalize_positions",
     "sfc_keys",
     "KEY_RANGE",
     "build_cornerstone",
     "leaf_counts",
-    "node_aligned",
     "DomainDecomposition",
     "partition_leaves",
 ]

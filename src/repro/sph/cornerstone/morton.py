@@ -28,17 +28,6 @@ def _part1by2(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _compact1by2(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part1by2`."""
-    x = x.astype(np.uint64) & np.uint64(0x1249249249249249)
-    x = (x | (x >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
-    x = (x | (x >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
-    x = (x | (x >> np.uint64(8))) & np.uint64(0x1F0000FF0000FF)
-    x = (x | (x >> np.uint64(16))) & np.uint64(0x1F00000000FFFF)
-    x = (x | (x >> np.uint64(32))) & np.uint64(0x1FFFFF)
-    return x
-
-
 def encode_morton(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
     """Interleave integer coordinates into 63-bit Morton keys."""
     for name, arr in (("ix", ix), ("iy", iy), ("iz", iz)):
@@ -52,15 +41,6 @@ def encode_morton(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
         | (_part1by2(np.asarray(iy)) << np.uint64(1))
         | _part1by2(np.asarray(iz))
     )
-
-
-def decode_morton(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover the integer coordinates from Morton keys."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    ix = _compact1by2(keys >> np.uint64(2))
-    iy = _compact1by2(keys >> np.uint64(1))
-    iz = _compact1by2(keys)
-    return ix.astype(np.int64), iy.astype(np.int64), iz.astype(np.int64)
 
 
 def normalize_positions(pos: np.ndarray, box: Box) -> np.ndarray:

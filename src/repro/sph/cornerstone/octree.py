@@ -25,17 +25,6 @@ from repro.errors import SimulationError
 KEY_RANGE = np.uint64(1) << np.uint64(63)
 
 
-def node_aligned(start: int, size: int) -> bool:
-    """Whether ``[start, start + size)`` is a valid octree node range."""
-    if size <= 0:
-        return False
-    # size must be a power of 8: power of two with exponent divisible by 3.
-    exponent = size.bit_length() - 1
-    if (1 << exponent) != size or exponent % 3:
-        return False
-    return start % size == 0
-
-
 def leaf_counts(leaves: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
     """Particles per leaf, given SFC-sorted particle codes."""
     positions = np.searchsorted(sorted_codes, leaves, side="left")
@@ -71,19 +60,3 @@ def build_cornerstone(sorted_codes: np.ndarray, bucket_size: int) -> np.ndarray:
         new_starts.sort()
         leaves = np.concatenate([new_starts, [KEY_RANGE]]).astype(np.uint64)
     return leaves
-
-
-def validate_cornerstone(leaves: np.ndarray) -> None:
-    """Raise if ``leaves`` violates the cornerstone invariants."""
-    leaves = np.asarray(leaves, dtype=np.uint64)
-    if len(leaves) < 2:
-        raise SimulationError("cornerstone array needs at least one leaf")
-    if leaves[0] != 0 or leaves[-1] != KEY_RANGE:
-        raise SimulationError("cornerstone array must cover the full key range")
-    if np.any(leaves[1:] <= leaves[:-1]):
-        raise SimulationError("cornerstone keys must be strictly increasing")
-    for start, end in zip(leaves[:-1].tolist(), leaves[1:].tolist()):
-        if not node_aligned(start, end - start):
-            raise SimulationError(
-                f"leaf [{start}, {end}) is not a valid octree node"
-            )

@@ -1,4 +1,4 @@
-"""Self-gravity: Barnes-Hut octree and the direct-sum oracle.
+"""Self-gravity: the Barnes-Hut octree.
 
 The Evrard collapse needs self-gravity.  SPH-EXA computes it with a
 multipole traversal over the cornerstone octree; we implement the
@@ -22,29 +22,6 @@ from repro.sph.neighbors import BufferPool
 
 #: Gravitational constant in code units (G = 1 for the Evrard test).
 G_CODE = 1.0
-
-
-def direct_sum_acceleration(
-    pos: np.ndarray, mass: np.ndarray, eps: float = 0.0, G: float = G_CODE
-) -> np.ndarray:
-    """O(N^2) softened gravitational acceleration (test oracle)."""
-    n = len(pos)
-    delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = r_j - r_i
-    dist2 = np.einsum("ijk,ijk->ij", delta, delta) + eps**2
-    np.fill_diagonal(dist2, 1.0)  # avoid divide-by-zero on the diagonal
-    inv_d3 = dist2**-1.5
-    np.fill_diagonal(inv_d3, 0.0)
-    return G * np.einsum("ij,j,ijk->ik", inv_d3, mass, delta)
-
-
-def direct_sum_potential(
-    pos: np.ndarray, mass: np.ndarray, eps: float = 0.0, G: float = G_CODE
-) -> float:
-    """Total softened gravitational potential energy (test oracle)."""
-    delta = pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta) + eps**2)
-    np.fill_diagonal(dist, np.inf)
-    return float(-0.5 * G * np.sum(mass[:, None] * mass[None, :] / dist))
 
 
 @dataclass
@@ -157,7 +134,7 @@ class BarnesHutGravity:
         """Total gravitational potential energy via the tree (monopole):
         ``0.5 * sum_i m_i phi_i`` with Plummer-softened ``phi``, read from
         the walk :meth:`acceleration` runs, so the Evrard diagnostic costs
-        no second traversal (:func:`direct_sum_potential` is the oracle).
+        no second traversal.
         """
         return float(0.5 * np.sum(self._mass * self._walk_self()[1]))
 

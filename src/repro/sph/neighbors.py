@@ -1,26 +1,18 @@
-"""Neighbor search: flat CSR cell list, directed pair lists, brute force.
+"""Neighbor search: the flat CSR cell list.
 
-Produces neighbor structures with separation below the pair cutoff
-``2 * max(h_i, h_j)`` — the union support needed by symmetrized SPH sums
-(each term is then masked by its own kernel's compact support).  Two
-representations exist:
-
-* :class:`CsrNeighborList` — the production structure: flat CSR
-  ``offsets``/``indices`` arrays plus per-entry geometry, grouped by
-  gather target so physics kernels reduce whole segments with
-  ``np.add.reduceat`` instead of scatter-adds.
-* :class:`PairList` — *directed* pairs ``(i, j)`` and ``(j, i)`` both
-  present.  This is the reference representation the tests
-  cross-validate the CSR engine against; :func:`find_neighbors` builds
-  it from the CSR cell list and :func:`brute_force_pairs` by O(N^2)
-  enumeration.
+Produces, for every particle, the neighbors with separation below the
+pair cutoff ``2 * max(h_i, h_j)`` — the union support needed by
+symmetrized SPH sums (each term is then masked by its own kernel's
+compact support).  The result is a :class:`CsrNeighborList`: flat CSR
+``offsets``/``indices`` arrays plus per-entry geometry, grouped by
+gather target so the physics kernels reduce whole segments with
+``np.add.reduceat`` instead of scatter-adds.  The tests check it pair
+for pair against an O(N^2) brute force (``tests/oracles/neighbors.py``).
 
 The cell list is one code path for every particle count: candidates are
 counted *per cell* (all particles in a cell share the same stencil), so
 the per-axis stencil offsets collapse to ``{0}`` or ``{0, 1}`` on
-periodic axes with fewer than three cells and the old small-box
-brute-force fallback is gone.  The O(N^2) brute force survives only as
-the test oracle.
+periodic axes with fewer than three cells.
 
 The raw candidates outnumber the kept neighbors about ten to one, so
 they are never materialized: they stream in blocks of at most
@@ -100,29 +92,6 @@ class BufferPool:
         return sum(buf.nbytes for buf in self._bufs.values())
 
 
-@dataclass(frozen=True)
-class PairList:
-    """Directed interacting pairs and their geometry.
-
-    ``dx[k] = pos[i[k]] - pos[j[k]]`` (minimum image), ``r[k] = |dx[k]|``.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    dx: np.ndarray
-    r: np.ndarray
-    n_particles: int
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of directed pairs."""
-        return len(self.i)
-
-    def neighbor_counts(self) -> np.ndarray:
-        """Per-particle neighbor counts."""
-        return np.bincount(self.i, minlength=self.n_particles)
-
-
 @dataclass
 class CsrNeighborList:
     """Directed neighbors in CSR layout, grouped by gather target.
@@ -167,40 +136,6 @@ class CsrNeighborList:
         out = np.zeros(self.n_particles, dtype=counts.dtype)
         out[self.targets] = counts
         return out
-
-    def to_directed(self) -> PairList:
-        """The equivalent directed :class:`PairList` (test oracle format)."""
-        return PairList(
-            i=self.row.astype(np.int64),
-            j=self.indices.astype(np.int64),
-            dx=self.dx,
-            r=self.r,
-            n_particles=self.n_particles,
-        )
-
-
-def brute_force_pairs(pos: np.ndarray, h: np.ndarray, box: Box) -> PairList:
-    """All-pairs O(N^2) neighbor search (test oracle, small N only).
-
-    Enumerates only the strict upper triangle (``np.triu_indices``) and
-    mirrors the surviving pairs: the upper-triangle pairs come first,
-    then their mirrors ``(j, i)`` with displacement ``-dx``.
-    """
-    n = len(pos)
-    if n != len(h):
-        raise SimulationError("pos and h length mismatch")
-    i, j = np.triu_indices(n, k=1)
-    dx = box.displacement(pos[i] - pos[j])
-    r2 = np.einsum("ij,ij->i", dx, dx)
-    keep = r2 < (SUPPORT_RADIUS * np.maximum(h[i], h[j])) ** 2
-    i, j, dx, r = i[keep], j[keep], dx[keep], np.sqrt(r2[keep])
-    return PairList(
-        i=np.concatenate([i, j]),
-        j=np.concatenate([j, i]),
-        dx=np.concatenate([dx, -dx]),
-        r=np.concatenate([r, r]),
-        n_particles=n,
-    )
 
 
 # -- the CSR cell-list engine --------------------------------------------------
@@ -508,39 +443,6 @@ class _CutoffFilter:
         return self.counts, self.row[:k], self.cand[:k], dx, r
 
 
-def _filter_candidates(
-    pos: np.ndarray,
-    h: np.ndarray,
-    box: Box,
-    row: np.ndarray,
-    cand: np.ndarray,
-    pool: BufferPool,
-    *,
-    exclude_self: bool,
-    out_prefix: str,
-    want_geometry: bool,
-    count_idx: np.ndarray | None = None,
-) -> _Filtered:
-    """Keep the rows of flat candidate arrays within the exact union cutoff.
-
-    One :class:`_CutoffFilter` feed: survivors land in pooled
-    ``out_prefix`` buffers sized to what is kept, and every temporary is
-    O(:data:`_CHUNK`).
-
-    Returns ``(counts, out_row, out_cand, out_dx, out_r)`` where
-    ``counts`` is the per-segment surviving-entry count, binned over
-    ``count_idx`` when given (a Verlet cache counts by *build* label
-    while gathering geometry by current label) and over ``row``
-    otherwise.
-    """
-    filt = _CutoffFilter(
-        pos, h, box, pool, exclude_self=exclude_self,
-        out_prefix=out_prefix, want_geometry=want_geometry,
-    )
-    filt.feed(row, cand, count_idx)
-    return filt.result()
-
-
 def _csr_filtered(
     pos: np.ndarray,
     h_search: np.ndarray,
@@ -553,8 +455,8 @@ def _csr_filtered(
     """Self-excluding exact neighbors of every particle within ``h_search``.
 
     Filters each block of the :func:`_csr_candidates` stream as it is
-    generated, so scratch is O(kept + chunk).  Same return shape as
-    :func:`_filter_candidates`, counts per particle.
+    generated, so scratch is O(kept + chunk).  Returns
+    :meth:`_CutoffFilter.result`, counts per particle.
     """
     filt = _CutoffFilter(
         pos, h_search, box, pool, exclude_self=True,
@@ -589,21 +491,4 @@ def csr_neighbors(
     np.cumsum(counts, out=offsets[1:])
     return CsrNeighborList(
         offsets=offsets, indices=cand, row=row, dx=dx, r=r, n_particles=n
-    )
-
-
-def find_neighbors(pos: np.ndarray, h: np.ndarray, box: Box) -> PairList:
-    """The production neighbor search in the directed :class:`PairList` format.
-
-    A thin adapter over :func:`csr_neighbors` — the CSR cell list is the
-    single search code path at every N; this copies its arrays into the
-    reference format the directed kernels and the tests consume.
-    """
-    csr = csr_neighbors(pos, h, box)
-    return PairList(
-        i=csr.row.astype(np.int64),
-        j=csr.indices.astype(np.int64),
-        dx=csr.dx.copy(),
-        r=csr.r.copy(),
-        n_particles=len(pos),
     )

@@ -2,7 +2,7 @@
 
 One reuse layer sits between the neighbor search and the physics kernels,
 mirroring how SPH-EXA earns its throughput: the CSR/SoA engine
-(:class:`CsrVerletList` + :class:`CsrStepContext`), the only step path.
+(:class:`CsrVerletList` + :class:`CsrStepContext`).
 Neighbors live in a flat CSR structure
 (:class:`~repro.sph.neighbors.CsrNeighborList`); per-pair kernel values
 and IAD gradient vectors are evaluated once per step into preallocated,
@@ -23,9 +23,8 @@ the cached candidates against the *exact* per-pair cutoff, so the
 returned neighbor set is identical to a fresh search (the property tests
 assert this).
 
-:func:`scatter_sum` and :func:`scatter_sum_rows` serve the directed
-:class:`~repro.sph.neighbors.PairList` reference kernels the tests
-compare the engine against.
+The tests compare the engine against directed scatter-add kernels over
+an O(N^2) brute-force pair list, kept under ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -39,48 +38,12 @@ from repro.sph.neighbors import (
     BufferPool,
     CsrNeighborList,
     _csr_filtered,
-    _filter_candidates,
+    _CutoffFilter,
     csr_neighbors,
 )
 
 #: Default Verlet skin, as a fraction of the mean kernel support.
 DEFAULT_SKIN_FACTOR = 0.3
-
-
-# -- scatter-add helpers (the directed reference kernels) -----------------------
-
-
-def scatter_sum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``weights`` into ``n`` scalar bins at ``idx`` (vectorized)."""
-    return np.bincount(idx, weights=weights, minlength=n)
-
-
-def scatter_sum_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``(k, m)`` rows into an ``(n, m)`` array at row indices ``idx``.
-
-    One flattened ``bincount`` over ``idx * m + column`` — the shared
-    replacement for the per-axis Python loops the physics kernels used to
-    carry (and much faster than ``np.add.at``, which is not vectorized).
-    """
-    k, m = rows.shape
-    flat_idx = (idx[:, None] * m + np.arange(m)).ravel()
-    out = np.bincount(flat_idx, weights=rows.ravel(), minlength=n * m)
-    return out.reshape(n, m)
-
-
-# -- segment-reduction plan ----------------------------------------------------
-
-
-def _nonempty_starts(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start positions of the non-empty CSR segments and their numbers.
-
-    ``np.add.reduceat`` returns ``values[start]`` (not 0) for an empty
-    segment, so reductions run over non-empty segments only and scatter
-    the results to their segment numbers.
-    """
-    starts = offsets[:-1]
-    nonempty = starts < offsets[1:]
-    return starts[nonempty], np.flatnonzero(nonempty)
 
 
 # -- the CSR Verlet skin list --------------------------------------------------
@@ -215,11 +178,14 @@ class CsrVerletList:
                 self._trans_dirty = False
             row_cur, cand_cur = self._row_cur, self._cand_cur
             count_idx, targets = self._row, self._cur_label
-        counts, qrow, qcand, qdx, qr = _filter_candidates(
-            pos, h, self.box, row_cur, cand_cur, self.pool,
-            exclude_self=False, out_prefix="vl_q", want_geometry=True,
-            count_idx=count_idx,
+        # Counts bin by build label (count_idx) while the geometry gathers
+        # by current label.
+        filt = _CutoffFilter(
+            pos, h, self.box, self.pool, exclude_self=False,
+            out_prefix="vl_q", want_geometry=True,
         )
+        filt.feed(row_cur, cand_cur, count_idx)
+        counts, qrow, qcand, qdx, qr = filt.result()
         offsets = self.pool.get("vl_qoff", self._n + 1, np.int64)
         offsets[0] = 0
         np.cumsum(counts, out=offsets[1:])
@@ -326,32 +292,24 @@ class CsrStepContext:
         self.h = h
         self.pool = pool if pool is not None else BufferPool()
         self.nnz = csr.n_pairs
-        # Reduction plan: non-empty segments and their output particles,
-        # shared by every reduction this step.
-        idx, seg = _nonempty_starts(csr.offsets)
-        self._red_idx = idx
+        # Reduction plan, shared by every reduction this step: the
+        # non-empty segments (``np.add.reduceat`` returns ``values[start]``,
+        # not 0, for an empty one) and the particles they scatter to.
+        starts = csr.offsets[:-1]
+        nonempty = starts < csr.offsets[1:]
+        self._red_idx = starts[nonempty]
+        seg = np.flatnonzero(nonempty)
         self._out_rows = seg if csr.targets is None else csr.targets[seg]
         self._d: np.ndarray | None = None
         self._w_own: np.ndarray | None = None
         self._w_other: np.ndarray | None = None
         self._dwdh_own: np.ndarray | None = None
-        self._dwdh_other: np.ndarray | None = None
         self._iad_key: np.ndarray | None = None
         self._iad: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_particles(self) -> int:
         return self.csr.n_particles
-
-    @property
-    def row(self) -> np.ndarray:
-        """Gather-target particle index per CSR entry."""
-        return self.csr.row
-
-    @property
-    def col(self) -> np.ndarray:
-        """Neighbor particle index per CSR entry."""
-        return self.csr.indices
 
     @property
     def d(self) -> np.ndarray:
@@ -461,8 +419,8 @@ class CsrStepContext:
     def iad_vectors(self, c_iad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``A_row,k`` and ``A_col,k`` per entry (memoized per matrix set).
 
-        Both point along ``x_col - x_row``, matching the directed-oracle
-        convention; mirrored entries produce exactly negated vectors.
+        Both point along ``x_col - x_row``; mirrored entries produce
+        exactly negated vectors.
         """
         if self._iad is None or self._iad_key is not c_iad:
             d = self.d

@@ -14,9 +14,9 @@ Omega ~= 1 for uniform particle distributions and deviates near strong
 density gradients (shocks, the Evrard center), where the correction
 measurably improves energy conservation — covered by the tests.
 
-:func:`compute_omega` accepts a :class:`~repro.sph.pair_cache.CsrStepContext`
-(the production path, reusing its memoized ``dW/dh`` buffer) or a
-directed :class:`~repro.sph.neighbors.PairList` (the reference path).
+:func:`compute_omega` sums over a
+:class:`~repro.sph.pair_cache.CsrStepContext`, reusing its memoized
+``dW/dh`` buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sph.kernels.cubic_spline import CubicSplineKernel, _SIGMA_3D
-from repro.sph.neighbors import PairList
 from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 
@@ -37,24 +36,16 @@ def kernel_dh(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     return -(_SIGMA_3D / h**4) * (3.0 * w(q) + q * dw(q))
 
 
-def compute_omega(
-    ps: ParticleSet, pairs: PairList | CsrStepContext
-) -> np.ndarray:
+def compute_omega(ps: ParticleSet, ctx: CsrStepContext) -> np.ndarray:
     """The grad-h correction factor per particle (requires ``ps.rho``).
 
     Clamped to [0.4, 2.5]: in pathological neighbour configurations the
     raw estimate can stray far from 1, and production codes clamp it the
     same way to keep the equations well-posed.
     """
-    if isinstance(pairs, CsrStepContext):
-        terms = pairs.gather(ps.mass, "col", "ph_s0")
-        terms *= pairs.dwdh_own
-        sums = pairs.reduce_sum(terms)
-    else:
-        dwdh = kernel_dh(pairs.r, ps.h[pairs.i])
-        sums = np.bincount(
-            pairs.i, weights=ps.mass[pairs.j] * dwdh, minlength=ps.n
-        ).astype(np.float64)
+    terms = ctx.gather(ps.mass, "col", "ph_s0")
+    terms *= ctx.dwdh_own
+    sums = ctx.reduce_sum(terms)
     # Self-contribution: dW/dh at r = 0 is -3 sigma / h^4 * w(0).
     sums += ps.mass * kernel_dh(np.zeros(ps.n), ps.h)
     omega = 1.0 + ps.h / (3.0 * np.maximum(ps.rho, 1e-300)) * sums

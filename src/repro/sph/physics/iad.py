@@ -14,14 +14,12 @@ This module also computes the velocity divergence and curl with the same
 corrected gradients (they feed the Balsara viscosity switch), matching
 SPH-EXA's fused ``IADVelocityDivCurl`` kernel.
 
-With a :class:`~repro.sph.pair_cache.CsrStepContext` (the production
-path) every sum is a float64 segment reduction over the CSR offsets, and
-the gradient vectors computed here are memoized for ``MomentumEnergy`` to
-reuse; a directed :class:`~repro.sph.neighbors.PairList` runs the
-reference formulation the tests compare against.  The per-entry
-temporaries use the context's shared slots (two scalars, a vector, the
-gathered operand ``ph_g`` and ``ph_vt``), and the six-column tau
-geometry borrows the matrix-gather slot ``ct_cb``, which it vacates
+Over a :class:`~repro.sph.pair_cache.CsrStepContext` every sum is a
+float64 segment reduction over the CSR offsets, and the gradient vectors
+computed here are memoized for ``MomentumEnergy`` to reuse.  The
+per-entry temporaries use the context's shared slots (two scalars, a
+vector, the gathered operand ``ph_g`` and ``ph_vt``), and the six-column
+tau geometry borrows the matrix-gather slot ``ct_cb``, which it vacates
 before the gradient vectors are built.
 """
 
@@ -29,26 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sph.kernels.cubic_spline import CubicSplineKernel
-from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
-
-
-def iad_vectors(
-    ps: ParticleSet, pairs: PairList
-) -> tuple[np.ndarray, np.ndarray]:
-    """The corrected gradient vectors ``A_i,ij`` and ``A_j,ij`` per pair.
-
-    ``A_i`` uses particle i's matrix and smoothing length; ``A_j`` uses
-    particle j's (both along ``x_j - x_i``).  Requires ``ps.c_iad``.
-    """
-    d = -pairs.dx  # x_j - x_i
-    w_hi = CubicSplineKernel.value(pairs.r, ps.h[pairs.i])
-    w_hj = CubicSplineKernel.value(pairs.r, ps.h[pairs.j])
-    a_i = np.einsum("kab,kb->ka", ps.c_iad[pairs.i], d) * w_hi[:, None]
-    a_j = np.einsum("kab,kb->ka", ps.c_iad[pairs.j], d) * w_hj[:, None]
-    return a_i, a_j
 
 
 def _invert_tau(tau: np.ndarray) -> np.ndarray:
@@ -79,7 +59,8 @@ def _assemble_tau(entries: np.ndarray, n: int) -> np.ndarray:
     return tau
 
 
-def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
+def compute_iad_and_divcurl(ps: ParticleSet, ctx: CsrStepContext) -> None:
+    """Fill ``ps.c_iad``, ``ps.div_v`` and ``ps.curl_v``."""
     d = ctx.d  # x_col - x_row
 
     # Volume-weighted kernel value per entry, then the six unique tau
@@ -118,35 +99,3 @@ def _iad_and_divcurl_csr(ps: ParticleSet, ctx: CsrStepContext) -> None:
     curl[:, 2] -= v_ji[:, 1] * a_own[:, 0]
     curl *= m_over_rho[:, None]
     ps.curl_v = np.linalg.norm(ctx.reduce_sum_rows(curl), axis=1)
-
-
-def compute_iad_and_divcurl(
-    ps: ParticleSet, pairs: PairList | CsrStepContext
-) -> None:
-    """Fill ``ps.c_iad``, ``ps.div_v`` and ``ps.curl_v``."""
-    if isinstance(pairs, CsrStepContext):
-        _iad_and_divcurl_csr(ps, pairs)
-        return
-    d = -pairs.dx  # x_j - x_i
-    w = CubicSplineKernel.value(pairs.r, ps.h[pairs.i])
-    vol = ps.mass[pairs.j] / ps.rho[pairs.j]
-    weight = vol * w
-
-    # Six unique entries of the symmetric tau matrix, accumulated per i.
-    tau = np.zeros((ps.n, 3, 3), dtype=np.float64)
-    for a in range(3):
-        for b in range(a, 3):
-            entry = scatter_sum(pairs.i, weight * d[:, a] * d[:, b], ps.n)
-            tau[:, a, b] = entry
-            tau[:, b, a] = entry
-    ps.c_iad = _invert_tau(tau)
-
-    # Velocity divergence and curl with corrected gradients.
-    a_i = np.einsum("kab,kb->ka", ps.c_iad[pairs.i], d) * w[:, None]
-    v_ji = ps.vel[pairs.j] - ps.vel[pairs.i]
-    m_over_rho_i = ps.mass[pairs.j] / ps.rho[pairs.i]
-    div_terms = m_over_rho_i * np.einsum("ka,ka->k", v_ji, a_i)
-    ps.div_v = scatter_sum(pairs.i, div_terms, ps.n)
-    curl_vec = np.cross(v_ji, a_i) * m_over_rho_i[:, None]
-    curl = scatter_sum_rows(pairs.i, curl_vec, ps.n)
-    ps.curl_v = np.linalg.norm(curl, axis=1)

@@ -18,15 +18,13 @@ where ``xi`` is the pairwise-averaged Balsara factor.  Pairwise forces are
 exactly antisymmetric (each A flips sign under i<->j), so total momentum
 is conserved to round-off — one of the library's property tests.
 
-On the production path (:class:`~repro.sph.pair_cache.CsrStepContext`)
-every per-particle sum is a float64 segment reduction, and the IAD
-gradient vectors computed by ``IADVelocityDivCurl`` earlier in the step
-are reused instead of being re-evaluated; a directed
-:class:`~repro.sph.neighbors.PairList` runs the reference formulation the
-tests compare against.  Its per-entry temporaries reuse the context's
-shared slots by liveness (seven scalars, two vectors and the gathered
-operands ``ph_g``/``ph_vt``; the assignment is commented in the code),
-so the kernel pool holds no column that is dead for the whole step.
+Over a :class:`~repro.sph.pair_cache.CsrStepContext` every per-particle
+sum is a float64 segment reduction, and the IAD gradient vectors computed
+by ``IADVelocityDivCurl`` earlier in the step are reused instead of being
+re-evaluated.  The per-entry temporaries reuse the context's shared
+slots by liveness (seven scalars, two vectors and the gathered operands
+``ph_g``/``ph_vt``; the assignment is commented in the code), so the
+kernel pool holds no column that is dead for the whole step.
 
 The per-particle maximum signal velocity is stored for the subsequent
 ``Timestep`` function, mirroring SPH-EXA's kernel fusion.
@@ -36,10 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sph.neighbors import PairList
-from repro.sph.pair_cache import CsrStepContext, scatter_sum, scatter_sum_rows
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
-from repro.sph.physics.iad import iad_vectors
 
 DEFAULT_AV_ALPHA = 1.0
 
@@ -54,52 +50,28 @@ def balsara_factor(ps: ParticleSet) -> np.ndarray:
     return abs_div / (abs_div + ps.curl_v + noise + 1e-300)
 
 
-def _pair_viscosity(
-    ps: ParticleSet,
-    i: np.ndarray,
-    j: np.ndarray,
-    v_ij: np.ndarray,
-    dx: np.ndarray,
-    r: np.ndarray,
-    av_alpha: float,
-    use_balsara: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair AV strength ``Pi_ij`` and signal velocity ``v_sig``.
-
-    Both are symmetric under i <-> j (``w = v_ij . dx / r`` flips both
-    factors), so mirrored directed pairs get identical values.
-    """
-    r_safe = np.maximum(r, 1e-300)
-    w_pair = np.einsum("ka,ka->k", v_ij, dx) / r_safe
-    v_sig = ps.c[i] + ps.c[j] - 3.0 * w_pair
-    rho_bar = 0.5 * (ps.rho[i] + ps.rho[j])
-    if use_balsara:
-        bal = balsara_factor(ps)
-        xi = 0.5 * (bal[i] + bal[j])
-    else:
-        xi = np.ones(len(i))
-    visc = np.where(
-        w_pair < 0.0,
-        -0.5 * av_alpha * xi * v_sig * w_pair / rho_bar,
-        0.0,
-    )
-    return visc, v_sig
-
-
-def _momentum_energy_csr(
+def compute_momentum_energy(
     ps: ParticleSet,
     ctx: CsrStepContext,
-    av_alpha: float,
-    use_balsara: bool,
-    omega,
+    av_alpha: float = DEFAULT_AV_ALPHA,
+    use_balsara: bool = True,
+    omega=None,
 ) -> None:
+    """Fill ``ps.acc``, ``ps.du`` and ``ps.v_sig_max``.
+
+    ``omega`` optionally supplies the grad-h correction factors
+    (:func:`repro.sph.physics.grad_h.compute_omega`); pressure terms then
+    become ``P / (Omega rho^2)``.  Pairwise antisymmetry — and therefore
+    exact momentum conservation — is preserved either way.
+    """
     a_own, a_oth = ctx.iad_vectors(ps.c_iad)
     a_bar = ctx.scratch("ph_v0", 3)
     np.add(a_own, a_oth, out=a_bar)
     a_bar *= 0.5
 
     # Pressure-over-rho^2 per particle, gathered per entry — bitwise the
-    # same values as the oracle's gather-then-divide, at O(N) divisions.
+    # same values as the directed oracle's gather-then-divide (tests/
+    # oracles/physics.py), at O(N) divisions.
     if omega is None:
         pr = ps.p / ps.rho**2
     else:
@@ -145,7 +117,7 @@ def _momentum_energy_csr(
     np.negative(term, out=term)
     ps.acc = ctx.reduce_sum_rows(term)
 
-    # Internal energy rate, oracle formulation per entry.
+    # Internal energy rate, the directed oracle's formulation per entry.
     grad_dot_own = ctx.scratch("ph_s2")
     np.einsum("ka,ka->k", v_ij, a_own, out=grad_dot_own)
     grad_dot_bar = ctx.scratch("ph_s4")
@@ -160,56 +132,3 @@ def _momentum_energy_csr(
 
     # Maximum signal velocity per particle, for the CFL condition.
     ps.v_sig_max = np.maximum(ctx.reduce_max(v_sig), ps.c)
-
-
-def compute_momentum_energy(
-    ps: ParticleSet,
-    pairs: PairList | CsrStepContext,
-    av_alpha: float = DEFAULT_AV_ALPHA,
-    use_balsara: bool = True,
-    omega=None,
-) -> None:
-    """Fill ``ps.acc``, ``ps.du`` and ``ps.v_sig_max``.
-
-    ``omega`` optionally supplies the grad-h correction factors
-    (:func:`repro.sph.physics.grad_h.compute_omega`); pressure terms then
-    become ``P / (Omega rho^2)``.  Pairwise antisymmetry — and therefore
-    exact momentum conservation — is preserved either way.
-    """
-    if isinstance(pairs, CsrStepContext):
-        _momentum_energy_csr(ps, pairs, av_alpha, use_balsara, omega)
-        return
-
-    a_i, a_j = iad_vectors(ps, pairs)
-    a_bar = 0.5 * (a_i + a_j)
-
-    i, j = pairs.i, pairs.j
-    if omega is None:
-        pr_i = ps.p[i] / ps.rho[i] ** 2
-        pr_j = ps.p[j] / ps.rho[j] ** 2
-    else:
-        pr_i = ps.p[i] / (omega[i] * ps.rho[i] ** 2)
-        pr_j = ps.p[j] / (omega[j] * ps.rho[j] ** 2)
-
-    v_ij = ps.vel[i] - ps.vel[j]
-    visc, v_sig = _pair_viscosity(
-        ps, i, j, v_ij, pairs.dx, pairs.r, av_alpha, use_balsara
-    )
-
-    # Accelerations.
-    m_j = ps.mass[j]
-    pair_acc = -(m_j[:, None]) * (
-        pr_i[:, None] * a_i + pr_j[:, None] * a_j + visc[:, None] * a_bar
-    )
-    ps.acc = scatter_sum_rows(i, pair_acc, ps.n)
-
-    # Internal energy rate.
-    grad_dot_i = np.einsum("ka,ka->k", v_ij, a_i)
-    grad_dot_bar = np.einsum("ka,ka->k", v_ij, a_bar)
-    du_terms = m_j * (pr_i * grad_dot_i + 0.5 * visc * grad_dot_bar)
-    ps.du = scatter_sum(i, du_terms, ps.n)
-
-    # Maximum signal velocity per particle, for the CFL condition.
-    v_sig_max = np.full(ps.n, 0.0)
-    np.maximum.at(v_sig_max, i, v_sig)
-    ps.v_sig_max = np.maximum(v_sig_max, ps.c)

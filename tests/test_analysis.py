@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     DeviceBreakdown,
-    attributed_joules,
     device_breakdown,
     edp,
     function_breakdown,
@@ -23,6 +22,7 @@ from repro.instrumentation.records import (
     RunMeasurements,
 )
 from repro.slurm.job import JobAccounting
+from tests.oracles.measurement import attributed_joules
 
 
 def make_run(system="LUMI-G", gcds_per_card=2, ranks=4, nodes=1, memory=True):

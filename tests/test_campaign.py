@@ -24,7 +24,6 @@ from repro.campaign import (
     ResultStore,
     RunKey,
     campaign_summary,
-    canonical_payload,
     execute,
     execute_key,
     expand,
@@ -50,6 +49,7 @@ from repro.experiments.scaling import weak_scaling_series
 from repro.experiments.validation import figure1_series
 from repro.instrumentation.records import RunMeasurements, TelemetryHealthRecord
 from repro.instrumentation.reporting import campaign_health_summary
+from tests.oracles.measurement import canonical_payload
 
 STEPS = 4
 SIDES = (100, 140)
@@ -246,6 +246,7 @@ class TestResultStore:
             "entries": 0,
             "bytes": 0,
             "corrupt": 0,
+            "stale": 0,
             "tmp_orphans": 0,
         }
 

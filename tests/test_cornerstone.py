@@ -12,16 +12,18 @@ from repro.sph.cornerstone import (
     KEY_RANGE,
     MAX_COORD,
     build_cornerstone,
-    decode_morton,
     encode_morton,
     leaf_counts,
-    node_aligned,
     partition_leaves,
     sfc_keys,
 )
-from repro.sph.cornerstone.octree import validate_cornerstone
-from repro.sph.neighbors import brute_force_pairs
 from repro.sph.particles import ParticleSet
+from tests.oracles.cornerstone import (
+    decode_morton,
+    node_aligned,
+    validate_cornerstone,
+)
+from tests.oracles.neighbors import brute_force_pairs
 
 
 class TestMorton:

@@ -693,6 +693,7 @@ class TestGcSweep:
             "tmp_reaped": 1,
             "leases_swept": 1,
             "corrupt_quarantined": 1,
+            "stale_removed": 0,
         }
         assert store.get(keys[0]) is not None  # healthy entry survives
 

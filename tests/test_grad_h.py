@@ -5,10 +5,15 @@ import numpy as np
 from repro.sph import Simulation
 from repro.sph.initial_conditions import make_evrard, make_turbulence
 from repro.sph.kernels import CubicSplineKernel
-from repro.sph.neighbors import find_neighbors
-from repro.sph.physics import compute_density
+from repro.sph.physics import (
+    compute_density,
+    compute_iad_and_divcurl,
+    compute_momentum_energy,
+    ideal_gas_eos,
+)
 from repro.sph.physics.grad_h import compute_omega, kernel_dh
 from repro.sph.propagator import Propagator
+from tests.test_sph_physics import step_context
 
 class TestKernelDh:
     def test_matches_finite_difference(self):
@@ -33,25 +38,25 @@ class TestKernelDh:
 class TestOmega:
     def test_near_unity_for_uniform_gas(self):
         ps, box = make_turbulence(n_side=8, seed=31)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs)
-        omega = compute_omega(ps, pairs)
+        ctx = step_context(ps, box)
+        compute_density(ps, ctx)
+        omega = compute_omega(ps, ctx)
         assert np.median(np.abs(omega - 1.0)) < 0.15
 
     def test_deviates_in_density_gradient(self):
         ps, box = make_evrard(n=3000, seed=32)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs)
-        omega = compute_omega(ps, pairs)
+        ctx = step_context(ps, box)
+        compute_density(ps, ctx)
+        omega = compute_omega(ps, ctx)
         # The steep rho ~ 1/r profile makes Omega spread visibly.
         assert omega.std() > 0.01
 
     def test_clamped(self):
         ps, box = make_turbulence(n_side=6, seed=33)
         ps.h *= 3.0  # pathological: huge supports
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs)
-        omega = compute_omega(ps, pairs)
+        ctx = step_context(ps, box)
+        compute_density(ps, ctx)
+        omega = compute_omega(ps, ctx)
         assert np.all(omega >= 0.4)
         assert np.all(omega <= 2.5)
 
@@ -79,23 +84,15 @@ class TestGradHInPropagator:
 
     def test_energy_rate_cancellation_exact(self):
         """dE_kin/dt + dE_int/dt == 0 to round-off also with Omega."""
-        from repro.sph.neighbors import find_neighbors
-        from repro.sph.physics import (
-            compute_density,
-            compute_iad_and_divcurl,
-            compute_momentum_energy,
-            ideal_gas_eos,
-        )
-
         ps, box = make_turbulence(n_side=8, seed=36)
         rng = np.random.default_rng(36)
         ps.vel = rng.normal(0.0, 0.1, size=ps.vel.shape)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs)
+        ctx = step_context(ps, box)
+        compute_density(ps, ctx)
         ideal_gas_eos(ps)
-        compute_iad_and_divcurl(ps, pairs)
-        omega = compute_omega(ps, pairs)
-        compute_momentum_energy(ps, pairs, omega=omega)
+        compute_iad_and_divcurl(ps, ctx)
+        omega = compute_omega(ps, ctx)
+        compute_momentum_energy(ps, ctx, omega=omega)
         dekin = np.sum(ps.mass * np.einsum("ia,ia->i", ps.vel, ps.acc))
         deint = np.sum(ps.mass * ps.du)
         scale = abs(dekin) + abs(deint) + 1e-300

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sph.gravity import (
-    BarnesHutGravity,
-    direct_sum_acceleration,
-    direct_sum_potential,
-)
+from repro.sph.gravity import BarnesHutGravity
 from repro.sph.initial_conditions import make_evrard
 from repro.sph.propagator import Propagator
 from repro.sph.simulation import Simulation
+from tests.oracles.gravity import direct_sum_acceleration, direct_sum_potential
 
 
 def random_cluster(n, seed=0):

@@ -2,12 +2,11 @@
 
 The CSR cell-list builder, the skin-cached :class:`CsrVerletList` and the
 :class:`CsrStepContext` SoA kernel engine must be *exact* reformulations
-of the directed :class:`PairList` oracle: identical directed pair sets
-for arbitrary configurations (random boxes, periodic wrap, mixed
+of the directed oracles in ``tests/oracles/``: identical directed pair
+sets for arbitrary configurations (random boxes, periodic wrap, mixed
 smoothing lengths, isolated particles), pair geometry equal to <= 1e-12,
 physics fields equal to <= 1e-12 relative error, and momentum
-conservation to round-off.  float32 pair storage is the one deliberate
-relaxation and gets its own (looser) gate.
+conservation to round-off.
 """
 
 import numpy as np
@@ -16,12 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sph.box import Box
-from repro.sph.neighbors import (
-    BufferPool,
-    brute_force_pairs,
-    csr_neighbors,
-    find_neighbors,
-)
+from repro.sph.neighbors import BufferPool, csr_neighbors
 from repro.sph.pair_cache import CsrStepContext, CsrVerletList
 from repro.sph.physics import (
     compute_density,
@@ -30,34 +24,16 @@ from repro.sph.physics import (
     ideal_gas_eos,
 )
 from repro.sph.physics.grad_h import compute_omega
-from tests.test_pair_cache import clone, make_case, run_oracle
+from tests.oracles.neighbors import brute_force_pairs, to_directed
+from tests.test_pair_cache import (
+    assert_matches_oracle,
+    clone,
+    directed_set,
+    make_case,
+    run_oracle,
+)
 
 RTOL = 1e-12
-
-
-def directed_set(pairs):
-    return set(zip(pairs.i.tolist(), pairs.j.tolist()))
-
-
-def assert_matches_oracle(csr, oracle):
-    """Directed pair sets identical; geometry equal to <= 1e-12."""
-    got = csr.to_directed()
-    assert directed_set(got) == directed_set(oracle)
-    order_g = np.lexsort((got.j, got.i))
-    order_w = np.lexsort((oracle.j, oracle.i))
-    assert np.allclose(
-        got.r[order_g], oracle.r[order_w], rtol=RTOL, atol=0.0
-    )
-    assert np.allclose(
-        got.dx[order_g], oracle.dx[order_w], rtol=RTOL, atol=1e-300
-    )
-    # The CSR invariants themselves.
-    assert csr.offsets[0] == 0
-    assert csr.offsets[-1] == csr.n_pairs
-    assert np.all(np.diff(csr.offsets) >= 0)
-    counts = csr.neighbor_counts()
-    assert counts.sum() == csr.n_pairs
-    assert np.array_equal(counts, oracle.neighbor_counts())
 
 
 def run_csr(ps, box, pool=None):
@@ -125,7 +101,7 @@ class TestCsrBuilder:
         h = np.full(len(pos), 0.05)
         csr = csr_neighbors(pos, h, box)
         assert_matches_oracle(csr, brute_force_pairs(pos, h, box))
-        assert directed_set(csr.to_directed()) == {
+        assert directed_set(to_directed(csr)) == {
             (0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4),
         }
 
@@ -314,12 +290,3 @@ class TestCsrVerletList:
             nlist.query(ps.pos, ps.h)
             self.drift(ps, box, rng, sigma)
         assert nlist.pool.nbytes() == warm
-
-
-class TestFindNeighborsCompat:
-    def test_adapter_equals_csr(self):
-        """find_neighbors rides on the same CSR builder."""
-        ps, box = make_case("turbulence")
-        csr = csr_neighbors(ps.pos, ps.h, box)
-        directed = find_neighbors(ps.pos, ps.h, box)
-        assert directed_set(csr.to_directed()) == directed_set(directed)

@@ -1,13 +1,13 @@
 """Property tests for the pair-cache layer.
 
 The Verlet skin list and the physics chain run over its cached pairs must
-be *exact* reformulations of the directed brute-force oracle: identical
-pair sets after arbitrary movement, physics fields equal to <= 1e-12
-relative error, and momentum conservation to round-off — across
+be *exact* reformulations of the directed oracles in ``tests/oracles/``:
+identical pair sets after arbitrary movement, physics fields equal to
+<= 1e-12 relative error, and momentum conservation to round-off — across
 turbulence and Sedov configurations, periodic and open boxes, serial and
-distributed drivers.  The shared fixtures here (:func:`clone`,
-:func:`make_case`, :func:`run_oracle`) also feed the CSR engine's oracle
-tests in ``tests/test_neighbors_csr.py``.
+distributed drivers.  The shared helpers here (:func:`clone`,
+:func:`make_case`, :func:`run_oracle`, :func:`assert_matches_oracle`)
+also feed the CSR engine's oracle tests in ``tests/test_neighbors_csr.py``.
 """
 
 import numpy as np
@@ -17,12 +17,8 @@ from repro.errors import SimulationError
 from repro.sph.box import Box
 from repro.sph.distributed import DistributedHydro
 from repro.sph.initial_conditions import make_sedov, make_turbulence
-from repro.sph.neighbors import (
-    brute_force_pairs,
-    csr_neighbors,
-    find_neighbors,
-)
-from repro.sph.pair_cache import CsrStepContext, CsrVerletList, scatter_sum_rows
+from repro.sph.neighbors import csr_neighbors
+from repro.sph.pair_cache import CsrStepContext, CsrVerletList
 from repro.sph.particles import ParticleSet
 from repro.sph.physics import (
     compute_density,
@@ -33,6 +29,14 @@ from repro.sph.physics import (
 from repro.sph.physics.grad_h import compute_omega
 from repro.sph.propagator import Propagator
 from repro.sph.simulation import Simulation
+from tests.oracles.neighbors import PairList, brute_force_pairs, to_directed
+from tests.oracles.physics import (
+    directed_density,
+    directed_iad_and_divcurl,
+    directed_momentum_energy,
+    directed_omega,
+    scatter_sum_rows,
+)
 
 RTOL = 1e-12
 
@@ -44,11 +48,29 @@ def clone(ps: ParticleSet) -> ParticleSet:
     return out
 
 
-def pair_set(pairs):
-    """Order-insensitive undirected pair set."""
-    lo = np.minimum(pairs.i, pairs.j)
-    hi = np.maximum(pairs.i, pairs.j)
-    return set(zip(lo.tolist(), hi.tolist()))
+def directed_set(pairs):
+    return set(zip(pairs.i.tolist(), pairs.j.tolist()))
+
+
+def assert_matches_oracle(csr, oracle: PairList):
+    """Directed pair sets identical; geometry equal to <= 1e-12."""
+    got = to_directed(csr)
+    assert directed_set(got) == directed_set(oracle)
+    order_g = np.lexsort((got.j, got.i))
+    order_w = np.lexsort((oracle.j, oracle.i))
+    assert np.allclose(
+        got.r[order_g], oracle.r[order_w], rtol=RTOL, atol=0.0
+    )
+    assert np.allclose(
+        got.dx[order_g], oracle.dx[order_w], rtol=RTOL, atol=1e-300
+    )
+    # The CSR invariants themselves.
+    assert csr.offsets[0] == 0
+    assert csr.offsets[-1] == csr.n_pairs
+    assert np.all(np.diff(csr.offsets) >= 0)
+    counts = csr.neighbor_counts()
+    assert counts.sum() == csr.n_pairs
+    assert np.array_equal(counts, oracle.neighbor_counts())
 
 
 def make_case(name):
@@ -68,14 +90,14 @@ def make_case(name):
 
 
 def run_oracle(ps, box):
-    """The directed-PairList physics chain (the historical formulation)."""
-    pairs = find_neighbors(ps.pos, ps.h, box)
+    """The directed-pair physics chain of ``tests/oracles/physics.py``."""
+    pairs = to_directed(csr_neighbors(ps.pos, ps.h, box))
     ps.nc = pairs.neighbor_counts()
-    compute_density(ps, pairs)
+    directed_density(ps, pairs)
     ideal_gas_eos(ps)
-    compute_iad_and_divcurl(ps, pairs)
-    omega = compute_omega(ps, pairs)
-    compute_momentum_energy(ps, pairs, omega=omega)
+    directed_iad_and_divcurl(ps, pairs)
+    omega = directed_omega(ps, pairs)
+    directed_momentum_energy(ps, pairs, omega=omega)
     return ps
 
 
@@ -147,12 +169,11 @@ class TestVerletList:
         rng = np.random.default_rng(17)
         sigma = 0.002 * float(np.mean(ps.h))
         for _ in range(8):
-            got = nlist.query(ps.pos, ps.h).to_directed()
-            assert pair_set(got) == pair_set(
-                brute_force_pairs(ps.pos, ps.h, box)
-            )
-            # Same geometry as a fresh search, not just the same index set.
-            want = csr_neighbors(ps.pos, ps.h, box).to_directed()
+            csr = nlist.query(ps.pos, ps.h)
+            assert_matches_oracle(csr, brute_force_pairs(ps.pos, ps.h, box))
+            # Bitwise the geometry of a fresh search.
+            got = to_directed(csr)
+            want = to_directed(csr_neighbors(ps.pos, ps.h, box))
             order_g = np.lexsort((got.j, got.i))
             order_w = np.lexsort((want.j, want.i))
             assert np.allclose(got.r[order_g], want.r[order_w], rtol=0, atol=0)
@@ -171,9 +192,8 @@ class TestVerletList:
         nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
         ps.h = ps.h * 1.5  # new pairs appear without any movement
-        got = nlist.query(ps.pos, ps.h).to_directed()
-        want = brute_force_pairs(ps.pos, ps.h, box)
-        assert pair_set(got) == pair_set(want)
+        got = nlist.query(ps.pos, ps.h)
+        assert_matches_oracle(got, brute_force_pairs(ps.pos, ps.h, box))
         assert nlist.n_builds == 2
 
     def test_shrinking_h_reuses_cache(self):
@@ -181,9 +201,8 @@ class TestVerletList:
         nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
         ps.h = ps.h * 0.9
-        got = nlist.query(ps.pos, ps.h).to_directed()
-        want = brute_force_pairs(ps.pos, ps.h, box)
-        assert pair_set(got) == pair_set(want)
+        got = nlist.query(ps.pos, ps.h)
+        assert_matches_oracle(got, brute_force_pairs(ps.pos, ps.h, box))
         assert nlist.n_builds == 1  # the cached candidates still cover it
 
     def test_reorder_preserves_cache(self):
@@ -194,9 +213,8 @@ class TestVerletList:
         order = rng.permutation(ps.n)
         ps.reorder(order)
         nlist.reorder(order)
-        got = nlist.query(ps.pos, ps.h).to_directed()
-        want = brute_force_pairs(ps.pos, ps.h, box)
-        assert pair_set(got) == pair_set(want)
+        got = nlist.query(ps.pos, ps.h)
+        assert_matches_oracle(got, brute_force_pairs(ps.pos, ps.h, box))
         assert nlist.n_builds == 1  # permutation alone never rebuilds
 
     def test_zero_skin_rebuilds_every_query(self):
@@ -214,9 +232,8 @@ class TestVerletList:
         ps, box = make_case("turbulence")
         nlist = CsrVerletList(box)
         nlist.query(ps.pos, ps.h)
-        got = nlist.query(ps.pos[:-10], ps.h[:-10]).to_directed()
-        want = brute_force_pairs(ps.pos[:-10], ps.h[:-10], box)
-        assert pair_set(got) == pair_set(want)
+        got = nlist.query(ps.pos[:-10], ps.h[:-10])
+        assert_matches_oracle(got, brute_force_pairs(ps.pos[:-10], ps.h[:-10], box))
         assert nlist.n_builds == 2
 
 
@@ -274,14 +291,12 @@ class TestPropagatorIntegration:
         assert prop.neighbor_list.rebuild_fraction < 1.0
 
     def test_gravity_step_avoids_direct_sum_potential(self, monkeypatch):
-        """Acceptance: the Evrard hot loop uses the tree potential, and one
-        tree traversal per step yields both the forces and the potential."""
+        """Acceptance: the Evrard hot loop uses the tree potential (src has
+        no direct sum at all), and one tree traversal per step yields both
+        the forces and the potential."""
         import repro.sph.gravity as gravity_mod
 
-        def boom(*a, **k):  # pragma: no cover - should never run
-            raise AssertionError("direct_sum_potential called in hot loop")
-
-        monkeypatch.setattr(gravity_mod, "direct_sum_potential", boom)
+        assert not hasattr(gravity_mod, "direct_sum_potential")
         traversals = []
         walk = gravity_mod.BarnesHutGravity._walk
 

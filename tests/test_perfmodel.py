@@ -6,7 +6,6 @@ from repro.config import CSCS_A100, LUMI_G, MINIHPC
 from repro.errors import SimulationError
 from repro.hardware import Cluster, VirtualClock
 from repro.mpi import CommCostModel, RankPlacement
-from repro.sph import calibration as cal
 from repro.sph.calibration import FUNCTION_COSTS, efficiency
 from repro.sph.perfmodel import SphPerformanceModel
 from repro.sph.propagator import TURBULENCE_FUNCTIONS

@@ -11,7 +11,8 @@ from repro.pmt import PMT, PmtSampler
 from repro.pmt.backends.cray import CrayPMT
 from repro.sensors import NodeTelemetry
 from repro.sensors.inject import FAULT_KINDS, inject_fault
-from repro.sensors.pm_counters import PM_COUNTERS_DIR, parse_pm_file
+from repro.sensors.pm_counters import PM_COUNTERS_DIR
+from tests.oracles.measurement import parse_pm_file
 
 
 @pytest.fixture

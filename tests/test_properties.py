@@ -5,7 +5,6 @@ consistency between layers, performance-model monotonicity, placement
 bijectivity, PMT interval additivity.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -14,7 +14,7 @@ import pytest
 
 import repro.pmt as pmt
 from repro.config import CSCS_A100, LUMI_G
-from repro.errors import BackendError, SensorError
+from repro.errors import BackendError
 from repro.hardware import Node, VirtualClock
 from repro.instrumentation.profiler import _SlurmNodePMT
 from repro.sensors import NodeTelemetry

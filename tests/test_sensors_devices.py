@@ -14,8 +14,9 @@ from repro.sensors import (
     RocmCard,
     VirtualSysfs,
 )
-from repro.sensors.pm_counters import PM_COUNTERS_DIR, parse_pm_file
+from repro.sensors.pm_counters import PM_COUNTERS_DIR
 from repro.sensors.rapl import RAPL_MAX_ENERGY_RANGE_J
+from tests.oracles.measurement import parse_pm_file
 
 
 @pytest.fixture

@@ -41,7 +41,6 @@ from repro.service import protocol
 from repro.service.client import http_request
 from repro.service.server import TelemetryService
 from repro.service.protocol import ProtocolError
-from repro.timeseries import TimeseriesCollector
 
 
 def _columns(n=8, t0=0.0, watts=100.0):

@@ -1,4 +1,5 @@
-"""Tests for neighbor search: cell list cross-validated against brute force."""
+"""Tests for neighbor search: the CSR cell list cross-validated against the
+brute-force oracle of ``tests/oracles/neighbors.py``."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sph.box import Box
-from repro.sph.neighbors import brute_force_pairs, find_neighbors
+from repro.sph.neighbors import csr_neighbors
+from tests.oracles.neighbors import brute_force_pairs, to_directed
 
 
 def pair_set(pairs):
@@ -100,14 +102,14 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=False)
         pos, h = random_particles(400, box, 0.06, seed=1)
         bf = brute_force_pairs(pos, h, box)
-        cl = find_neighbors(pos, h, box)
+        cl = to_directed(csr_neighbors(pos, h, box))
         assert pair_set(bf) == pair_set(cl)
 
     def test_cell_list_matches_brute_force_periodic(self):
         box = Box(length=1.0, periodic=True)
         pos, h = random_particles(400, box, 0.06, seed=2)
         bf = brute_force_pairs(pos, h, box)
-        cl = find_neighbors(pos, h, box)
+        cl = to_directed(csr_neighbors(pos, h, box))
         assert pair_set(bf) == pair_set(cl)
 
     def test_cell_list_small_periodic_box_stencil_dedup(self):
@@ -117,13 +119,13 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=True)
         pos, h = random_particles(50, box, 0.25, seed=3)  # huge cutoff
         bf = brute_force_pairs(pos, h, box)
-        cl = find_neighbors(pos, h, box)
+        cl = to_directed(csr_neighbors(pos, h, box))
         assert pair_set(bf) == pair_set(cl)
 
     def test_find_neighbors_is_cell_list(self):
         box = Box(length=1.0, periodic=True)
         pos, h = random_particles(200, box, 0.05, seed=4)
-        pairs = find_neighbors(pos, h, box)
+        pairs = to_directed(csr_neighbors(pos, h, box))
         assert pair_set(pairs) == pair_set(brute_force_pairs(pos, h, box))
 
     def test_mismatched_lengths_rejected(self):
@@ -143,7 +145,7 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=periodic)
         pos, h = random_particles(n, box, h_value, seed)
         bf = brute_force_pairs(pos, h, box)
-        cl = find_neighbors(pos, h, box)
+        cl = to_directed(csr_neighbors(pos, h, box))
         assert pair_set(bf) == pair_set(cl)
 
     def test_single_code_path_across_sizes(self):
@@ -153,7 +155,7 @@ class TestNeighborSearch:
         box = Box(length=1.0, periodic=False)
         for n in (2, 8, 128, 513):
             pos, h = random_particles(n, box, 0.1, seed=5)
-            assert pair_set(find_neighbors(pos, h, box)) == pair_set(
+            assert pair_set(to_directed(csr_neighbors(pos, h, box))) == pair_set(
                 brute_force_pairs(pos, h, box)
             )
 
@@ -162,9 +164,9 @@ class TestNeighborSearch:
         identical pair geometry whether or not a far-away particle exists."""
         box = Box(length=2.0, periodic=False)
         pos, h = random_particles(200, box, 0.1, seed=6)
-        base = find_neighbors(pos, h, box)
+        base = to_directed(csr_neighbors(pos, h, box))
         # The grid origin is the box bound, not the particle minimum.
-        shifted = find_neighbors(pos - 0.01, h, box)
+        shifted = to_directed(csr_neighbors(pos - 0.01, h, box))
         assert pair_set(base) == pair_set(
             brute_force_pairs(pos, h, box)
         )
@@ -178,7 +180,7 @@ class TestNeighborSearch:
         pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]] * 100)
         h = np.full(len(pos), 1e-8)
         with pytest.raises(SimulationError, match="overflow"):
-            find_neighbors(pos, h, box)
+            csr_neighbors(pos, h, box)
 
     @given(
         st.integers(min_value=2, max_value=60),

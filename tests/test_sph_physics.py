@@ -7,7 +7,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sph.box import Box
 from repro.sph.initial_conditions import make_turbulence
-from repro.sph.neighbors import find_neighbors
+from repro.sph.neighbors import csr_neighbors
+from repro.sph.pair_cache import CsrStepContext
 from repro.sph.particles import ParticleSet
 from repro.sph.physics import (
     compute_density,
@@ -22,27 +23,32 @@ from repro.sph.physics import (
 from repro.sph.physics.momentum_energy import balsara_factor
 
 
+def step_context(ps, box):
+    """The production pair path: a CSR search wrapped in the kernel engine."""
+    return CsrStepContext(csr_neighbors(ps.pos, ps.h, box), ps.h)
+
+
 @pytest.fixture(scope="module")
 def uniform_gas():
-    """A settled uniform periodic gas with its pair list."""
+    """A settled uniform periodic gas with its step context."""
     ps, box = make_turbulence(n_side=8, rho0=2.0, sound_speed=1.5, seed=7)
-    pairs = find_neighbors(ps.pos, ps.h, box)
-    ps.nc = pairs.neighbor_counts()
-    return ps, box, pairs
+    ctx = step_context(ps, box)
+    ps.nc = ctx.csr.neighbor_counts()
+    return ps, box, ctx
 
 
 class TestDensity:
     def test_uniform_gas_density(self, uniform_gas):
-        ps, box, pairs = uniform_gas
-        compute_density(ps, pairs)
+        ps, box, ctx = uniform_gas
+        compute_density(ps, ctx)
         # Summation density of a jittered lattice stays within a few
         # percent of the true uniform density.
         assert np.median(ps.rho) == pytest.approx(2.0, rel=0.05)
         assert ps.rho.std() / ps.rho.mean() < 0.1
 
     def test_density_positive(self, uniform_gas):
-        ps, box, pairs = uniform_gas
-        compute_density(ps, pairs)
+        ps, box, ctx = uniform_gas
+        compute_density(ps, ctx)
         assert np.all(ps.rho > 0)
 
     def test_isolated_particle_self_density(self):
@@ -51,20 +57,20 @@ class TestDensity:
         ps.mass[:] = 1.0
         ps.h[:] = 0.5
         box = Box(length=20.0, periodic=False)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        compute_density(ps, pairs)
+        ctx = step_context(ps, box)
+        compute_density(ps, ctx)
         expected = 1.0 / (np.pi * 0.5**3)  # m W(0, h)
         assert ps.rho[0] == pytest.approx(expected)
 
     def test_density_scales_with_mass(self, uniform_gas):
-        ps, box, pairs = uniform_gas
-        compute_density(ps, pairs)
+        ps, box, ctx = uniform_gas
+        compute_density(ps, ctx)
         rho1 = ps.rho.copy()
         ps.mass = ps.mass * 3.0
-        compute_density(ps, pairs)
+        compute_density(ps, ctx)
         assert np.allclose(ps.rho, 3.0 * rho1)
         ps.mass = ps.mass / 3.0
-        compute_density(ps, pairs)
+        compute_density(ps, ctx)
 
 
 class TestEos:
@@ -83,9 +89,9 @@ class TestEos:
 
 class TestIad:
     def test_matrices_symmetric_positive(self, uniform_gas):
-        ps, box, pairs = uniform_gas
-        compute_density(ps, pairs)
-        compute_iad_and_divcurl(ps, pairs)
+        ps, box, ctx = uniform_gas
+        compute_density(ps, ctx)
+        compute_iad_and_divcurl(ps, ctx)
         assert np.allclose(ps.c_iad, np.transpose(ps.c_iad, (0, 2, 1)), rtol=1e-8)
         # Diagonal entries of the inverse moment matrix are positive.
         diags = np.diagonal(ps.c_iad, axis1=1, axis2=2)
@@ -101,10 +107,10 @@ class TestIad:
         # and check interior particles only.
         open_box = Box(length=1.0, periodic=False)
         ps.vel = ps.pos @ grad.T
-        pairs = find_neighbors(ps.pos, ps.h, open_box)
-        ps.nc = pairs.neighbor_counts()
-        compute_density(ps, pairs)
-        compute_iad_and_divcurl(ps, pairs)
+        ctx = step_context(ps, open_box)
+        ps.nc = ctx.csr.neighbor_counts()
+        compute_density(ps, ctx)
+        compute_iad_and_divcurl(ps, ctx)
         interior = np.all(np.abs(ps.pos) < 0.25, axis=1)
         measured = np.median(ps.div_v[interior])
         assert measured == pytest.approx(np.trace(grad), rel=0.1)
@@ -114,9 +120,9 @@ class TestIad:
         omega = np.array([0.0, 0.0, 1.0])
         open_box = Box(length=1.0, periodic=False)
         ps.vel = np.cross(omega, ps.pos)
-        pairs = find_neighbors(ps.pos, ps.h, open_box)
-        compute_density(ps, pairs)
-        compute_iad_and_divcurl(ps, pairs)
+        ctx = step_context(ps, open_box)
+        compute_density(ps, ctx)
+        compute_iad_and_divcurl(ps, ctx)
         interior = np.all(np.abs(ps.pos) < 0.25, axis=1)
         assert np.median(np.abs(ps.div_v[interior])) < 0.05
         assert np.median(ps.curl_v[interior]) == pytest.approx(2.0, rel=0.1)
@@ -127,13 +133,13 @@ class TestMomentumEnergy:
         ps, box = make_turbulence(n_side=8, seed=seed)
         rng = np.random.default_rng(seed)
         ps.vel = rng.normal(0.0, 0.1, size=ps.vel.shape)
-        pairs = find_neighbors(ps.pos, ps.h, box)
-        ps.nc = pairs.neighbor_counts()
-        compute_density(ps, pairs)
+        ctx = step_context(ps, box)
+        ps.nc = ctx.csr.neighbor_counts()
+        compute_density(ps, ctx)
         ideal_gas_eos(ps)
-        compute_iad_and_divcurl(ps, pairs)
-        compute_momentum_energy(ps, pairs)
-        return ps, box, pairs
+        compute_iad_and_divcurl(ps, ctx)
+        compute_momentum_energy(ps, ctx)
+        return ps, box, ctx
 
     def test_momentum_rate_zero(self):
         """Pairwise antisymmetry: sum m a = 0 to round-off."""
@@ -155,11 +161,11 @@ class TestMomentumEnergy:
         ps, box = make_turbulence(n_side=8, seed=14)
         ps.vel = -0.5 * ps.pos  # uniform compression toward origin
         open_box = Box(length=1.0, periodic=False)
-        pairs = find_neighbors(ps.pos, ps.h, open_box)
-        compute_density(ps, pairs)
+        ctx = step_context(ps, open_box)
+        compute_density(ps, ctx)
         ideal_gas_eos(ps)
-        compute_iad_and_divcurl(ps, pairs)
-        compute_momentum_energy(ps, pairs)
+        compute_iad_and_divcurl(ps, ctx)
+        compute_momentum_energy(ps, ctx)
         interior = np.all(np.abs(ps.pos) < 0.25, axis=1)
         assert np.median(ps.du[interior]) > 0
 
@@ -168,13 +174,13 @@ class TestMomentumEnergy:
         ps, box = make_turbulence(n_side=8, seed=15)
         ps.vel = 0.5 * ps.pos  # uniform expansion
         open_box = Box(length=1.0, periodic=False)
-        pairs = find_neighbors(ps.pos, ps.h, open_box)
-        compute_density(ps, pairs)
+        ctx = step_context(ps, open_box)
+        compute_density(ps, ctx)
         ideal_gas_eos(ps)
-        compute_iad_and_divcurl(ps, pairs)
-        compute_momentum_energy(ps, pairs, av_alpha=0.0)
+        compute_iad_and_divcurl(ps, ctx)
+        compute_momentum_energy(ps, ctx, av_alpha=0.0)
         du_noav = ps.du.copy()
-        compute_momentum_energy(ps, pairs, av_alpha=1.0)
+        compute_momentum_energy(ps, ctx, av_alpha=1.0)
         # Pure expansion: AV changes nothing.
         assert np.allclose(ps.du, du_noav, atol=1e-10)
 

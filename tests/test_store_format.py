@@ -5,7 +5,7 @@ as columns (schema 2), decodes it with one ``json.loads``, and hashes
 keys from memoized per-config JSON fragments.  None of that may change a
 stored byte or an address: the straightforward definitions below (the
 records of ``dataclasses.asdict`` transposed to columns; a SHA-256 over
-the dumped :func:`canonical_payload`) are kept as the oracles the fast
+the dumped ``canonical_payload`` of ``tests/oracles/``) are kept as the oracles the fast
 paths must reproduce exactly.
 """
 
@@ -18,14 +18,14 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.aggregate import attributed_joules, function_totals
+from repro.analysis.aggregate import function_totals
 from repro.audit.hooks import audit_campaign_result
+from repro.cli import main
 from repro.campaign import (
     CACHE_SCHEMA_VERSION,
     CODE_VERSION,
     ResultStore,
     RunKey,
-    canonical_payload,
     execute_key,
     run_key_hash,
 )
@@ -45,6 +45,7 @@ from repro.instrumentation.records import (
     RunMeasurements,
     TelemetryHealthRecord,
 )
+from tests.oracles.measurement import attributed_joules, canonical_payload
 
 STEPS = 3
 
@@ -273,6 +274,28 @@ class TestRecordsDecode:
         assert store.stats()["corrupt"] == 1
         assert store.quarantine_corrupt() == 1
         assert store.lookup(key) == (None, "miss")
+
+    def test_old_schema_entry_is_stale_not_corrupt(self, tmp_path, results, capsys):
+        """An intact entry of an older schema is stale: ``gc`` deletes it
+        and quarantines only the rotten bytes."""
+        store = ResultStore(tmp_path)
+        stale = store.put(KEYS[0], results[KEYS[0]])
+        payload = json.loads(stale.read_text())
+        payload["schema"] = 1
+        stale.write_text(json.dumps(payload))
+        rotten = store.put(KEYS[-1], results[KEYS[-1]])
+        rotten.write_text("rot")
+        stats = store.stats()
+        assert (stats["entries"], stats["stale"], stats["corrupt"]) == (2, 1, 1)
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["campaign", "status", "fig1", *cache]) == 0
+        assert ", 1 corrupt, 1 stale," in capsys.readouterr().out
+        assert main(["campaign", "gc", *cache]) == 0
+        out = capsys.readouterr().out
+        assert "1 corrupt entries quarantined, 1 stale entries removed" in out
+        assert store.stats()["entries"] == 0
+        quarantine = tmp_path / ResultStore.QUARANTINE_DIR
+        assert [p.name for p in quarantine.iterdir()] == [rotten.name]
 
     @settings(max_examples=150, deadline=None)
     @given(records)

@@ -8,7 +8,11 @@
   not an import, ``__all__`` entry, string or comment) somewhere under
   ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  Tests do
   not count.  Registered PMT backends are reached by name and are
-  exempt; the few test oracles kept on purpose are listed below.
+  exempt; the few definitions only tests call, kept on purpose because a
+  user calls them too, are listed below.
+* Every public top-level function and class in ``tests/oracles/`` is
+  used as a code identifier by another module under ``tests/``, so no
+  dead reference implementation collects there either.
 * The ``REPRO_*`` environment variables that ``src/repro`` names are
   exactly the documented set, so a new environment knob fails a test.
 """
@@ -27,19 +31,11 @@ SRC = ROOT / "src" / "repro"
 TEST_ORACLES = {
     "profile_stats": "how the runner-sampler tests measure the sampler",
     "power_timeline_chart": "renders the sampler profile the same tests take",
-    "canonical_payload": "the tests' oracle for what a run-key digest covers",
-    "parse_pm_file": "the tests' oracle for the pm_counters file format",
     "http_get_text": "the only client of the service's /healthz",
     "http_post_json": "the only client of the service's /ingest",
-    "decode_morton": "inverts encode_morton in the cornerstone tests",
-    "validate_cornerstone": "checks the octree invariants in its tests",
-    "direct_sum_acceleration": "O(N^2) gravity oracle for Barnes-Hut",
-    "direct_sum_potential": "O(N^2) potential oracle for Barnes-Hut",
     "make_noh": "initial conditions of the Noh shock validation",
     "noh_shock_speed": "analytic Noh solution the shock tests compare to",
     "noh_post_shock_density": "analytic Noh solution the shock tests compare to",
-    "brute_force_pairs": "O(N^2) neighbor oracle for the CSR search",
-    "attributed_joules": "the per-record oracle of function_totals",
 }
 
 
@@ -72,20 +68,24 @@ def test_script_imports_resolve(path):
         importlib.import_module(f"{module_name}.{name}")
 
 
+def _identifiers(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def _used_identifiers():
     used = set()
     for tree_root in ("src", "benchmarks", "examples", "perfbench"):
         for path in (ROOT / tree_root).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+            used.update(_identifiers(path))
     return used
 
 
-def _public_definitions():
-    for path in sorted(SRC.rglob("*.py")):
+def _public_definitions(root=SRC):
+    for path in sorted(root.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -111,6 +111,19 @@ def test_oracle_list_has_no_stale_entries():
     public = {name for _, name in _public_definitions()}
     used = _used_identifiers()
     assert sorted(set(TEST_ORACLES) - (public - used)) == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = ROOT / "tests"
+    used = {path: set(_identifiers(path)) for path in tests.rglob("*.py")}
+    unused = [
+        f"{path}:{name}"
+        for path, name in _public_definitions(tests / "oracles")
+        if not any(
+            name in names for other, names in used.items() if other != ROOT / path
+        )
+    ]
+    assert unused == []
 
 
 #: Every environment variable the package reads.

@@ -8,6 +8,7 @@ independent of wall-clock time.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.errors import ClockError
@@ -39,8 +40,9 @@ class VirtualClock:
     def advance(self, dt: float) -> float:
         """Advance the clock by ``dt`` seconds and return the new time.
 
-        ``dt`` must be non-negative; a zero advance is allowed (it is used
-        for instantaneous events such as back-to-back sensor reads).
+        ``dt`` must be finite and non-negative; a zero advance is allowed
+        (it is used for instantaneous events such as back-to-back sensor
+        reads).
 
         When boundary providers are registered, a coarse advance is split
         into segments: the clock stops at every boundary inside the span,
@@ -49,8 +51,10 @@ class VirtualClock:
         still only moves forward — segmentation changes *when* listeners
         observe the clock, never the final time.
         """
-        if dt < 0:
-            raise ClockError(f"cannot advance clock by negative dt {dt!r}")
+        if not 0.0 <= dt < math.inf:
+            if dt < 0:
+                raise ClockError(f"cannot advance clock by negative dt {dt!r}")
+            raise ClockError(f"cannot advance clock by non-finite dt {dt!r}")
         if dt == 0:
             return self._now
         target = self._now + dt
@@ -72,11 +76,13 @@ class VirtualClock:
         return self._now
 
     def advance_to(self, t: float) -> float:
-        """Advance the clock to absolute time ``t`` (must be >= now)."""
-        if t < self._now:
-            raise ClockError(
-                f"cannot move clock backwards from {self._now!r} to {t!r}"
-            )
+        """Advance the clock to absolute time ``t`` (finite, >= now)."""
+        if not self._now <= t < math.inf:
+            if t < self._now:
+                raise ClockError(
+                    f"cannot move clock backwards from {self._now!r} to {t!r}"
+                )
+            raise ClockError(f"cannot advance clock to non-finite time {t!r}")
         return self.advance(t - self._now)
 
     def on_advance(self, listener: Callable[[float], None]) -> None:

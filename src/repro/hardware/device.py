@@ -46,6 +46,8 @@ class Device:
         self.frequency = frequency_domain
         self._compute_utilization = 0.0
         self._memory_utilization = 0.0
+        #: ``power_model.power`` by ``(frequency ratio, compute, memory)``.
+        self._watts_memo: dict[tuple[float, float, float], float] = {}
         self.trace = PowerTrace(initial_watts=self._current_watts())
         # Record the idle level at creation time so traces created after
         # t=0 still integrate correctly from 0 (power before creation is
@@ -65,16 +67,27 @@ class Device:
         return self._memory_utilization
 
     def _current_watts(self) -> float:
-        return self.power_model.power(
+        # A run revisits a few loads per device thousands of times.
+        key = (
             self.frequency.ratio,
             self._compute_utilization,
             self._memory_utilization,
         )
+        watts = self._watts_memo.get(key)
+        if watts is None:
+            watts = self._watts_memo[key] = self.power_model.power(*key)
+        return watts
 
     # -- transitions --------------------------------------------------------
 
     def set_load(self, compute_utilization: float, memory_utilization: float) -> None:
         """Change the device load at the current simulated time."""
+        if (
+            compute_utilization == self._compute_utilization
+            and memory_utilization == self._memory_utilization
+        ):
+            # The trace already holds this load's power.
+            return
         if not 0.0 <= compute_utilization <= 1.0:
             raise HardwareError(
                 f"compute utilization {compute_utilization!r} outside [0, 1]"

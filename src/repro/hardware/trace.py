@@ -41,6 +41,11 @@ class PowerTrace:
         self._watts = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
         self._watts[0] = float(initial_watts)
         self._n = 1
+        self._views()
+        # The last breakpoint as plain floats: NumPy scalars cost more to
+        # read and compare on every set_power.
+        self._last_t = 0.0
+        self._last_w = float(initial_watts)
         self._cum_energy: np.ndarray | None = None
 
     # -- recording ----------------------------------------------------------
@@ -52,30 +57,34 @@ class PowerTrace:
         again is a no-op; setting a different power at exactly the last
         breakpoint time overwrites it (zero-length segments are elided).
         """
-        if watts < 0:
-            raise ValueError(f"negative power {watts!r} W")
-        last_t = self._times[self._n - 1]
-        if t < last_t:
-            raise ClockError(
-                f"trace breakpoint at t={t!r} precedes last breakpoint {last_t!r}"
-            )
-        last_w = self._watts[self._n - 1]
-        if watts == last_w:
+        if not 0.0 <= watts < math.inf:
+            raise ValueError(f"power {watts!r} W is not finite and non-negative")
+        last_t = self._last_t
+        if not last_t <= t < math.inf:
+            if t < last_t:
+                raise ClockError(
+                    f"trace breakpoint at t={t!r} precedes last breakpoint "
+                    f"{last_t!r}"
+                )
+            raise ClockError(f"trace breakpoint at non-finite time {t!r}")
+        watts = float(watts)
+        if watts == self._last_w:
             return
+        self._cum_energy = None
+        n = self._n
         if t == last_t:
             # Overwrite the zero-length segment in place.
-            self._watts[self._n - 1] = watts
+            self._watts_mv[n - 1] = self._last_w = watts
             # If the overwrite makes it equal to the previous segment, merge.
-            if self._n >= 2 and self._watts[self._n - 2] == watts:
-                self._n -= 1
-            self._cum_energy = None
+            if n >= 2 and self._watts_mv[n - 2] == watts:
+                self._n = n - 1
+                self._last_t = self._times_mv[n - 2]
             return
-        if self._n == len(self._times):
+        if n == len(self._times):
             self._grow()
-        self._times[self._n] = t
-        self._watts[self._n] = watts
-        self._n += 1
-        self._cum_energy = None
+        self._times_mv[n] = self._last_t = float(t)
+        self._watts_mv[n] = self._last_w = watts
+        self._n = n + 1
 
     def _grow(self) -> None:
         new_cap = len(self._times) * 2
@@ -85,6 +94,13 @@ class PowerTrace:
         watts[: self._n] = self._watts[: self._n]
         self._times = times
         self._watts = watts
+        self._views()
+
+    def _views(self) -> None:
+        # Memoryviews index to plain floats, far cheaper than NumPy
+        # scalars; they are remade whenever the buffers are.
+        self._times_mv = memoryview(self._times)
+        self._watts_mv = memoryview(self._watts)
 
     # -- queries ------------------------------------------------------------
 
@@ -146,23 +162,37 @@ class PowerTrace:
         breakpoint the reader last hit, so a catch-up of a few ticks costs
         a few float comparisons instead of a vectorized binary search; a
         list starting before the cursor restarts the walk from the first
-        breakpoint.
+        breakpoint.  When the whole list lies on one level, as it mostly
+        does for a device between two load changes, the result is that
+        level repeated, with no per-time comparison.
         """
-        cursor = 0
+        walk = self._walker()
 
         def sample(times: list[float]) -> list[float]:
+            out = walk(times)
+            return [out] * len(times) if type(out) is float else out
+
+        return sample
+
+    def _walker(self) -> Callable[[list[float]], float | list[float]]:
+        """The cursor walk behind :meth:`sampler`.  It returns the level
+        itself, not a list, when every time lies on that one level."""
+        cursor = 0
+
+        def walk(times: list[float]) -> float | list[float]:
             nonlocal cursor
             n = self._n
-            # Memoryviews index to plain floats, far cheaper than NumPy
-            # scalars; they are taken per call because appends reallocate.
-            bp_times = memoryview(self._times)
-            bp_watts = memoryview(self._watts)
+            bp_times = self._times_mv
+            bp_watts = self._watts_mv
             # A merge in set_power can drop the breakpoint the cursor held.
             i = min(cursor, n - 1)
             if times and times[0] < bp_times[i]:
                 i = 0
             watts = bp_watts[i]
             next_t = bp_times[i + 1] if i + 1 < n else math.inf
+            if not times or times[-1] < next_t:
+                cursor = i
+                return watts
             out = []
             for t in times:
                 while t >= next_t:
@@ -173,7 +203,7 @@ class PowerTrace:
             cursor = i
             return out
 
-        return sample
+        return walk
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only zero-copy views of the ``(times, watts)`` breakpoints.
@@ -243,16 +273,27 @@ class SummedPowerTrace:
     def sampler(self) -> Callable[[list[float]], list[float]]:
         """Scalar :meth:`sample` for one forward-moving reader.
 
-        Sums the member samplers in the same order as :meth:`sample`
+        Sums the member walks in the same order as :meth:`sample`
         (constant first, then each trace), so the values are bit-identical.
+        Members that hold one level over the whole list are added as one
+        number: while every member so far has, the sum is a single float.
         """
-        samplers = [tr.sampler() for tr in self._traces]
+        walkers = [tr._walker() for tr in self._traces]
         constant = self._constant
 
         def sample(times: list[float]) -> list[float]:
-            total = [constant] * len(times)
-            for member in samplers:
-                total = list(map(add, total, member(times)))
-            return total
+            total = constant
+            for walk in walkers:
+                member = walk(times)
+                if type(total) is float:
+                    if type(member) is float:
+                        total += member
+                    else:
+                        total = [total + w for w in member]
+                elif type(member) is float:
+                    total = [w + member for w in total]
+                else:
+                    total = list(map(add, total, member))
+            return [total] * len(times) if type(total) is float else total
 
         return sample

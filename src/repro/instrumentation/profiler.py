@@ -59,6 +59,9 @@ from repro.sensors.telemetry import NodeTelemetry
 #: One meter's health counters as a tuple, in ``COUNTER_FIELDS`` order.
 _health_fields = attrgetter(*SensorHealth.COUNTER_FIELDS)
 
+#: The names of a node's health totals; RAPL nodes add the last one.
+_HEALTH_NAMES = SensorHealth.COUNTER_FIELDS + ("suspect_intervals",)
+
 
 class _SlurmNodePMT(PMT):
     """The Slurm node-level energy source as a meter.
@@ -101,6 +104,7 @@ class EnergyProfiler:
         self.system = system
         self.resilient = resilient
         self.clock = placement.cluster.clock
+        self._locations = [placement.location(r) for r in range(placement.size)]
 
         spec = placement.cluster.node_spec
         node_bound = GLITCH_MARGIN * spec.peak_watts
@@ -154,9 +158,8 @@ class EnergyProfiler:
                     for i in range(len(tel.nvml))
                 ]
 
-            for rank in range(placement.size):
-                loc = placement.location(rank)
-                self._nvml[rank] = guard(
+            for loc in self._locations:
+                self._nvml[loc.rank] = guard(
                     loc.node_index,
                     NvmlPMT(
                         telemetry=telemetries[loc.node_index],
@@ -188,11 +191,11 @@ class EnergyProfiler:
         self._node_cache: list[tuple[float, dict[str, float]] | None] = [
             None
         ] * num_nodes
-        #: Per node: the health totals, or ``None`` once a read may have
-        #: changed them.
-        self._health_totals: list[dict[str, float] | None] = [None] * num_nodes
+        #: Per node: the health totals in ``_HEALTH_NAMES`` order, or
+        #: ``None`` once a read may have changed them.
+        self._health_totals: list[tuple[float, ...] | None] = [None] * num_nodes
         self._open: dict[
-            int, tuple[float, dict[str, float], dict[str, float] | None]
+            int, tuple[float, dict[str, float], tuple[float, ...] | None]
         ] = {}
         self._records: dict[tuple[int, str], FunctionEnergyRecord] = {}
         self._app_window: tuple[float, list[dict[str, float]]] | None = None
@@ -230,7 +233,7 @@ class EnergyProfiler:
 
     def snapshot(self, rank: int) -> dict[str, float]:
         """This rank's canonical counters (joules) right now."""
-        loc = self.placement.location(rank)
+        loc = self._locations[rank]
         shared = self._node_counters(loc.node_index)
         out = {"node": shared["node"], "cpu": shared["cpu"]}
         if "memory" in shared:
@@ -244,29 +247,25 @@ class EnergyProfiler:
 
     # -- telemetry health -----------------------------------------------------------
 
-    def _node_health_counters(self, node_index: int) -> dict[str, float]:
+    def _node_health_totals(self, node_index: int) -> tuple[float, ...]:
         """Aggregate mitigation counters of every meter of one node.
 
         Summed in wiring order, exactly as :meth:`SensorHealth.add` would,
         and kept until the next read of one of the node's meters.  Every
         node of a resilient profiler has at least one meter.
         """
-        counters = self._health_totals[node_index]
-        if counters is not None:
-            return counters
-        rows = [
-            _health_fields(source.health)
-            for _, source in self._health_sources[node_index]
-        ]
-        total = rows[0]
-        for row in rows[1:]:
-            total = tuple(map(add, total, row))
-        counters = dict(zip(SensorHealth.COUNTER_FIELDS, total))
+        total = self._health_totals[node_index]
+        if total is not None:
+            return total
+        sources = self._health_sources[node_index]
+        total = _health_fields(sources[0][1].health)
+        for _, source in sources[1:]:
+            total = tuple(map(add, total, _health_fields(source.health)))
         raw = self._rapl_raw[node_index]
         if raw is not None:
-            counters["suspect_intervals"] = float(raw.suspect_intervals)
-        self._health_totals[node_index] = counters
-        return counters
+            total += (float(raw.suspect_intervals),)
+        self._health_totals[node_index] = total
+        return total
 
     # -- region instrumentation ----------------------------------------------------
 
@@ -274,17 +273,13 @@ class EnergyProfiler:
         """Called when a rank enters an instrumented function region."""
         if rank in self._open:
             raise MeasurementError(f"rank {rank} already has an open region")
+        node_index = self.placement.location(rank).node_index
         health = None
         if self.resilient:
-            loc = self.placement.location(rank)
-            health = self._node_health_counters(loc.node_index)
+            health = self._node_health_totals(node_index)
         self._open[rank] = (self.clock.now, self.snapshot(rank), health)
         if self.span_recorder is not None:
-            self.span_recorder.begin(
-                rank,
-                self.clock.now,
-                node_index=self.placement.location(rank).node_index,
-            )
+            self.span_recorder.begin(rank, self.clock.now, node_index=node_index)
 
     def end(self, rank: int, function: str) -> None:
         """Called when a rank's function call completes (its own end time)."""
@@ -298,9 +293,10 @@ class EnergyProfiler:
         deltas = {name: end[name] - start[name] for name in start}
         health = None
         if health0 is not None:
-            loc = self.placement.location(rank)
             health = diff_counters(
-                self._node_health_counters(loc.node_index), health0
+                _HEALTH_NAMES,
+                self._node_health_totals(self._locations[rank].node_index),
+                health0,
             )
         key = (rank, function)
         record = self._records.get(key)

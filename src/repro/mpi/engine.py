@@ -20,6 +20,7 @@ appends for a time interval happen before any read of that interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.mpi.mapping import RankPlacement
+
+_SHARES = ("gpu_compute", "gpu_memory", "cpu_share", "mem_share", "nic_share")
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,21 @@ class RankWork:
     nic_share: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"negative phase duration {self.duration!r}")
-        shares = ("gpu_compute", "gpu_memory", "cpu_share", "mem_share", "nic_share")
-        for name in shares:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise SimulationError(f"{name}={v!r} outside [0, 1]")
+        if not 0.0 <= self.duration < math.inf:
+            raise SimulationError(
+                f"phase duration {self.duration!r} is not finite and non-negative"
+            )
+        if not (
+            0.0 <= self.gpu_compute <= 1.0
+            and 0.0 <= self.gpu_memory <= 1.0
+            and 0.0 <= self.cpu_share <= 1.0
+            and 0.0 <= self.mem_share <= 1.0
+            and 0.0 <= self.nic_share <= 1.0
+        ):
+            for name in _SHARES:
+                v = getattr(self, name)
+                if not 0.0 <= v <= 1.0:
+                    raise SimulationError(f"{name}={v!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,9 @@ class SpmdEngine:
     def __init__(self, placement: RankPlacement) -> None:
         self.placement = placement
         self.clock = placement.cluster.clock
+        ranks = range(placement.size)
+        self._node_of = [placement.location(rank).node_index for rank in ranks]
+        self._gpus = [placement.gpu_of(rank) for rank in ranks]
 
     def _set_node_loads(self, node_index: int) -> None:
         """Apply the aggregated shared loads of one node."""
@@ -88,8 +102,8 @@ class SpmdEngine:
         """Aggregate shared-device loads over all ranks at phase start."""
         num_nodes = self.placement.cluster.num_nodes
         self._node_shares = [[0.0, 0.0, 0.0] for _ in range(num_nodes)]
-        for rank, work in enumerate(self._works):
-            shares = self._node_shares[self.placement.location(rank).node_index]
+        for node_index, work in zip(self._node_of, self._works):
+            shares = self._node_shares[node_index]
             shares[0] += work.cpu_share
             shares[1] += work.mem_share
             shares[2] += work.nic_share
@@ -98,7 +112,7 @@ class SpmdEngine:
 
     def _drop_rank_shares(self, rank: int) -> None:
         """Remove a finished rank's contribution from its node's loads."""
-        node_index = self.placement.location(rank).node_index
+        node_index = self._node_of[rank]
         work = self._works[rank]
         shares = self._node_shares[node_index]
         shares[0] = max(shares[0] - work.cpu_share, 0.0)
@@ -126,8 +140,8 @@ class SpmdEngine:
         self._works = list(works)
         t0 = self.clock.now
 
-        for rank, work in enumerate(self._works):
-            self.placement.gpu_of(rank).set_load(work.gpu_compute, work.gpu_memory)
+        for gpu, work in zip(self._gpus, self._works):
+            gpu.set_load(work.gpu_compute, work.gpu_memory)
         self._init_shared_loads()
 
         if on_start is not None:
@@ -137,11 +151,10 @@ class SpmdEngine:
         end_times = np.array(
             [t0 + w.duration for w in self._works], dtype=np.float64
         )
-        order = np.argsort(end_times, kind="stable")
-        for rank in order:
-            rank = int(rank)
-            self.clock.advance_to(float(end_times[rank]))
-            self.placement.gpu_of(rank).set_idle()
+        ends = end_times.tolist()
+        for rank in np.argsort(end_times, kind="stable").tolist():
+            self.clock.advance_to(ends[rank])
+            self._gpus[rank].set_idle()
             self._drop_rank_shares(rank)
             if on_end is not None:
                 on_end(rank)

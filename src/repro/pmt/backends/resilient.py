@@ -147,9 +147,13 @@ class ResilientPMT(PMT):
             # state; the measurements are copied on the first substitution.
             measured = state.measurements
             ts = state.timestamp
+            bound = self.plausible_max_watts
             served = None
             for i, m in enumerate(measured):
-                s = self._track_stuck(t, ts, self._reject_glitch(m))
+                s = m
+                if bound is not None and not m.watts <= bound:
+                    s = self._reject_glitch(m)
+                s = self._track_stuck(t, ts, s)
                 if s is not m:
                     if served is None:
                         served = list(measured)
@@ -168,17 +172,18 @@ class ResilientPMT(PMT):
         retry cannot wait it out; time-windowed faults (dropouts) always
         exhaust the budget and fall through to interpolation — the counted
         retries still record how hard the meter was poked."""
-        for attempt in range(self.max_retries + 1):
+        try:
+            return self.inner.read_state()
+        except SensorError:
+            pass
+        for _ in range(self.max_retries):
+            self.health.retries += 1
             try:
                 state = self.inner.read_state()
             except SensorError:
-                if attempt == self.max_retries:
-                    return None
-                self.health.retries += 1
-            else:
-                if attempt > 0:
-                    self.health.retry_successes += 1
-                return state
+                continue
+            self.health.retry_successes += 1
+            return state
         return None
 
     def measurement_names(self) -> tuple[str, ...] | None:
@@ -231,11 +236,9 @@ class ResilientPMT(PMT):
         )
 
     def _reject_glitch(self, m: Measurement) -> Measurement:
-        bound = self.plausible_max_watts
-        if bound is None or m.watts <= bound:
-            return m
+        """Substitute the power of a reading above the plausibility bound."""
         self.health.glitches_rejected += 1
-        substitute = bound
+        substitute = self.plausible_max_watts
         if self._last_good is not None and m.name in self._last_good.names():
             substitute = self._last_good.watts_of(m.name)
         return Measurement(
@@ -271,11 +274,10 @@ class ResilientPMT(PMT):
                 track.trail_next_t = t
                 track.trail_next_joules = m.joules
             return m
-        expected_watts = max(m.watts, track.watts, self.min_expected_watts)
         zero_growth_s = t - track.anchor_t
-        if (
-            zero_growth_s >= self.stuck_grace_s
-            and zero_growth_s * expected_watts >= self.stuck_min_joules
+        if zero_growth_s >= self.stuck_grace_s and (
+            zero_growth_s * max(m.watts, track.watts, self.min_expected_watts)
+            >= self.stuck_min_joules
         ):
             track.streak += 1
             self.health.stuck_reads += 1

@@ -38,7 +38,7 @@ MEASUREMENT_QUALITIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One named counter sample within a state."""
 
@@ -49,7 +49,7 @@ class Measurement:
     quality: str = "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """One atomic PMT read."""
 
@@ -57,6 +57,8 @@ class State:
     measurements: tuple[Measurement, ...]
 
     def __post_init__(self) -> None:
+        if len(self.measurements) == 1:
+            return
         if not self.measurements:
             raise MeasurementError("a PMT state needs at least one measurement")
         names = [m.name for m in self.measurements]

@@ -15,26 +15,36 @@ that pipeline over a ground-truth :class:`~repro.hardware.trace.PowerTrace`:
   data between ticks is invisible, which is exactly why short instrumented
   regions see quantization error.
 
-The per-tick quantized powers and the accumulator are cached in
-amortized-capacity buffers, so reads may arrive in any time order (two MPI
-ranks sharing one card sensor read it at slightly different times).  A read
-past the cached ticks *catches up* the missing ticks in one chunk with
-scalar arithmetic.  Each chunk's accumulator values are ``prev_cum`` plus a
-running sum that restarts at the chunk, so the chunk boundaries — which
-reads triggered a catch-up, and up to which tick — are part of the bits.
+The per-tick quantized powers and the accumulator are cached, so reads may
+arrive in any time order (two MPI ranks sharing one card sensor read it at
+slightly different times).  A read past the cached ticks *catches up* the
+missing ticks in one chunk.  Each chunk's accumulator values are
+``prev_cum`` plus a running sum that starts from the carried increment of
+the previous tick, so the chunk boundaries — which reads triggered a
+catch-up, and up to which tick — are part of the bits.  A short chunk is
+computed with scalar arithmetic over the trace's cursor walk; a chunk of
+at least :data:`NUMPY_MIN_TICKS` ticks with NumPy, in operations that
+repeat the scalar ones element by element (``np.round`` rounds half to
+even like ``round``; ``np.add.accumulate`` adds in sequence), so both
+give the same bits and the threshold moves no chunk boundary.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import SensorError
 
+#: Catch-ups of at least this many ticks take the NumPy path.  Below it,
+#: NumPy's per-call overhead costs more than the scalar loop saves.
+NUMPY_MIN_TICKS = 100
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SensorReading:
     """One sensor read: the controller state at its last completed tick."""
 
@@ -52,7 +62,7 @@ class SampledEnergyCounter:
     Parameters
     ----------
     trace:
-        Ground-truth power source; anything with a ``sampler()`` method
+        Ground-truth power source; anything with ``sampler()`` and ``sample()``
         (:class:`PowerTrace` or :class:`SummedPowerTrace`).
     refresh_period_s:
         Controller tick period in seconds.
@@ -73,8 +83,6 @@ class SampledEnergyCounter:
         driver load), not since the job started, so consumers must always
         difference two reads; a nonzero base catches code that forgets.
     """
-
-    _INITIAL_CAPACITY = 256
 
     def __init__(
         self,
@@ -106,11 +114,11 @@ class SampledEnergyCounter:
         self.wrap_joules = wrap_joules
         self._rng = np.random.default_rng(seed)
         self._sample = trace.sampler()
-        # Quantized tick powers and their running energy integral; the
-        # first ``_ticks`` entries are valid, the rest is spare capacity.
-        self._tick_watts = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._cum_joules = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._ticks = 0
+        # Quantized tick powers and their running energy integral, one
+        # entry per tick so far.  Arrays of doubles extend from a list or a
+        # NumPy buffer cheaply and index to plain floats.
+        self._tick_watts = array("d")
+        self._cum_joules = array("d")
         # The last reading served by each read path, keyed by tick index.
         self._read_memo: tuple[int, SensorReading] | None = None
         self._exact_memo: tuple[int, SensorReading] | None = None
@@ -124,22 +132,33 @@ class SampledEnergyCounter:
         at tick ``k`` integrates powers of ticks ``0 .. k-1``.  The new
         ticks form one chunk: ``cum[k] = prev_cum + running``, where
         ``running`` sums the chunk's increments from its first tick on.
+        Chunks of at least :data:`NUMPY_MIN_TICKS` ticks are computed with
+        NumPy, shorter ones with scalar arithmetic; both give the same bits.
         """
-        have = self._ticks
+        have = len(self._cum_joules)
         if upto_tick < have:
             return
+        if have:
+            prev_cum = self._cum_joules[have - 1]
+            running = self._tick_watts[have - 1] * self.refresh_period_s
+        else:
+            prev_cum = running = 0.0
+        end = upto_tick + 1
+        if end - have >= NUMPY_MIN_TICKS:
+            self._catch_up_numpy(have, end, prev_cum, running)
+        else:
+            self._catch_up_scalar(have, end, prev_cum, running)
+
+    def _catch_up_scalar(
+        self, have: int, end: int, prev_cum: float, running: float
+    ) -> None:
         period = self.refresh_period_s
         quantum = self.watts_quantum
-        watts = self._sample([k * period for k in range(have, upto_tick + 1)])
+        watts = self._sample([k * period for k in range(have, end)])
         if self.noise_sigma_watts > 0:
             noise = self._rng.normal(0.0, self.noise_sigma_watts, size=len(watts))
             watts = [w + e for w, e in zip(watts, noise.tolist())]
             watts = [w if w > 0.0 else 0.0 for w in watts]
-        if have:
-            prev_cum = float(self._cum_joules[have - 1])
-            running = float(self._tick_watts[have - 1]) * period
-        else:
-            prev_cum = running = 0.0
         quantized, cum = [], []
         raw = level = None
         for w in watts:
@@ -149,15 +168,31 @@ class SampledEnergyCounter:
                 raw, level = w, round(w / quantum) * quantum
             quantized.append(level)
             running += level * period
-        end = upto_tick + 1
-        if end > len(self._tick_watts):
-            # np.resize keeps the valid prefix; the rest is spare capacity.
-            capacity = max(end, 2 * len(self._tick_watts))
-            self._tick_watts = np.resize(self._tick_watts, capacity)
-            self._cum_joules = np.resize(self._cum_joules, capacity)
-        self._tick_watts[have:end] = quantized
-        self._cum_joules[have:end] = cum
-        self._ticks = end
+        self._tick_watts.extend(quantized)
+        self._cum_joules.extend(cum)
+
+    def _catch_up_numpy(
+        self, have: int, end: int, prev_cum: float, running: float
+    ) -> None:
+        # Each step is the scalar loop's, element by element: ``np.round``
+        # rounds half to even like ``round``, and ``np.add.accumulate``
+        # adds in sequence like the running sum.
+        period = self.refresh_period_s
+        watts = self._trace.sample(np.arange(have, end) * period)
+        if self.noise_sigma_watts > 0:
+            watts = watts + self._rng.normal(
+                0.0, self.noise_sigma_watts, size=len(watts)
+            )
+            watts = np.where(watts > 0.0, watts, 0.0)
+        levels = np.round(watts / self.watts_quantum)
+        levels *= self.watts_quantum
+        steps = np.empty(end - have)
+        steps[0] = running
+        np.multiply(levels[:-1], period, out=steps[1:])
+        np.add.accumulate(steps, out=steps)
+        steps += prev_cum
+        self._tick_watts.frombytes(levels.tobytes())
+        self._cum_joules.frombytes(steps.tobytes())
 
     # -- public --------------------------------------------------------------
 
@@ -175,13 +210,13 @@ class SampledEnergyCounter:
         if memo is not None and memo[0] == k:
             return memo[1]
         self._ensure_ticks(k)
-        joules = self.initial_joules + float(self._cum_joules[k])
+        joules = self.initial_joules + self._cum_joules[k]
         joules = math.floor(joules / self.energy_quantum) * self.energy_quantum
         if self.wrap_joules is not None:
             joules = joules % self.wrap_joules
         reading = SensorReading(
             timestamp=k * self.refresh_period_s,
-            watts=float(self._tick_watts[k]),
+            watts=self._tick_watts[k],
             joules=float(joules),
         )
         self._read_memo = (k, reading)
@@ -205,12 +240,12 @@ class SampledEnergyCounter:
         if memo is not None and memo[0] == k:
             return memo[1]
         self._ensure_ticks(k)
-        joules = self.initial_joules + float(self._cum_joules[k])
+        joules = self.initial_joules + self._cum_joules[k]
         if self.wrap_joules is not None:
             joules = joules % self.wrap_joules
         reading = SensorReading(
             timestamp=k * self.refresh_period_s,
-            watts=float(self._tick_watts[k]),
+            watts=self._tick_watts[k],
             joules=float(joules),
         )
         self._exact_memo = (k, reading)

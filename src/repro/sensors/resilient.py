@@ -91,13 +91,18 @@ class SensorHealth:
 
 
 def diff_counters(
-    after: dict[str, float], before: dict[str, float]
+    names: tuple[str, ...],
+    after: tuple[float, ...],
+    before: tuple[float, ...],
 ) -> dict[str, float]:
-    """Per-key difference of two counter snapshots, dropping zero entries."""
-    out = {}
-    for key, value in after.items():
-        delta = value - before.get(key, 0.0)
-        if delta:
-            out[key] = delta
-    return out
+    """Per-name difference of two counter snapshots, dropping zero entries.
+
+    The snapshots are tuples in ``names`` order; a name past their length
+    is skipped.
+    """
+    return {
+        name: delta
+        for name, a, b in zip(names, after, before)
+        if (delta := a - b)
+    }
 

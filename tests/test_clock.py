@@ -1,5 +1,7 @@
 """Tests for the virtual simulation clock."""
 
+import math
+
 import pytest
 
 from repro.errors import ClockError
@@ -47,6 +49,20 @@ class TestVirtualClock:
         clock = VirtualClock(start=3.0)
         with pytest.raises(ClockError):
             clock.advance_to(2.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_advance_rejected(self, dt):
+        clock = VirtualClock(start=3.0)
+        with pytest.raises(ClockError, match="non-finite"):
+            clock.advance(dt)
+        assert clock.now == 3.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_advance_to_rejected(self, t):
+        clock = VirtualClock(start=3.0)
+        with pytest.raises(ClockError, match="non-finite"):
+            clock.advance_to(t)
+        assert clock.now == 3.0
 
     def test_listener_called_on_advance(self):
         clock = VirtualClock()

@@ -1,5 +1,7 @@
 """Tests for device models, DVFS, and node/cluster assembly."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -9,6 +11,7 @@ from repro.config import (
     LUMI_G,
     MI250X_GCD,
     MINIHPC,
+    SUBSONIC_TURBULENCE,
 )
 from repro.errors import DvfsError, HardwareError
 from repro.hardware import (
@@ -20,7 +23,10 @@ from repro.hardware import (
     Node,
     VirtualClock,
 )
+from repro.experiments.runner import run_scaled_experiment
 from repro.units import mhz
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 @pytest.fixture
@@ -110,6 +116,80 @@ class TestGpuDevice:
         gpu = GpuDevice("g0", clock, A100_SXM4_80GB)
         with pytest.raises(HardwareError):
             gpu.set_load(1.2, 0.0)
+
+    def test_unchanged_load_adds_no_breakpoint(self, clock):
+        gpu = GpuDevice("g0", clock, A100_SXM4_80GB)
+        gpu.set_load(0.7, 0.3)
+        before = gpu.trace.breakpoints()
+        clock.advance(1.0)
+        gpu.set_load(0.7, 0.3)
+        after = gpu.trace.breakpoints()
+        assert [a.tolist() for a in after] == [b.tolist() for b in before]
+
+    def test_same_load_after_frequency_change_uses_new_clock(self, clock):
+        """The power memo is keyed on the clock ratio too: after a DVFS
+        switch, revisiting a load draws the new clock's power."""
+        gpu = GpuDevice("g0", clock, A100_PCIE_40GB)
+        model = A100_PCIE_40GB.power_model
+        gpu.set_load(1.0, 0.5)
+        clock.advance(1.0)
+        gpu.set_frequency(mhz(1005))
+        clock.advance(1.0)
+        gpu.set_idle()
+        clock.advance(1.0)
+        gpu.set_load(1.0, 0.5)
+        ratio = gpu.frequency.ratio
+        assert ratio < 1.0
+        assert gpu.power_now() == model.power(ratio, 1.0, 0.5)
+        assert gpu.power_now() < model.power(1.0, 1.0, 0.5)
+        gpu.set_frequency(A100_PCIE_40GB.nominal_freq_hz)
+        assert gpu.power_now() == model.power(1.0, 1.0, 0.5)
+
+
+def _committed_row(name, kind, target):
+    """Fields of one committed fault-matrix row: ``kind target err ...``."""
+    for line in (RESULTS / f"{name}.txt").read_text().splitlines():
+        fields = line.split()
+        if fields[:2] == [kind, target]:
+            return fields
+    raise AssertionError(f"no {kind}/{target} row in {name}.txt")
+
+
+def test_fault_injected_run_matches_committed_matrix_row():
+    """A frozen GPU counter under the resilient ladder: the device-load
+    path feeds the same powers, so the row of the committed fault matrix
+    (``benchmarks/results/ablation_fault_tolerance_smoke.txt``) is
+    reproduced digit for digit."""
+    kwargs = dict(num_steps=6)
+    baseline = run_scaled_experiment(CSCS_A100, SUBSONIC_TURBULENCE, 8, **kwargs)
+    run = baseline.run
+    faulted = run_scaled_experiment(
+        CSCS_A100,
+        SUBSONIC_TURBULENCE,
+        8,
+        inject_fault="freeze",
+        fault_target="gpu0",
+        fault_node=0,
+        fault_kwargs={"freeze_at": 0.5 * (run.app_start + run.app_end)},
+        **kwargs,
+    ).run
+    f, b = faulted.node_windows[0], run.node_windows[0]
+    errors = [abs(f.node_joules - b.node_joules) / b.node_joules]
+    errors.append(abs(f.cpu_joules - b.cpu_joules) / b.cpu_joules)
+    errors += [abs(x - y) / y for x, y in zip(f.card_joules, b.card_joules)]
+    gpu0 = errors.pop(2)
+    health = faulted.telemetry_health[0]
+    got = [
+        "freeze",
+        "gpu0",
+        f"{100 * gpu0:.3f}",
+        f"{100 * max(errors):.3f}",
+        str(health.gaps_interpolated),
+        str(health.stuck_detections),
+        str(health.glitches_rejected),
+        health.status,
+    ]
+    assert got == _committed_row("ablation_fault_tolerance_smoke", "freeze", "gpu0")
 
 
 class TestGpuCard:

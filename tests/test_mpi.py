@@ -1,5 +1,7 @@
 """Tests for rank placement, communication costs, and the SPMD engine."""
 
+import math
+
 import pytest
 
 from repro.config import CSCS_A100, LUMI_G, MINIHPC
@@ -200,6 +202,20 @@ class TestSpmdEngine:
             RankWork(duration=-1.0)
         with pytest.raises(SimulationError):
             RankWork(duration=1.0, gpu_compute=1.5)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(SimulationError, match="not finite"):
+            RankWork(duration=duration)
+
+    @pytest.mark.parametrize(
+        "share",
+        ["gpu_compute", "gpu_memory", "cpu_share", "mem_share", "nic_share"],
+    )
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_each_bad_share_is_named(self, share, value):
+        with pytest.raises(SimulationError, match=f"^{share}="):
+            RankWork(duration=1.0, **{share: value})
 
     def test_run_idle(self, setup):
         cluster, _, engine = setup

@@ -10,6 +10,8 @@ the very first read (it bottoms out at a zero-baseline state),
 meter, and (c) accounts for every mitigation in its health record.
 """
 
+import math
+
 import pytest
 
 import repro.pmt as pmt
@@ -17,6 +19,7 @@ from repro.config import CSCS_A100, LUMI_G
 from repro.errors import BackendError
 from repro.hardware import Node, VirtualClock
 from repro.instrumentation.profiler import _SlurmNodePMT
+from repro.pmt.state import Measurement, State
 from repro.sensors import NodeTelemetry
 from repro.sensors.inject import inject_fault
 from repro.sensors.resilient import GLITCH_MARGIN
@@ -503,6 +506,27 @@ class TestNodeMeterLadder:
         assert res.health.glitches_rejected == 2
         # Glitch rejection alone never degrades the meter.
         assert res.health.status == "ok"
+
+    def test_non_finite_power_rejected_as_a_glitch(self):
+        """A NaN power register fails the plausibility bound like a spike."""
+
+        class NanPower(_SlurmNodePMT):
+            def read_state(self):
+                state = super().read_state()
+                m = state.primary
+                nan = Measurement(name=m.name, joules=m.joules, watts=math.nan)
+                return State(timestamp=state.timestamp, measurements=(nan,))
+
+        clock, ct, _, _ = self._stack()
+        res = pmt.create(
+            "resilient", inner=NanPower(ct), label="node", plausible_max_watts=1e3
+        )
+        clock.advance_to(1.0)
+        state = res.read()
+        assert state.watts == 1e3
+        assert state.primary.quality == "rejected"
+        assert state.joules == _SlurmNodePMT(ct).read().joules
+        assert res.health.glitches_rejected == 1
 
     def test_parameter_validation(self):
         _, ct, _, _ = self._stack()

@@ -96,10 +96,14 @@ class TestSensorHealthRecord:
         assert a.status == "degraded"
 
     def test_diff_counters_drops_zero_deltas(self):
+        names = SensorHealth.COUNTER_FIELDS
         before = SensorHealth(reads=10, retries=2).counters()
         after = SensorHealth(reads=14, retries=2, gap_seconds=0.5).counters()
-        delta = diff_counters(after, before)
+        delta = diff_counters(names, tuple(after.values()), tuple(before.values()))
         assert delta == {"reads": 4, "gap_seconds": 0.5}
+        assert diff_counters(("reads", "retries", "extra"), (3, 2), (1, 2)) == {
+            "reads": 2
+        }
 
 
 class TestInjectFault:

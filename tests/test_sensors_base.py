@@ -10,7 +10,7 @@ from repro.errors import SensorError
 from repro.hardware import PowerTrace
 from repro.hardware.trace import SummedPowerTrace
 from repro.sensors import SampledEnergyCounter
-from repro.sensors.base import SensorReading
+from repro.sensors.base import NUMPY_MIN_TICKS, SensorReading
 
 
 class VectorizedReferenceCounter:
@@ -94,6 +94,48 @@ class VectorizedReferenceCounter:
             watts=float(self._tick_watts[k]),
             joules=float(joules),
         )
+
+
+class ScalarReferenceCounter(VectorizedReferenceCounter):
+    """Frozen copy of the scalar tick catch-up: one Python loop per chunk.
+
+    The trace is sampled through its forward-moving ``sampler()``, each
+    new power level is quantized with ``round``, and the running sum
+    carried from the previous chunk's last tick is added to tick by tick.
+    :class:`SampledEnergyCounter` takes NumPy for long catch-ups; both
+    must serve the same bits as this loop.
+    """
+
+    def __init__(self, trace, refresh_period_s, **kwargs):
+        super().__init__(trace, refresh_period_s, **kwargs)
+        self._sample = trace.sampler()
+
+    def _ensure_ticks(self, upto_tick):
+        have = len(self._tick_watts)
+        if upto_tick < have:
+            return
+        period = self.refresh_period_s
+        quantum = self.watts_quantum
+        watts = self._sample([k * period for k in range(have, upto_tick + 1)])
+        if self.noise_sigma_watts > 0:
+            noise = self._rng.normal(0.0, self.noise_sigma_watts, size=len(watts))
+            watts = [w + e for w, e in zip(watts, noise.tolist())]
+            watts = [w if w > 0.0 else 0.0 for w in watts]
+        if have:
+            prev_cum = float(self._cum_joules[-1])
+            running = float(self._tick_watts[-1]) * period
+        else:
+            prev_cum = running = 0.0
+        quantized, cum = [], []
+        raw = level = None
+        for w in watts:
+            cum.append(prev_cum + running)
+            if w != raw:
+                raw, level = w, round(w / quantum) * quantum
+            quantized.append(level)
+            running += level * period
+        self._tick_watts = np.concatenate([self._tick_watts, quantized])
+        self._cum_joules = np.concatenate([self._cum_joules, cum])
 
 
 def _bits(reading):
@@ -278,7 +320,8 @@ _ops = st.lists(
 
 
 class TestCatchUpMatchesVectorizedReference:
-    """The scalar catch-up is bit-identical to the vectorized one."""
+    """The counter's catch-ups, short (scalar) and long (NumPy), are bit
+    for bit those of both frozen references."""
 
     @given(
         summed=st.booleans(),
@@ -324,7 +367,10 @@ class TestCatchUpMatchesVectorizedReference:
             initial_joules=initial_joules,
         )
         counter = SampledEnergyCounter(trace, **params)
-        reference = VectorizedReferenceCounter(trace, **params)
+        references = [
+            VectorizedReferenceCounter(trace, **params),
+            ScalarReferenceCounter(trace, **params),
+        ]
         if ordered:
             # Non-decreasing reads, breakpoints interleaved as in a run.
             reads = sorted(op[1] for op in ops if op[0] == "read")
@@ -341,8 +387,48 @@ class TestCatchUpMatchesVectorizedReference:
                 continue
             _, x, exact = op
             t = x * period
-            if exact:
-                got, want = counter.read_exact(t), reference.read_exact(t)
-            else:
-                got, want = counter.read(t), reference.read(t)
-            assert _bits(got) == _bits(want)
+            method = "read_exact" if exact else "read"
+            got = _bits(getattr(counter, method)(t))
+            for reference in references:
+                assert got == _bits(getattr(reference, method)(t))
+
+    @pytest.mark.parametrize(
+        "ticks",
+        [NUMPY_MIN_TICKS - 1, NUMPY_MIN_TICKS, NUMPY_MIN_TICKS + 1, 7341],
+    )
+    @pytest.mark.parametrize("noise", [0.0, 3.0])
+    @pytest.mark.parametrize("summed", [False, True])
+    @pytest.mark.parametrize("wrap", [None, 97.0])
+    def test_catch_up_at_the_threshold_and_the_longest(
+        self, ticks, noise, summed, wrap
+    ):
+        """One catch-up of exactly ``ticks`` ticks after a short one, over
+        levels that change inside the chunk; then cached reads inside it."""
+        period = 0.01
+        traces = [PowerTrace(initial_watts=w) for w in (112.4, 57.5, 301.25)]
+        for i, tr in enumerate(traces):
+            for j in range(1, 9):
+                t = (i + 1) * j * ticks * period / 27.0
+                tr.set_power(t, 40.0 + ((i + 1) * 37.3 * j) % 250.0)
+        trace = SummedPowerTrace(traces, 37.5) if summed else traces[0]
+        params = dict(
+            refresh_period_s=period,
+            watts_quantum=1.0,
+            energy_quantum=1e-3,
+            noise_sigma_watts=noise,
+            wrap_joules=wrap,
+            seed=7,
+            initial_joules=1234.5,
+        )
+        counters = [
+            SampledEnergyCounter(trace, **params),
+            VectorizedReferenceCounter(trace, **params),
+            ScalarReferenceCounter(trace, **params),
+        ]
+        first = 5
+        reads = [first, first + ticks, first + 1, first + ticks // 2, first + ticks]
+        for k in reads:
+            t = k * period
+            got = {_bits(c.read(t)) for c in counters}
+            got_exact = {_bits(c.read_exact(t)) for c in counters}
+            assert len(got) == len(got_exact) == 1

@@ -115,10 +115,42 @@ def results():
     return {key: execute_key(key) for key in KEYS}
 
 
+#: SHA-256 of each key's ``run.to_json()`` followed by its accounting as
+#: sorted compact JSON.  Every measured energy, time and health count of
+#: the six runs is in these bytes, to the last bit: a change that moves
+#: one must re-pin the digests and say why.
+RESULT_DIGESTS = {
+    "LUMI-G/Subsonic Turbulence/4c/default/150000000ppr/3s/seed0":
+        "89f6d8d25727a5e02b7f7bfe86236d916f5b06696ccac6a050affcba257a3de3",
+    "LUMI-G/Evrard Collapse/4c/default/80000000ppr/3s/seed0/min-edp":
+        "8e2919c440fe3104fd10da0197e88977108d7f6d37b698ce05457e85509f925c",
+    "CSCS-A100/Subsonic Turbulence/4c/default/150000000ppr/3s/seed0":
+        "89a01bbdab060805dd7eb2c8bf491827c0976e80c76d1c8da8d871717e45f2ca",
+    "CSCS-A100/Evrard Collapse/4c/default/80000000ppr/3s/seed0/min-edp":
+        "4ca9d6484a9476b7f3887d721f66d30adf56d3dbcfde2132b78f0c0ab690a12b",
+    "miniHPC/Subsonic Turbulence/2c/default/150000000ppr/3s/seed0":
+        "b7b19db00ae456f10760388aeb65bf46cd1e0fbe7cc4f2025bece4d039358910",
+    "miniHPC/Evrard Collapse/2c/default/80000000ppr/3s/seed0/min-edp":
+        "64e3289890e333afe03f7ec623d12d5f13af281823032c071391a67651fdbf53",
+}
+
+
+def result_digest(result: CampaignResult) -> str:
+    accounting = dataclasses.asdict(result.accounting)
+    text = result.run.to_json() + json.dumps(
+        accounting, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestEntryBytes:
     def test_schema_2_and_the_measuring_code_unchanged(self):
         assert CACHE_SCHEMA_VERSION == 2
         assert CODE_VERSION == "2"
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda k: k.label)
+    def test_measured_bits_are_pinned(self, results, key):
+        assert result_digest(results[key]) == RESULT_DIGESTS[key.label]
 
     @pytest.mark.parametrize("key", KEYS, ids=lambda k: k.label)
     def test_put_writes_the_oracle_bytes(self, tmp_path, results, key):

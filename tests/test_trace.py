@@ -1,5 +1,7 @@
 """Tests for power traces: exact energy integration of step functions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,6 +65,23 @@ class TestPowerTrace:
         tr = PowerTrace()
         with pytest.raises(ValueError):
             tr.set_power(1.0, -5.0)
+
+    @pytest.mark.parametrize("watts", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, watts):
+        tr = PowerTrace(initial_watts=10.0)
+        with pytest.raises(ValueError):
+            tr.set_power(1.0, watts)
+        assert tr.num_breakpoints == 1
+        assert tr.power_at(2.0) == 10.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        tr = PowerTrace(initial_watts=10.0)
+        tr.set_power(1.0, 20.0)
+        with pytest.raises(ClockError):
+            tr.set_power(t, 30.0)
+        assert tr.num_breakpoints == 2
+        assert tr.energy_until(2.0) == 10.0 + 20.0
 
     def test_reversed_interval_rejected(self):
         tr = PowerTrace(initial_watts=1.0)
@@ -212,6 +231,32 @@ class TestSampler:
         sample = tr.sampler()
         assert sample([1.5]) == [20.0]
         assert sample([0.5, 1.0]) == [10.0, 20.0]
+
+    def test_one_level_windows_equal_sample(self):
+        """Windows on one level (the shortcut), windows that end exactly on
+        a breakpoint, and summed windows where only some members change."""
+        a, b = PowerTrace(initial_watts=7.0), PowerTrace(initial_watts=3.0)
+        a.set_power(1.0, 11.0)
+        a.set_power(2.0, 13.0)
+        b.set_power(1.5, 5.25)
+        summed = SummedPowerTrace([a, b], constant_watts=12.5)
+        readers = [(tr, tr.sampler()) for tr in (a, b, summed)]
+        windows = [
+            [0.1, 0.5, 0.9],  # every member on its first level
+            [1.1, 1.2, 1.4],  # a on its second level, b still on its first
+            [1.45, 1.5],  # ends on b's breakpoint: b changes, a does not
+            [1.6, 1.9, 1.999],  # both on one level again
+            [1.999, 2.0],  # ends on a's breakpoint
+            [2.5, 7.0, 1e6],  # past the last breakpoints
+            [0.2],  # before the cursor: the walk restarts
+            [],
+        ]
+        for times in windows:
+            for trace, sample in readers:
+                want = trace.sample(np.array(times, dtype=np.float64)).tolist()
+                got = sample(times)
+                assert type(got) is list
+                assert [w.hex() for w in got] == [w.hex() for w in want]
 
     @given(
         st.lists(

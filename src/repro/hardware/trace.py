@@ -10,8 +10,9 @@ Traces are append-only (time moves forward) and integration is vectorized:
 breakpoints are kept in growable NumPy buffers and a cumulative-energy
 prefix array is cached and invalidated on append, so repeated queries over
 long runs stay O(log n).  Sensors, which sample a trace tick by tick as
-time moves forward, use :meth:`PowerTrace.sampler` instead: a scalar
-cursor walk that returns the same values as :meth:`PowerTrace.sample`.
+time moves forward, catch up a few ticks with :meth:`PowerTrace.sampler`
+instead: a scalar cursor walk that returns the same values as
+:meth:`PowerTrace.sample`, which they keep for long catch-ups.
 """
 
 from __future__ import annotations

@@ -163,24 +163,13 @@ class PowerTrace:
         breakpoint the reader last hit, so a catch-up of a few ticks costs
         a few float comparisons instead of a vectorized binary search; a
         list starting before the cursor restarts the walk from the first
-        breakpoint.  When the whole list lies on one level, as it mostly
-        does for a device between two load changes, the result is that
-        level repeated, with no per-time comparison.
+        breakpoint.  When the whole list lies on one level (a device
+        between two load changes), the result is that level repeated,
+        with no per-time comparison.
         """
-        walk = self._walker()
-
-        def sample(times: list[float]) -> list[float]:
-            out = walk(times)
-            return [out] * len(times) if type(out) is float else out
-
-        return sample
-
-    def _walker(self) -> Callable[[list[float]], float | list[float]]:
-        """The cursor walk behind :meth:`sampler`.  It returns the level
-        itself, not a list, when every time lies on that one level."""
         cursor = 0
 
-        def walk(times: list[float]) -> float | list[float]:
+        def sample(times: list[float]) -> list[float]:
             nonlocal cursor
             n = self._n
             bp_times = self._times_mv
@@ -193,7 +182,7 @@ class PowerTrace:
             next_t = bp_times[i + 1] if i + 1 < n else math.inf
             if not times or times[-1] < next_t:
                 cursor = i
-                return watts
+                return [watts] * len(times)
             out = []
             for t in times:
                 while t >= next_t:
@@ -204,7 +193,7 @@ class PowerTrace:
             cursor = i
             return out
 
-        return walk
+        return sample
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only zero-copy views of the ``(times, watts)`` breakpoints.
@@ -274,27 +263,16 @@ class SummedPowerTrace:
     def sampler(self) -> Callable[[list[float]], list[float]]:
         """Scalar :meth:`sample` for one forward-moving reader.
 
-        Sums the member walks in the same order as :meth:`sample`
+        Sums the member samplers in the same order as :meth:`sample`
         (constant first, then each trace), so the values are bit-identical.
-        Members that hold one level over the whole list are added as one
-        number: while every member so far has, the sum is a single float.
         """
-        walkers = [tr._walker() for tr in self._traces]
+        samplers = [tr.sampler() for tr in self._traces]
         constant = self._constant
 
         def sample(times: list[float]) -> list[float]:
-            total = constant
-            for walk in walkers:
-                member = walk(times)
-                if type(total) is float:
-                    if type(member) is float:
-                        total += member
-                    else:
-                        total = [total + w for w in member]
-                elif type(member) is float:
-                    total = [w + member for w in total]
-                else:
-                    total = list(map(add, total, member))
-            return [total] * len(times) if type(total) is float else total
+            total = [constant] * len(times)
+            for member in samplers:
+                total = list(map(add, total, member(times)))
+            return total
 
         return sample

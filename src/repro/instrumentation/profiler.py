@@ -104,7 +104,6 @@ class EnergyProfiler:
         self.system = system
         self.resilient = resilient
         self.clock = placement.cluster.clock
-        self._locations = [placement.location(r) for r in range(placement.size)]
 
         spec = placement.cluster.node_spec
         node_bound = GLITCH_MARGIN * spec.peak_watts
@@ -158,8 +157,9 @@ class EnergyProfiler:
                     for i in range(len(tel.nvml))
                 ]
 
-            for loc in self._locations:
-                self._nvml[loc.rank] = guard(
+            for rank in range(placement.size):
+                loc = placement.location(rank)
+                self._nvml[rank] = guard(
                     loc.node_index,
                     NvmlPMT(
                         telemetry=telemetries[loc.node_index],
@@ -233,7 +233,7 @@ class EnergyProfiler:
 
     def snapshot(self, rank: int) -> dict[str, float]:
         """This rank's canonical counters (joules) right now."""
-        loc = self._locations[rank]
+        loc = self.placement.location(rank)
         shared = self._node_counters(loc.node_index)
         out = {"node": shared["node"], "cpu": shared["cpu"]}
         if "memory" in shared:
@@ -295,7 +295,9 @@ class EnergyProfiler:
         if health0 is not None:
             health = diff_counters(
                 _HEALTH_NAMES,
-                self._node_health_totals(self._locations[rank].node_index),
+                self._node_health_totals(
+                    self.placement.location(rank).node_index
+                ),
                 health0,
             )
         key = (rank, function)

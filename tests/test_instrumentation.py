@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CSCS_A100, LUMI_G, SUBSONIC_TURBULENCE
-from repro.errors import AnalysisError, MeasurementError
+from repro.errors import AnalysisError, CommunicatorError, MeasurementError
 from repro.hardware import Cluster, VirtualClock
 from repro.instrumentation import (
     EnergyProfiler,
@@ -78,6 +78,15 @@ class TestProfilerBasics:
         *_, profiler = make_stack(CSCS_A100)
         with pytest.raises(MeasurementError):
             profiler.gather("t", 1, 1e6)
+
+    @pytest.mark.parametrize("system", [LUMI_G, CSCS_A100])
+    def test_out_of_range_rank_rejected(self, system):
+        *_, placement, _, profiler = make_stack(system)
+        for rank in (-1, placement.size):
+            with pytest.raises(CommunicatorError):
+                profiler.snapshot(rank)
+            with pytest.raises(CommunicatorError):
+                profiler.begin(rank)
 
     def test_counters_present_per_platform(self):
         for system, expect_memory in ((LUMI_G, True), (CSCS_A100, False)):

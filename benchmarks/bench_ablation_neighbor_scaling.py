@@ -27,11 +27,14 @@ BASELINE_N_SIDE = 27
 N_SIDES = (12, 27, 50)
 
 #: Allocation ceiling for one smoke-sized CSR step (tracemalloc peak).
-#: The measured peak is ~81 MiB — the kernel slot table's per-entry
-#: columns plus the Verlet list's kept entries; the streamed candidate
-#: blocks and filter chunks add only a few MiB — so a regression past
-#: this budget means a new unbounded temporary slipped into the hot path.
-SMOKE_ALLOC_BUDGET_BYTES = 160 * 2**20
+#: The measured peak is ~35 MiB: the Verlet list's kept entries (~16 MiB),
+#: the step's seven memoized per-entry kernel columns (~11 MiB) and the
+#: kernel loops' block-sized scratch (~4 MiB); the streamed candidate
+#: blocks and filter chunks add only a few MiB.  The budget is that peak
+#: plus ~13 MiB (about a third, or eight per-entry columns), so a
+#: regression past it means a new unbounded temporary slipped into the
+#: hot path.
+SMOKE_ALLOC_BUDGET_BYTES = 48 * 2**20
 
 #: Verlet skin for this sweep, tuned on the 27^3 box when a compiled
 #: filter (since retired) made per-step queries cheap relative to

@@ -69,11 +69,12 @@ class RankPlacement:
 
     def location(self, rank: int) -> RankLocation:
         """The placement of ``rank``."""
-        if not 0 <= rank < self.size:
+        locations = self._locations
+        if not 0 <= rank < len(locations):
             raise CommunicatorError(
-                f"rank {rank} out of range (communicator size {self.size})"
+                f"rank {rank} out of range (communicator size {len(locations)})"
             )
-        return self._locations[rank]
+        return locations[rank]
 
     def gpu_of(self, rank: int):
         """The GPU unit ``rank`` drives."""

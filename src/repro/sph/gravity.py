@@ -53,6 +53,10 @@ class BarnesHutGravity:
         Plummer softening length.
     leaf_size:
         Maximum particles per leaf before splitting.
+    pool:
+        Scratch pool for the leaf blocks; a caller that builds one tree
+        per step passes the same pool each time, so the leaf buffers are
+        allocated once.  A private pool by default.
     """
 
     def __init__(
@@ -63,6 +67,7 @@ class BarnesHutGravity:
         eps: float = 0.0,
         G: float = G_CODE,
         leaf_size: int = 16,
+        pool: BufferPool | None = None,
     ) -> None:
         if len(pos) != len(mass):
             raise SimulationError("pos and mass length mismatch")
@@ -80,7 +85,7 @@ class BarnesHutGravity:
         self._xyz = np.ascontiguousarray(self._pos.T)  # SoA rows x, y, z
         self._mass = mass.copy()
         self._self_sums: tuple[np.ndarray, np.ndarray] | None = None
-        self._pool = BufferPool()
+        self._pool = pool if pool is not None else BufferPool()
         self.nodes: list[_BhNode] = []
         self._build(np.arange(len(pos)), center, half)
 

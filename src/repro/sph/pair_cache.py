@@ -4,14 +4,14 @@ One reuse layer sits between the neighbor search and the physics kernels,
 mirroring how SPH-EXA earns its throughput: the CSR/SoA engine
 (:class:`CsrVerletList` + :class:`CsrStepContext`).
 Neighbors live in a flat CSR structure
-(:class:`~repro.sph.neighbors.CsrNeighborList`); per-pair kernel values
-and IAD gradient vectors are evaluated once per step into preallocated,
-reused buffers; per-particle sums run as *segment reductions*
-(``np.add.reduceat`` over the CSR offsets) instead of scatter-adds.  The
-skin-cached candidate structure survives the SFC relabeling of
-``DomainDecompAndSync`` by composing the per-step permutation into a
-build-label -> current-label map — an O(N) update — rather than
-re-sorting the O(N k) flat arrays.
+(:class:`~repro.sph.neighbors.CsrNeighborList`); the pair kernels run
+over row-aligned blocks of entries in reused, block-sized buffers; the
+kernel values and IAD gradient vectors are evaluated once per step; and
+per-particle sums run as *segment reductions* (``np.add.reduceat`` over
+the CSR offsets) instead of scatter-adds.  The skin-cached candidate
+structure survives the SFC relabeling of ``DomainDecompAndSync`` by
+composing the per-step permutation into a build-label -> current-label
+map — an O(N) update — rather than re-sorting the O(N k) flat arrays.
 
 The Verlet list's caching contract: the neighbor search runs with an
 inflated cutoff ``2 max(h_i, h_j) + skin`` and the candidate list is
@@ -226,60 +226,102 @@ class CsrVerletList:
 
 # -- the CSR/SoA kernel engine -------------------------------------------------
 
+#: Entries per block of the kernel loops.  A block holds whole CSR
+#: segments, so a segment longer than this is a block of its own.
+_BLOCK = 8192
+
+
+class _Block:
+    """One row-aligned block of CSR entries, ``[lo, hi)``: whole segments.
+
+    ``row``/``col``/``dx``/``r`` are views of the list's arrays over the
+    block; ``red`` holds the block-local starts of its non-empty segments
+    and ``rows`` the particles they reduce to.  Scratch comes from the
+    context's pool, sized to the block; a view is valid until the same
+    name is requested again.
+    """
+
+    __slots__ = ("lo", "hi", "row", "col", "dx", "r", "red", "rows", "pool")
+
+    def __init__(
+        self,
+        csr: CsrNeighborList,
+        lo: int,
+        hi: int,
+        red: np.ndarray,
+        rows: np.ndarray,
+        pool: BufferPool,
+    ) -> None:
+        self.lo, self.hi = lo, hi
+        self.row = csr.row[lo:hi]
+        self.col = csr.indices[lo:hi]
+        self.dx = csr.dx[lo:hi]
+        self.r = csr.r[lo:hi]
+        self.red = red - lo
+        self.rows = rows
+        self.pool = pool
+
+    def scratch(self, name: str, width: int = 1) -> np.ndarray:
+        """A pooled float64 block array, ``(n,)`` or ``(n, width)``."""
+        if width == 1:
+            return self.pool.get(name, self.hi - self.lo, np.float64)
+        return self.pool.rows(name, self.hi - self.lo, width, np.float64)
+
+    def gather(self, arr: np.ndarray, side: str, name: str) -> np.ndarray:
+        """Per-entry gather ``arr[row]`` or ``arr[col]`` (1-D or rows)."""
+        buf = self.scratch(name, 1 if arr.ndim == 1 else arr.shape[1])
+        idx = self.row if side == "row" else self.col
+        np.take(arr, idx, axis=0, out=buf, mode="clip")
+        return buf
+
+    def sum_into(self, out: np.ndarray, values: np.ndarray) -> None:
+        """Float64 segment sums of ``values`` into their particles' rows."""
+        out[self.rows] = np.add.reduceat(values, self.red, axis=0, dtype=np.float64)
+
+    def max_into(self, out: np.ndarray, values: np.ndarray) -> None:
+        """Segment maxima of ``values`` into their particles' rows."""
+        out[self.rows] = np.maximum.reduceat(values, self.red)
+
 
 class CsrStepContext:
     """SoA kernel engine over one step's CSR neighbor list.
 
     Wraps a :class:`~repro.sph.neighbors.CsrNeighborList` plus the
-    smoothing lengths the step runs with, and lazily evaluates,
-    once per step into pooled buffers, the per-entry kernel values
-    (``w_own`` = ``W(r, h_row)``, ``w_other`` = ``W(r, h_col)``), the
-    ``dW/dh`` values, and the IAD gradient vectors.  Per-particle sums
-    run as float64 segment reductions over the CSR offsets
-    (:meth:`reduce_sum` / :meth:`reduce_sum_rows` / :meth:`reduce_max`),
-    scattered through the segment-to-particle map when the list's
-    segments are in build order.  Every per-entry array is float64.
+    smoothing lengths the step runs with.  Every pair kernel runs as a
+    loop over :attr:`blocks`: row-aligned blocks of about :data:`_BLOCK`
+    entries, each holding whole CSR segments (a longer segment is a block
+    of its own; empty segments belong to none).  Per-entry temporaries
+    are pooled block-sized scratch (:meth:`_Block.scratch`), and
+    per-particle sums are float64 segment reductions of one block at a
+    time (:meth:`_Block.sum_into` / :meth:`_Block.max_into`), scattered
+    through the segment-to-particle map.  Every per-entry array is
+    float64.
+
+    The values that several kernel functions read stay full-length and
+    are evaluated lazily, once per step, block by block: the kernel
+    values ``w_own`` = ``W(r, h_row)`` and the IAD gradient vectors (per
+    matrix set).  A value with one reader is evaluated per block where it
+    is read: ``W(r, h_col)`` (:meth:`kernel_value`) inside
+    :meth:`iad_vectors`, ``dW/dh`` (:meth:`kernel_dh`) inside grad-h.  The
+    kernel pool therefore holds those memos, seven per-entry columns,
+    plus O(block) scratch.
+
+    Blocking cannot move a bit.  A segment never straddles two blocks, so
+    each ``reduceat`` segment reduces the same values in the same order
+    as over the whole list; every other operation (gathers, arithmetic,
+    the per-entry einsums) acts on each entry alone.  The results are
+    independent of :data:`_BLOCK` (``tests/test_sph_scratch.py`` runs it
+    at one entry, a mid value and the whole list).
 
     The cubic-spline kernel shape
     (:class:`~repro.sph.kernels.cubic_spline.CubicSplineKernel`) is
-    evaluated branchlessly in the buffers via ::
+    evaluated branchlessly via ::
 
         w(q)  = 0.25 max(2-q, 0)^3 - max(1-q, 0)^3
         w'(q) = -0.75 max(2-q, 0)^2 + 3 max(1-q, 0)^2
 
     (algebraically identical to the piecewise definition on [0, 2] and
     zero beyond).
-
-    Per-entry buffers come from a small table of pool slots shared by
-    liveness rather than one name per temporary.  A slot's view is valid
-    until the slot is requested again, so each slot has one owner at a
-    time:
-
-    ============  =====  ================================================
-    slot          cols   holds
-    ============  =====  ================================================
-    ct_wown        1     ``w_own`` (memoized for the step)
-    ct_woth        1     ``w_other`` (memoized)
-    ct_dhown       1     ``dwdh_own`` (memoized; grad-h runs only)
-    ct_d           3     ``d`` (memoized)
-    ct_aown/aoth   3+3   the IAD vectors (memoized per matrix set)
-    ct_t0..ct_t3   1     temporaries of one kernel evaluation
-    ct_cb          9     the matrix gather of :meth:`iad_vectors`; lent
-                         to IADVelocityDivCurl's tau geometry (6 cols),
-                         which is reduced before the vectors are built
-    ph_s0..ph_s6   1     a physics function's per-entry scalars
-    ph_v0, ph_v1   3     its per-entry vectors
-    ph_vt          3     a gathered vector operand consumed by the next
-                         operation, or a term folded into a reduction
-    ph_g           1     a gathered scalar operand consumed by the next
-                         operation
-    ============  =====  ================================================
-
-    Memoized quantities own their slots for the whole step; ``ct_t*`` and
-    ``ct_cb`` live only inside one memo evaluation, which uses no
-    ``ph_*`` slot, so a memo may be evaluated lazily in the middle of a
-    physics function.  ``ph_*`` slots live only inside one physics
-    function; each function's slot assignment is commented at its use.
     """
 
     def __init__(
@@ -292,66 +334,39 @@ class CsrStepContext:
         self.h = h
         self.pool = pool if pool is not None else BufferPool()
         self.nnz = csr.n_pairs
-        # Reduction plan, shared by every reduction this step: the
-        # non-empty segments (``np.add.reduceat`` returns ``values[start]``,
-        # not 0, for an empty one) and the particles they scatter to.
+        # The non-empty segments (``np.add.reduceat`` returns
+        # ``values[start]``, not 0, for an empty one), the particles they
+        # scatter to, and the entry where each ends.
         starts = csr.offsets[:-1]
-        nonempty = starts < csr.offsets[1:]
-        self._red_idx = starts[nonempty]
+        ends = csr.offsets[1:]
+        nonempty = starts < ends
+        red_idx, ends = starts[nonempty], ends[nonempty]
         seg = np.flatnonzero(nonempty)
-        self._out_rows = seg if csr.targets is None else csr.targets[seg]
-        self._d: np.ndarray | None = None
+        out_rows = seg if csr.targets is None else csr.targets[seg]
+        #: The step's row-aligned entry blocks, in entry order.
+        self.blocks: list[_Block] = []
+        j0 = 0
+        while j0 < len(red_idx):
+            lo = int(red_idx[j0])
+            j1 = max(int(np.searchsorted(ends, lo + _BLOCK, side="right")), j0 + 1)
+            self.blocks.append(
+                _Block(
+                    csr, lo, int(ends[j1 - 1]), red_idx[j0:j1],
+                    out_rows[j0:j1], self.pool,
+                )
+            )
+            j0 = j1
         self._w_own: np.ndarray | None = None
-        self._w_other: np.ndarray | None = None
-        self._dwdh_own: np.ndarray | None = None
         self._iad_key: np.ndarray | None = None
         self._iad: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def n_particles(self) -> int:
-        return self.csr.n_particles
-
-    @property
-    def d(self) -> np.ndarray:
-        """``x_col - x_row`` per entry (``-dx``), the IAD direction."""
-        if self._d is None:
-            buf = self.pool.rows("ct_d", self.nnz, 3, np.float64)
-            np.negative(self.csr.dx, out=buf)
-            self._d = buf
-        return self._d
-
-    # -- gathers ---------------------------------------------------------------
-
-    def _idx(self, side: str) -> np.ndarray:
-        return self.csr.row if side == "row" else self.csr.indices
-
-    def gather(self, arr: np.ndarray, side: str, name: str) -> np.ndarray:
-        """Per-entry gather ``arr[row]`` or ``arr[col]`` into a pooled buffer."""
-        buf = self.pool.get(name, self.nnz, np.float64)
-        np.take(arr, self._idx(side), out=buf, mode="clip")
-        return buf
-
-    def gather_rows(self, arr: np.ndarray, side: str, name: str) -> np.ndarray:
-        """Per-entry gather of ``(n, m)`` rows into a pooled buffer."""
-        m = arr.shape[1]
-        buf = self.pool.rows(name, self.nnz, m, np.float64)
-        np.take(arr, self._idx(side), axis=0, out=buf, mode="clip")
-        return buf
-
-    def scratch(self, name: str, width: int = 1) -> np.ndarray:
-        """A pooled per-entry float64 scratch array."""
-        if width == 1:
-            return self.pool.get(name, self.nnz, np.float64)
-        return self.pool.rows(name, self.nnz, width, np.float64)
-
     # -- kernel evaluations ----------------------------------------------------
 
-    def _kernel_value(self, side: str, name: str) -> np.ndarray:
-        """``W(r, h_side)`` per entry into the named buffer."""
-        q = self.pool.get(name, self.nnz, np.float64)
-        hb = self.gather(self.h, side, "ct_t0")
-        t1 = self.pool.get("ct_t1", self.nnz, np.float64)
-        np.divide(self.csr.r, hb, out=q)
+    def kernel_value(self, b: _Block, side: str, q: np.ndarray) -> np.ndarray:
+        """``W(r, h_side)`` over block ``b`` into ``q``."""
+        hb = b.gather(self.h, side, "ct_t0")
+        t1 = b.scratch("ct_t1")
+        np.divide(b.r, hb, out=q)
         np.subtract(1.0, q, out=t1)
         np.maximum(t1, 0.0, out=t1)
         t1 *= t1 * t1
@@ -365,14 +380,13 @@ class CsrStepContext:
         q *= _SIGMA_3D
         return q
 
-    def _kernel_dh(self, side: str, name: str) -> np.ndarray:
-        """``dW/dh`` per entry into the named buffer."""
-        out = self.pool.get(name, self.nnz, np.float64)
-        hb = self.gather(self.h, side, "ct_t0")
-        q = self.pool.get("ct_t1", self.nnz, np.float64)
-        t1 = self.pool.get("ct_t2", self.nnz, np.float64)
-        t2 = self.pool.get("ct_t3", self.nnz, np.float64)
-        np.divide(self.csr.r, hb, out=q)
+    def kernel_dh(self, b: _Block, out: np.ndarray) -> np.ndarray:
+        """``dW/dh`` at ``h_row`` over block ``b`` into ``out``."""
+        hb = b.gather(self.h, "row", "ct_t0")
+        q = b.scratch("ct_t1")
+        t1 = b.scratch("ct_t2")
+        t2 = b.scratch("ct_t3")
+        np.divide(b.r, hb, out=q)
         np.subtract(1.0, q, out=t1)
         np.maximum(t1, 0.0, out=t1)
         np.subtract(2.0, q, out=t2)
@@ -399,72 +413,33 @@ class CsrStepContext:
     def w_own(self) -> np.ndarray:
         """``W(r, h_row)`` per entry (memoized)."""
         if self._w_own is None:
-            self._w_own = self._kernel_value("row", "ct_wown")
+            out = self.pool.get("ct_wown", self.nnz, np.float64)
+            for b in self.blocks:
+                self.kernel_value(b, "row", out[b.lo:b.hi])
+            self._w_own = out
         return self._w_own
-
-    @property
-    def w_other(self) -> np.ndarray:
-        """``W(r, h_col)`` per entry (memoized)."""
-        if self._w_other is None:
-            self._w_other = self._kernel_value("col", "ct_woth")
-        return self._w_other
-
-    @property
-    def dwdh_own(self) -> np.ndarray:
-        """``dW/dh`` at ``h_row`` per entry (memoized)."""
-        if self._dwdh_own is None:
-            self._dwdh_own = self._kernel_dh("row", "ct_dhown")
-        return self._dwdh_own
 
     def iad_vectors(self, c_iad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``A_row,k`` and ``A_col,k`` per entry (memoized per matrix set).
 
-        Both point along ``x_col - x_row``; mirrored entries produce
-        exactly negated vectors.
+        Both point along ``d = x_col - x_row = -dx``; mirrored entries
+        produce exactly negated vectors.
         """
         if self._iad is None or self._iad_key is not c_iad:
-            d = self.d
+            w_own = self.w_own
             c_src = c_iad.reshape(len(c_iad), 9)
             a_own = self.pool.rows("ct_aown", self.nnz, 3, np.float64)
             a_oth = self.pool.rows("ct_aoth", self.nnz, 3, np.float64)
-            cb = self.pool.rows("ct_cb", self.nnz, 9, np.float64)
-            np.take(c_src, self.csr.row, axis=0, out=cb, mode="clip")
-            np.einsum(
-                "kab,kb->ka", cb.reshape(self.nnz, 3, 3), d, out=a_own
-            )
-            a_own *= self.w_own[:, None]
-            np.take(c_src, self.csr.indices, axis=0, out=cb, mode="clip")
-            np.einsum(
-                "kab,kb->ka", cb.reshape(self.nnz, 3, 3), d, out=a_oth
-            )
-            a_oth *= self.w_other[:, None]
+            for b in self.blocks:
+                n, e = b.hi - b.lo, slice(b.lo, b.hi)
+                d = np.negative(b.dx, out=b.scratch("ct_d", 3))
+                cb = b.gather(c_src, "row", "ct_cb").reshape(n, 3, 3)
+                np.einsum("kab,kb->ka", cb, d, out=a_own[e])
+                a_own[e] *= w_own[e, None]
+                cb = b.gather(c_src, "col", "ct_cb").reshape(n, 3, 3)
+                np.einsum("kab,kb->ka", cb, d, out=a_oth[e])
+                w_oth = self.kernel_value(b, "col", b.scratch("ct_w"))
+                a_oth[e] *= w_oth[:, None]
             self._iad = (a_own, a_oth)
             self._iad_key = c_iad
         return self._iad
-
-    # -- segment reductions ----------------------------------------------------
-
-    def reduce_sum(self, values: np.ndarray) -> np.ndarray:
-        """Float64 segment sum to per-particle bins (empty rows -> 0)."""
-        out = np.zeros(self.n_particles, dtype=np.float64)
-        if len(self._red_idx):
-            out[self._out_rows] = np.add.reduceat(
-                values, self._red_idx, dtype=np.float64
-            )
-        return out
-
-    def reduce_sum_rows(self, values: np.ndarray) -> np.ndarray:
-        """Float64 segment sum of ``(nnz, m)`` rows to ``(n, m)``."""
-        out = np.zeros((self.n_particles, values.shape[1]), dtype=np.float64)
-        if len(self._red_idx):
-            out[self._out_rows] = np.add.reduceat(
-                values, self._red_idx, axis=0, dtype=np.float64
-            )
-        return out
-
-    def reduce_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-particle segment maximum (empty rows -> 0)."""
-        out = np.zeros(self.n_particles, dtype=np.float64)
-        if len(self._red_idx):
-            out[self._out_rows] = np.maximum.reduceat(values, self._red_idx)
-        return out

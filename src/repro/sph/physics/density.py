@@ -6,9 +6,9 @@ Gather formulation with each particle's own smoothing length::
 
 The kernel's compact support makes out-of-range pair terms vanish, so the
 union pair list can be used unmasked.  Over a
-:class:`~repro.sph.pair_cache.CsrStepContext` that is one gather into the
-scalar slot ``ph_s0``, one in-place multiply by the memoized kernel
-values and one float64 segment reduction.
+:class:`~repro.sph.pair_cache.CsrStepContext` that is, block by block, one
+gather of the neighbour masses, one in-place multiply by the memoized
+kernel values and one float64 segment reduction.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from repro.sph.particles import ParticleSet
 
 def compute_density(ps: ParticleSet, ctx: CsrStepContext) -> None:
     """Fill ``ps.rho`` from the step's pairs."""
-    contrib = ctx.gather(ps.mass, "col", "ph_s0")
-    contrib *= ctx.w_own
-    rho = ctx.reduce_sum(contrib)
+    w_own = ctx.w_own
+    rho = np.zeros(ps.n)
+    for b in ctx.blocks:
+        contrib = b.gather(ps.mass, "col", "den_m")
+        contrib *= w_own[b.lo:b.hi]
+        b.sum_into(rho, contrib)
     # Self-contribution W(0, h_i) = 1 / (pi h^3).
     rho += ps.mass * CubicSplineKernel.value(np.zeros(ps.n), ps.h)
     ps.rho = rho

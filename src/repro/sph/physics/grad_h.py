@@ -14,9 +14,9 @@ Omega ~= 1 for uniform particle distributions and deviates near strong
 density gradients (shocks, the Evrard center), where the correction
 measurably improves energy conservation — covered by the tests.
 
-:func:`compute_omega` sums over a
-:class:`~repro.sph.pair_cache.CsrStepContext`, reusing its memoized
-``dW/dh`` buffer.
+:func:`compute_omega` sums over the blocks of a
+:class:`~repro.sph.pair_cache.CsrStepContext`, evaluating ``dW/dh`` one
+block at a time.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ def compute_omega(ps: ParticleSet, ctx: CsrStepContext) -> np.ndarray:
     raw estimate can stray far from 1, and production codes clamp it the
     same way to keep the equations well-posed.
     """
-    terms = ctx.gather(ps.mass, "col", "ph_s0")
-    terms *= ctx.dwdh_own
-    sums = ctx.reduce_sum(terms)
+    sums = np.zeros(ps.n)
+    for b in ctx.blocks:
+        terms = b.gather(ps.mass, "col", "gh_m")
+        terms *= ctx.kernel_dh(b, b.scratch("gh_dwdh"))
+        b.sum_into(sums, terms)
     # Self-contribution: dW/dh at r = 0 is -3 sigma / h^4 * w(0).
     sums += ps.mass * kernel_dh(np.zeros(ps.n), ps.h)
     omega = 1.0 + ps.h / (3.0 * np.maximum(ps.rho, 1e-300)) * sums

@@ -16,11 +16,11 @@ SPH-EXA's fused ``IADVelocityDivCurl`` kernel.
 
 Over a :class:`~repro.sph.pair_cache.CsrStepContext` every sum is a
 float64 segment reduction over the CSR offsets, and the gradient vectors
-computed here are memoized for ``MomentumEnergy`` to reuse.  The
-per-entry temporaries use the context's shared slots (two scalars, a
-vector, the gathered operand ``ph_g`` and ``ph_vt``), and the six-column
-tau geometry borrows the matrix-gather slot ``ct_cb``, which it vacates
-before the gradient vectors are built.
+computed here are memoized for ``MomentumEnergy`` to reuse.  Every
+gradient vector needs its row's inverted tau, so the function runs two
+block loops: the tau entries first, then, after one inversion over all
+particles, the divergence and curl.  The per-entry temporaries are
+block-sized ``iad_*`` scratch.
 """
 
 from __future__ import annotations
@@ -61,41 +61,50 @@ def _assemble_tau(entries: np.ndarray, n: int) -> np.ndarray:
 
 def compute_iad_and_divcurl(ps: ParticleSet, ctx: CsrStepContext) -> None:
     """Fill ``ps.c_iad``, ``ps.div_v`` and ``ps.curl_v``."""
-    d = ctx.d  # x_col - x_row
+    w_own = ctx.w_own
 
     # Volume-weighted kernel value per entry, then the six unique tau
-    # entries in one (nnz, 6) buffer and one float64 segment reduction.
-    # The geometry borrows ct_cb: it is reduced before iad_vectors
-    # gathers the matrices there.
-    vol_w = ctx.gather(ps.mass, "col", "ph_s0")
-    vol_w /= ctx.gather(ps.rho, "col", "ph_g")
-    vol_w *= ctx.w_own
-    geom = ctx.scratch("ct_cb", 6)
-    np.multiply(d[:, 0], d[:, 0], out=geom[:, 0])
-    np.multiply(d[:, 0], d[:, 1], out=geom[:, 1])
-    np.multiply(d[:, 0], d[:, 2], out=geom[:, 2])
-    np.multiply(d[:, 1], d[:, 1], out=geom[:, 3])
-    np.multiply(d[:, 1], d[:, 2], out=geom[:, 4])
-    np.multiply(d[:, 2], d[:, 2], out=geom[:, 5])
-    geom *= vol_w[:, None]
-    ps.c_iad = _invert_tau(_assemble_tau(ctx.reduce_sum_rows(geom), ps.n))
+    # entries of d = x_col - x_row = -dx in one (n, 6) block and one
+    # float64 segment reduction.  (-a)(-b) == ab exactly, so dx serves.
+    tau = np.zeros((ps.n, 6))
+    for b in ctx.blocks:
+        d = b.dx
+        vol_w = b.gather(ps.mass, "col", "iad_s0")
+        vol_w /= b.gather(ps.rho, "col", "iad_g")
+        vol_w *= w_own[b.lo:b.hi]
+        geom = b.scratch("iad_geom", 6)
+        np.multiply(d[:, 0], d[:, 0], out=geom[:, 0])
+        np.multiply(d[:, 0], d[:, 1], out=geom[:, 1])
+        np.multiply(d[:, 0], d[:, 2], out=geom[:, 2])
+        np.multiply(d[:, 1], d[:, 1], out=geom[:, 3])
+        np.multiply(d[:, 1], d[:, 2], out=geom[:, 4])
+        np.multiply(d[:, 2], d[:, 2], out=geom[:, 5])
+        geom *= vol_w[:, None]
+        b.sum_into(tau, geom)
+    ps.c_iad = _invert_tau(_assemble_tau(tau, ps.n))
 
     # Velocity divergence and curl with corrected gradients.
-    a_own, _ = ctx.iad_vectors(ps.c_iad)
-    v_ji = ctx.gather_rows(ps.vel, "col", "ph_v0")
-    v_ji -= ctx.gather_rows(ps.vel, "row", "ph_vt")
-    m_over_rho = ctx.gather(ps.mass, "col", "ph_s0")  # vol_w is dead
-    m_over_rho /= ctx.gather(ps.rho, "row", "ph_g")
-    div_terms = ctx.scratch("ph_s1")
-    np.einsum("ka,ka->k", v_ji, a_own, out=div_terms)
-    div_terms *= m_over_rho
-    ps.div_v = ctx.reduce_sum(div_terms)
-    curl = ctx.scratch("ph_vt", 3)
-    np.multiply(v_ji[:, 1], a_own[:, 2], out=curl[:, 0])
-    curl[:, 0] -= v_ji[:, 2] * a_own[:, 1]
-    np.multiply(v_ji[:, 2], a_own[:, 0], out=curl[:, 1])
-    curl[:, 1] -= v_ji[:, 0] * a_own[:, 2]
-    np.multiply(v_ji[:, 0], a_own[:, 1], out=curl[:, 2])
-    curl[:, 2] -= v_ji[:, 1] * a_own[:, 0]
-    curl *= m_over_rho[:, None]
-    ps.curl_v = np.linalg.norm(ctx.reduce_sum_rows(curl), axis=1)
+    a_own_all, _ = ctx.iad_vectors(ps.c_iad)
+    div_v = np.zeros(ps.n)
+    curl_v = np.zeros((ps.n, 3))
+    for b in ctx.blocks:
+        a_own = a_own_all[b.lo:b.hi]
+        v_ji = b.gather(ps.vel, "col", "iad_v0")
+        v_ji -= b.gather(ps.vel, "row", "iad_vt")
+        m_over_rho = b.gather(ps.mass, "col", "iad_s0")
+        m_over_rho /= b.gather(ps.rho, "row", "iad_g")
+        div_terms = b.scratch("iad_s1")
+        np.einsum("ka,ka->k", v_ji, a_own, out=div_terms)
+        div_terms *= m_over_rho
+        b.sum_into(div_v, div_terms)
+        curl = b.scratch("iad_vt", 3)
+        np.multiply(v_ji[:, 1], a_own[:, 2], out=curl[:, 0])
+        curl[:, 0] -= v_ji[:, 2] * a_own[:, 1]
+        np.multiply(v_ji[:, 2], a_own[:, 0], out=curl[:, 1])
+        curl[:, 1] -= v_ji[:, 0] * a_own[:, 2]
+        np.multiply(v_ji[:, 0], a_own[:, 1], out=curl[:, 2])
+        curl[:, 2] -= v_ji[:, 1] * a_own[:, 0]
+        curl *= m_over_rho[:, None]
+        b.sum_into(curl_v, curl)
+    ps.div_v = div_v
+    ps.curl_v = np.linalg.norm(curl_v, axis=1)

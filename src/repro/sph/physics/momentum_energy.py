@@ -21,10 +21,9 @@ is conserved to round-off — one of the library's property tests.
 Over a :class:`~repro.sph.pair_cache.CsrStepContext` every per-particle
 sum is a float64 segment reduction, and the IAD gradient vectors computed
 by ``IADVelocityDivCurl`` earlier in the step are reused instead of being
-re-evaluated.  The per-entry temporaries reuse the context's shared
-slots by liveness (seven scalars, two vectors and the gathered operands
-``ph_g``/``ph_vt``; the assignment is commented in the code), so the
-kernel pool holds no column that is dead for the whole step.
+re-evaluated.  The per-particle factors (``P/rho^2``, Balsara) are
+formed once per call; the per-entry terms are evaluated block by block in
+block-sized ``me_*`` scratch.
 
 The per-particle maximum signal velocity is stored for the subsequent
 ``Timestep`` function, mirroring SPH-EXA's kernel fusion.
@@ -64,10 +63,7 @@ def compute_momentum_energy(
     become ``P / (Omega rho^2)``.  Pairwise antisymmetry — and therefore
     exact momentum conservation — is preserved either way.
     """
-    a_own, a_oth = ctx.iad_vectors(ps.c_iad)
-    a_bar = ctx.scratch("ph_v0", 3)
-    np.add(a_own, a_oth, out=a_bar)
-    a_bar *= 0.5
+    a_own_all, a_oth_all = ctx.iad_vectors(ps.c_iad)
 
     # Pressure-over-rho^2 per particle, gathered per entry — bitwise the
     # same values as the directed oracle's gather-then-divide (tests/
@@ -76,59 +72,69 @@ def compute_momentum_energy(
         pr = ps.p / ps.rho**2
     else:
         pr = ps.p / (omega * ps.rho**2)
-    pr_own = ctx.gather(pr, "row", "ph_s0")
-    pr_oth = ctx.gather(pr, "col", "ph_s1")
+    bal = balsara_factor(ps) if use_balsara else None
+    acc = np.zeros((ps.n, 3))
+    du_sum = np.zeros(ps.n)
+    v_sig_max = np.zeros(ps.n)
+    for b in ctx.blocks:
+        a_own = a_own_all[b.lo:b.hi]
+        a_oth = a_oth_all[b.lo:b.hi]
+        a_bar = b.scratch("me_abar", 3)
+        np.add(a_own, a_oth, out=a_bar)
+        a_bar *= 0.5
+        pr_own = b.gather(pr, "row", "me_pr_own")
+        pr_oth = b.gather(pr, "col", "me_pr_oth")
 
-    v_ij = ctx.gather_rows(ps.vel, "row", "ph_v1")
-    v_ij -= ctx.gather_rows(ps.vel, "col", "ph_vt")
+        v_ij = b.gather(ps.vel, "row", "me_vij")
+        v_ij -= b.gather(ps.vel, "col", "me_vt")
 
-    # Per-entry AV strength and signal velocity (Monaghan + Balsara).
-    w_pair = ctx.scratch("ph_s2")
-    np.einsum("ka,ka->k", v_ij, ctx.csr.dx, out=w_pair)
-    w_pair /= np.maximum(ctx.csr.r, 1e-300)
-    v_sig = ctx.gather(ps.c, "row", "ph_s3")
-    v_sig += ctx.gather(ps.c, "col", "ph_g")
-    v_sig -= 3.0 * w_pair
-    rho_bar = ctx.gather(ps.rho, "row", "ph_s4")
-    rho_bar += ctx.gather(ps.rho, "col", "ph_g")
-    rho_bar *= 0.5
-    visc = ctx.scratch("ph_s5")
-    np.multiply(v_sig, w_pair, out=visc)
-    visc *= -0.5 * av_alpha
-    if use_balsara:
-        bal = balsara_factor(ps)
-        xi = ctx.gather(bal, "row", "ph_s6")
-        xi += ctx.gather(bal, "col", "ph_g")
-        xi *= 0.5
-        visc *= xi
-    visc /= rho_bar
-    visc[w_pair >= 0.0] = 0.0
+        # Per-entry AV strength and signal velocity (Monaghan + Balsara).
+        w_pair = b.scratch("me_w")
+        np.einsum("ka,ka->k", v_ij, b.dx, out=w_pair)
+        w_pair /= np.maximum(b.r, 1e-300)
+        v_sig = b.gather(ps.c, "row", "me_vsig")
+        v_sig += b.gather(ps.c, "col", "me_g")
+        v_sig -= 3.0 * w_pair
+        rho_bar = b.gather(ps.rho, "row", "me_rho")
+        rho_bar += b.gather(ps.rho, "col", "me_g")
+        rho_bar *= 0.5
+        visc = b.scratch("me_visc")
+        np.multiply(v_sig, w_pair, out=visc)
+        visc *= -0.5 * av_alpha
+        if bal is not None:
+            xi = b.gather(bal, "row", "me_xi")
+            xi += b.gather(bal, "col", "me_g")
+            xi *= 0.5
+            visc *= xi
+        visc /= rho_bar
+        visc[w_pair >= 0.0] = 0.0
 
-    # Force term per entry; the mirrored entry negates every A vector
-    # and keeps the scalar weights, so momentum conserves to round-off.
-    # From here w_pair, rho_bar and xi (ph_s2, s4, s6) are dead, and
-    # pr_oth (ph_s1) once the term has it.
-    term = ctx.scratch("ph_vt", 3)
-    np.multiply(pr_own[:, None], a_own, out=term)
-    term += pr_oth[:, None] * a_oth
-    term += visc[:, None] * a_bar
-    m_j = ctx.gather(ps.mass, "col", "ph_s1")
-    term *= m_j[:, None]
-    np.negative(term, out=term)
-    ps.acc = ctx.reduce_sum_rows(term)
+        # Force term per entry; the mirrored entry negates every A vector
+        # and keeps the scalar weights, so momentum conserves to round-off.
+        term = b.scratch("me_term", 3)
+        np.multiply(pr_own[:, None], a_own, out=term)
+        term += pr_oth[:, None] * a_oth
+        term += visc[:, None] * a_bar
+        m_j = b.gather(ps.mass, "col", "me_m")
+        term *= m_j[:, None]
+        np.negative(term, out=term)
+        b.sum_into(acc, term)
 
-    # Internal energy rate, the directed oracle's formulation per entry.
-    grad_dot_own = ctx.scratch("ph_s2")
-    np.einsum("ka,ka->k", v_ij, a_own, out=grad_dot_own)
-    grad_dot_bar = ctx.scratch("ph_s4")
-    np.einsum("ka,ka->k", v_ij, a_bar, out=grad_dot_bar)
-    du = grad_dot_own
-    du *= pr_own
-    grad_dot_bar *= visc
-    grad_dot_bar *= 0.5
-    du += grad_dot_bar
-    du *= m_j
-    ps.du = ctx.reduce_sum(du)
+        # Internal energy rate, the directed oracle's formulation per entry.
+        grad_dot_own = b.scratch("me_dot_own")
+        np.einsum("ka,ka->k", v_ij, a_own, out=grad_dot_own)
+        grad_dot_bar = b.scratch("me_dot_bar")
+        np.einsum("ka,ka->k", v_ij, a_bar, out=grad_dot_bar)
+        du = grad_dot_own
+        du *= pr_own
+        grad_dot_bar *= visc
+        grad_dot_bar *= 0.5
+        du += grad_dot_bar
+        du *= m_j
+        b.sum_into(du_sum, du)
 
-    # Maximum signal velocity per particle, for the CFL condition.
-    ps.v_sig_max = np.maximum(ctx.reduce_max(v_sig), ps.c)
+        # Maximum signal velocity per particle, for the CFL condition.
+        b.max_into(v_sig_max, v_sig)
+    ps.acc = acc
+    ps.du = du_sum
+    ps.v_sig_max = np.maximum(v_sig_max, ps.c)

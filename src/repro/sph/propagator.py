@@ -135,9 +135,10 @@ class Propagator:
         self.gravity_eps = gravity_eps
         self.use_grad_h = use_grad_h
         self.neighbor_list = CsrVerletList(box, skin_factor)
-        # Kernel-engine buffers persist across steps (and substeps): each
-        # step's context reuses them instead of reallocating.
+        # Kernel-engine and gravity-leaf buffers persist across steps:
+        # each step's context and tree reuse them instead of reallocating.
         self._kernel_pool = BufferPool()
+        self._gravity_pool = BufferPool()
         self._step = 0
         self._dt_prev: float | None = None
 
@@ -191,6 +192,7 @@ class Propagator:
                     ps.mass,
                     theta=self.gravity_theta,
                     eps=self.gravity_eps,
+                    pool=self._gravity_pool,
                 )
                 ps.acc = ps.acc + tree.acceleration()
                 # The diagnostic potential comes from the same single walk

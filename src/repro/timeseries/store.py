@@ -209,7 +209,7 @@ class ChannelSeries:
         self._buckets = _Columns(bucket_capacity, self._BUCKET_FIELDS)
         self._lttb = _Columns(lttb_capacity, self._RAW_FIELDS)
         self.total_appended = 0
-        self._last_t: float | None = None
+        self._last_t = -np.inf
         self._knots: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- ingest -------------------------------------------------------------
@@ -244,11 +244,13 @@ class ChannelSeries:
             raise AnalysisError("sample columns must have equal length")
         if len(times) == 0:
             return
-        if np.any(np.diff(times) < 0):
-            raise AnalysisError("sample times must be non-decreasing")
-        if self._last_t is not None and times[0] < self._last_t:
+        # Written as "not >=" so that a NaN, which compares false, fails.
+        if not (np.diff(times) >= 0).all():
+            raise AnalysisError("sample times must be non-decreasing, not NaN")
+        if not times[0] >= self._last_t:
             raise AnalysisError(
-                f"sample at t={times[0]!r} precedes last stored t={self._last_t!r}"
+                f"sample at t={times[0]!r} is NaN or precedes last stored "
+                f"t={self._last_t!r}"
             )
         pos = 0
         n = len(times)

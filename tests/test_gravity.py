@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sph.gravity import BarnesHutGravity
+from repro.sph.neighbors import BufferPool
 from repro.sph.initial_conditions import make_evrard
 from repro.sph.propagator import Propagator
 from repro.sph.simulation import Simulation
@@ -283,3 +284,19 @@ class TestBitIdenticalToRetiredWalk:
         tree.potential()
         assert np.array_equal(tree.acceleration(), first)
         assert roots == [0]
+
+    def test_shared_pool_matches_private_pools(self):
+        """Two trees in sequence on one pool (as the propagator builds one
+        per step): the second tree reads stale, larger leaf buffers and
+        must still equal a tree with a pool of its own, bit for bit."""
+        pool = BufferPool()
+        first_pos, first_mass = random_cluster(400, seed=9)
+        BarnesHutGravity(
+            first_pos, first_mass, theta=0.6, eps=0.05, pool=pool
+        ).acceleration()
+        pos, mass = random_cluster(300, seed=10)
+        shared = BarnesHutGravity(pos, mass, theta=0.6, eps=0.05, pool=pool)
+        private = BarnesHutGravity(pos, mass, theta=0.6, eps=0.05)
+        assert np.array_equal(shared.acceleration(), private.acceleration())
+        assert np.array_equal(shared._walk_self()[1], private._walk_self()[1])
+        assert shared.potential() == private.potential()

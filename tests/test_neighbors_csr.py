@@ -121,8 +121,9 @@ class TestCsrBuilder:
         assert_matches_oracle(csr, brute_force_pairs(pos, h, box))
         assert csr.neighbor_counts().tolist() == [1, 1, 0, 0]
         ctx = CsrStepContext(csr, h)
-        ones = np.ones(csr.n_pairs)
-        sums = ctx.reduce_sum(ones)
+        sums = np.zeros(4)
+        for b in ctx.blocks:
+            b.sum_into(sums, np.ones(b.hi - b.lo))
         assert sums.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_no_particles_at_all_interacting(self):

@@ -1,24 +1,35 @@
-"""Scratch memory of the SPH step: chunk invariance and pool bounds.
+"""Scratch memory of the SPH step: chunk and block invariance, pool bounds.
 
 The neighbor search streams its raw candidates in blocks of at most
 ``neighbors._CHUNK`` rows and filters them in chunks of the same size, so
 its result must not depend on that constant at all: every CSR array is
-bitwise equal whatever the chunk, down to one row.  The buffer pools must
-stay bounded by what is *kept* — the Verlet pool by the cached candidate
-entries plus one chunk of filter scratch, the kernel pool by the slot
-table's column count — never by the raw 27-cell candidate count.
+bitwise equal whatever the chunk, down to one row.  Likewise the pair
+kernels run over row-aligned blocks of about ``pair_cache._BLOCK``
+entries, and every kernel output is bitwise equal whatever the block,
+from one segment per block to the whole list in one.  The buffer pools
+must stay bounded by what is *kept* — the Verlet pool by the cached
+candidate entries plus one chunk of filter scratch, the kernel pool by
+the step's memoized columns plus block-sized scratch — never by the raw
+27-cell candidate count.
 """
 
 import numpy as np
 import pytest
 
-from repro.sph import neighbors
+from repro.sph import neighbors, pair_cache
 from repro.sph.box import Box
 from repro.sph.driving import TurbulenceDriver
 from repro.sph.hooks import ProfilingHooks
 from repro.sph.initial_conditions import make_evrard, make_turbulence
 from repro.sph.neighbors import csr_neighbors
-from repro.sph.pair_cache import CsrVerletList
+from repro.sph.pair_cache import CsrStepContext, CsrVerletList
+from repro.sph.physics import (
+    compute_density,
+    compute_iad_and_divcurl,
+    compute_momentum_energy,
+    ideal_gas_eos,
+)
+from repro.sph.physics.grad_h import compute_omega
 from repro.sph.propagator import Propagator
 
 from tests.test_pair_cache import clone
@@ -112,14 +123,84 @@ class TestChunkInvariance:
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
 
+#: One segment per block, a block shorter than the longest rows, and the
+#: whole list in one block (the unblocked evaluation).
+BLOCKS = (1, 97, 1 << 40)
+KERNEL_OUTPUTS = ("rho", "omega", "c_iad", "div_v", "curl_v", "acc", "du", "v_sig_max")
+
+
+def _pair_state(case):
+    """A particle set after two propagator steps, and its relabeled
+    Verlet query (segments in build order, scattered through targets)."""
+    if case == "turbulence":
+        ps, box = make_turbulence(n_side=6, seed=3)
+        prop = Propagator(box, driver=TurbulenceDriver(box, seed=1))
+    else:
+        ps, box = make_evrard(400, seed=2)
+        prop = Propagator(box, gravity=True)
+    hooks = ProfilingHooks()
+    for _ in range(2):
+        prop.step(ps, hooks)
+    order = np.random.default_rng(4).permutation(ps.n)
+    prop.neighbor_list.reorder(order)
+    ps = clone(ps)
+    for name in ("pos", "vel", "h", "u", "mass"):
+        setattr(ps, name, getattr(ps, name)[order])
+    pairs = prop.neighbor_list.query(ps.pos, ps.h)
+    assert pairs.targets is not None
+    return ps, pairs
+
+
+def _kernel_outputs(ps, pairs):
+    ps = clone(ps)
+    ctx = CsrStepContext(pairs, ps.h)
+    compute_density(ps, ctx)
+    ideal_gas_eos(ps)
+    compute_iad_and_divcurl(ps, ctx)
+    omega = compute_omega(ps, ctx)
+    compute_momentum_energy(ps, ctx, omega=omega)
+    out = {name: getattr(ps, name) for name in KERNEL_OUTPUTS if name != "omega"}
+    out["omega"] = omega
+    return ctx, out
+
+
+class TestBlockInvariance:
+    @pytest.fixture(scope="class", params=("turbulence", "evrard"))
+    def state(self, request):
+        ps, pairs = _pair_state(request.param)
+        return ps, pairs, _kernel_outputs(ps, pairs)[1]
+
+    @pytest.mark.parametrize("block", BLOCKS, ids=("1", "97", "whole"))
+    def test_kernel_outputs_bitwise(self, monkeypatch, state, block):
+        ps, pairs, ref = state
+        monkeypatch.setattr(pair_cache, "_BLOCK", block)
+        ctx, got = _kernel_outputs(ps, pairs)
+        sizes = [b.hi - b.lo for b in ctx.blocks]
+        assert sum(sizes) == pairs.n_pairs
+        if block == 97:
+            # Some rows are longer than the block, some blocks hold several.
+            assert max(np.diff(pairs.offsets)) > block
+            assert max(sizes) > block
+            assert min(sizes) < block
+        for name in KERNEL_OUTPUTS:
+            assert np.array_equal(got[name], ref[name]), name
+
+    def test_unblocked_reference_is_one_block(self, monkeypatch, state):
+        ps, pairs, _ = state
+        monkeypatch.setattr(pair_cache, "_BLOCK", BLOCKS[-1])
+        assert len(CsrStepContext(pairs, ps.h).blocks) == 1
+
+
 class TestPoolBounds:
     """After 3 steps of 12^3 turbulence the pools hold what is live."""
 
-    #: Per-entry float64 columns of the kernel slot table (see
-    #: ``CsrStepContext``): 11 memoized, 2 kernel temporaries, the 9-wide
-    #: matrix gather, 8 scalar and 3 vector phase slots = 39, plus one
-    #: column of slack.
-    KERNEL_COLUMNS = 40
+    #: Full-length float64 columns memoized for a step (see
+    #: ``CsrStepContext``): ``w_own`` and the two 3-wide IAD vectors.
+    MEMO_COLUMNS = 7
+    #: Block-sized float64 scratch columns of the kernel loops: 18 scalar
+    #: and 7 three-wide temporaries, the 6-wide tau geometry and the
+    #: 9-wide matrix gather = 54, plus the four of a grad-h step.
+    BLOCK_COLUMNS = 58
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -144,7 +225,12 @@ class TestPoolBounds:
         bound = 64 * len(nlist._cand) + chunk_allowance + 32 * n
         assert nlist.pool.nbytes() <= bound
 
-    def test_kernel_pool_bounded_by_slot_columns(self, run):
+    def test_kernel_pool_bounded_by_memos_and_blocks(self, run):
         prop, _, max_entries = run
         per_column = 8 * (max_entries * 5 // 4 + 16)
-        assert prop._kernel_pool.nbytes() <= self.KERNEL_COLUMNS * per_column
+        per_block_column = 8 * (pair_cache._BLOCK * 5 // 4 + 16)
+        bound = (
+            self.MEMO_COLUMNS * per_column
+            + self.BLOCK_COLUMNS * per_block_column
+        )
+        assert prop._kernel_pool.nbytes() <= bound

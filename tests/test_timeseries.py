@@ -54,6 +54,29 @@ class TestChannelSeries:
         with pytest.raises(AnalysisError):
             ch.append(4.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, np.nan, 2.0], [np.nan, 1.0], [1.0, np.nan], [np.nan]],
+        ids=["inside", "first", "last", "alone"],
+    )
+    def test_rejects_nan_times(self, times):
+        ch = ChannelSeries()
+        zeros = np.zeros(len(times))
+        with pytest.raises(AnalysisError):
+            ch.extend(np.array(times), zeros, zeros)
+        assert ch.total_appended == 0
+        assert len(ch.points()["t"]) == 0
+
+    def test_nan_batch_cannot_unlock_a_regression(self):
+        """A rejected NaN batch leaves the last stored time in force."""
+        ch = ChannelSeries()
+        ch.extend(np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(AnalysisError):
+            ch.extend(np.array([np.nan, 3.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(AnalysisError):
+            ch.extend(np.array([1.0]), np.zeros(1), np.zeros(1))
+        assert ch.points()["t"].tolist() == [0.0, 2.0]
+
     def test_rejects_unknown_quality(self):
         ch = ChannelSeries()
         with pytest.raises(AnalysisError):

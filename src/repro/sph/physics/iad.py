@@ -64,8 +64,9 @@ def compute_iad_and_divcurl(ps: ParticleSet, ctx: CsrStepContext) -> None:
     w_own = ctx.w_own
 
     # Volume-weighted kernel value per entry, then the six unique tau
-    # entries of d = x_col - x_row = -dx in one (n, 6) block and one
-    # float64 segment reduction.  (-a)(-b) == ab exactly, so dx serves.
+    # entries of d = x_col - x_row = -dx in one (entries, 6) array and
+    # one float64 segment reduction per block.  (-a)(-b) == ab exactly,
+    # so the products of dx are those of d.
     tau = np.zeros((ps.n, 6))
     for b in ctx.blocks:
         d = b.dx

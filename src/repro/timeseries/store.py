@@ -249,8 +249,8 @@ class ChannelSeries:
             raise AnalysisError("sample times must be non-decreasing, not NaN")
         if not times[0] >= self._last_t:
             raise AnalysisError(
-                f"sample at t={times[0]!r} is NaN or precedes last stored "
-                f"t={self._last_t!r}"
+                f"sample at t={float(times[0])!r} is NaN or precedes "
+                f"last stored t={self._last_t!r}"
             )
         pos = 0
         n = len(times)

@@ -126,7 +126,9 @@ class TestChunkInvariance:
 #: One segment per block, a block shorter than the longest rows, and the
 #: whole list in one block (the unblocked evaluation).
 BLOCKS = (1, 97, 1 << 40)
-KERNEL_OUTPUTS = ("rho", "omega", "c_iad", "div_v", "curl_v", "acc", "du", "v_sig_max")
+KERNEL_OUTPUTS = (
+    "rho", "omega", "c_iad", "div_v", "curl_v", "acc", "du", "v_sig_max",
+)
 
 
 def _pair_state(case):
@@ -182,13 +184,10 @@ class TestBlockInvariance:
             assert max(np.diff(pairs.offsets)) > block
             assert max(sizes) > block
             assert min(sizes) < block
+        if block == BLOCKS[-1]:
+            assert len(sizes) == 1  # the unblocked evaluation
         for name in KERNEL_OUTPUTS:
             assert np.array_equal(got[name], ref[name]), name
-
-    def test_unblocked_reference_is_one_block(self, monkeypatch, state):
-        ps, pairs, _ = state
-        monkeypatch.setattr(pair_cache, "_BLOCK", BLOCKS[-1])
-        assert len(CsrStepContext(pairs, ps.h).blocks) == 1
 
 
 class TestPoolBounds:

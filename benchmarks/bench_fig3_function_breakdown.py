@@ -10,7 +10,7 @@ duration even though the GPU does the work.
 
 from conftest import write_result
 
-from repro.experiments.breakdowns import figure3_breakdowns
+from repro.experiments.breakdowns import figure2_breakdowns
 from repro.units import joules_to_megajoules
 
 NUM_STEPS = 100
@@ -18,7 +18,7 @@ NUM_STEPS = 100
 
 def bench_figure3(benchmark, results_dir):
     cells = benchmark.pedantic(
-        figure3_breakdowns, kwargs={"num_steps": NUM_STEPS}, rounds=1, iterations=1
+        figure2_breakdowns, kwargs={"num_steps": NUM_STEPS}, rounds=1, iterations=1
     )
     by_label = {cell.label: cell for cell in cells}
     lines = []
@@ -29,7 +29,7 @@ def bench_figure3(benchmark, results_dir):
         return me.joules / total, me.joules
 
     for cell in cells:
-        lines.append(f"--- {cell.label} ({cell.result.num_cards} cards) ---")
+        lines.append(f"--- {cell.label} ({cell.num_cards} cards) ---")
         total_gpu = sum(r.joules for r in cell.gpu_functions)
         for row in cell.gpu_functions:
             lines.append(
@@ -70,7 +70,7 @@ def bench_figure3(benchmark, results_dir):
 
 
 def bench_smoke_figure3(results_dir):
-    cells = figure3_breakdowns(num_cards=8, num_steps=6)
+    cells = figure2_breakdowns(num_cards=8, num_steps=6)
     by_label = {cell.label: cell for cell in cells}
 
     lines = []

@@ -19,7 +19,7 @@ from conftest import write_result
 
 from repro.config import CSCS_A100, SEDOV_BLAST
 from repro.experiments.runner import run_scaled_experiment
-from repro.timeseries import export_bundle
+from repro.timeseries import TimeseriesCollector, export_bundle
 
 REQUIRED_EVENT_KEYS = {"name", "ph", "ts", "pid", "tid"}
 
@@ -29,7 +29,11 @@ NUM_STEPS = 4
 
 def _run_and_export(out_dir):
     result = run_scaled_experiment(
-        CSCS_A100, SEDOV_BLAST, NUM_CARDS, num_steps=NUM_STEPS, timeseries=True
+        CSCS_A100,
+        SEDOV_BLAST,
+        NUM_CARDS,
+        num_steps=NUM_STEPS,
+        collector=TimeseriesCollector(),
     )
     collector = result.timeseries
     artifacts = export_bundle(

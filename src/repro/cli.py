@@ -23,9 +23,6 @@ from repro.config import (
 )
 from repro.errors import ReproError
 
-#: The named campaign sweeps (``_campaign_spec`` builds each).
-CAMPAIGN_SWEEPS = ("fig1", "fig4", "fig5", "weak-scaling")
-
 
 def _add_steps(parser: argparse.ArgumentParser, default: int = 100) -> None:
     parser.add_argument(
@@ -96,15 +93,10 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.experiments.validation import figure1_series, figure1_table
-
     all_series: dict[str, dict[float, float]] = {}
     for name in args.systems:
-        system = get_system(name)
-        points = figure1_series(
-            system, tuple(args.cards), num_steps=args.steps
-        )
-        print(figure1_table(points))
+        args.system = name
+        points = _print_sweep(args)
         print()
         all_series[f"{name} PMT"] = {
             float(p.num_cards): p.pmt_joules / 1e6 for p in points
@@ -146,10 +138,10 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments.breakdowns import figure3_breakdowns
+    from repro.experiments.breakdowns import figure2_breakdowns
     from repro.units import joules_to_megajoules
 
-    cells = figure3_breakdowns(num_cards=args.cards, num_steps=args.steps)
+    cells = figure2_breakdowns(num_cards=args.cards, num_steps=args.steps)
     for cell in cells:
         total = sum(r.joules for r in cell.gpu_functions)
         print(f"--- {cell.label} ---")
@@ -163,14 +155,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.experiments.frequency import figure4_series
-
-    series = figure4_series(
-        cube_sides=tuple(args.sides),
-        freqs_mhz=tuple(args.freqs),
-        num_steps=args.steps,
-    )
-    print(_render_fig4(series, args.freqs))
+    series = _print_sweep(args)
     if args.plot:
         from repro.analysis.ascii_plot import line_chart
 
@@ -179,22 +164,16 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.experiments.frequency import figure5_series
+#: The Figure 5 functions ``fig5 --plot`` draws.
+_FIG5_PLOTTED = "MomentumEnergy IADVelocityDivCurl DomainDecompAndSync Density".split()
 
-    series = figure5_series(freqs_mhz=tuple(args.freqs), num_steps=args.steps)
-    print(_render_fig5(series, args.freqs))
+
+def _cmd_fig5(args: argparse.Namespace) -> int:
+    series = _print_sweep(args)
     if args.plot:
         from repro.analysis.ascii_plot import line_chart
 
-        shown = {
-            fn: norm
-            for fn, norm in series.items()
-            if fn in (
-                "MomentumEnergy", "IADVelocityDivCurl",
-                "DomainDecompAndSync", "Density",
-            )
-        }
+        shown = {fn: norm for fn, norm in series.items() if fn in _FIG5_PLOTTED}
         print(line_chart(shown, y_label="normalized EDP vs MHz"))
     return 0
 
@@ -208,6 +187,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.instrumentation.reporting import artifact_report
     from repro.slurm import sacct_report
+    from repro.timeseries import TimeseriesCollector
 
     system = get_system(args.system)
     test_case = TEST_CASES[args.case]
@@ -226,7 +206,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         resilient=not args.no_resilient,
         inject_fault=args.inject_fault,
         fault_target=args.fault_target,
-        timeseries=args.timeseries,
+        collector=TimeseriesCollector() if args.timeseries else None,
         audit=_audit_mode(args),
         governor=governor,
     )
@@ -289,7 +269,7 @@ def _export_artifacts(result, out_dir: str, args: argparse.Namespace) -> dict:
     )
 
 
-def _run_with_collector(args: argparse.Namespace, collector=None):
+def _run_with_collector(args: argparse.Namespace, collector):
     from repro.experiments.runner import run_scaled_experiment
 
     return run_scaled_experiment(
@@ -298,15 +278,15 @@ def _run_with_collector(args: argparse.Namespace, collector=None):
         args.cards,
         num_steps=args.steps,
         power_sample_interval_s=args.interval,
-        timeseries=True,
         collector=collector,
     )
 
 
 def _cmd_export_trace(args: argparse.Namespace) -> int:
     from repro.instrumentation.reporting import artifact_report
+    from repro.timeseries import TimeseriesCollector
 
-    result = _run_with_collector(args)
+    result = _run_with_collector(args, TimeseriesCollector())
     artifacts = _export_artifacts(result, args.out_dir, args)
     summary = result.timeseries.summary()
     print(
@@ -384,7 +364,7 @@ def _cmd_publish(args: argparse.Namespace) -> int:
         backpressure=args.backpressure,
     )
     collector = ServiceCollector(client, batch_ticks=args.batch_ticks)
-    result = _run_with_collector(args, collector=collector)
+    result = _run_with_collector(args, collector)
     ack = collector.close()
     summary = collector.summary()
     print(
@@ -411,7 +391,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     view = attach_live_printer(
         collector, every_ticks=args.every, width=args.width
     )
-    result = _run_with_collector(args, collector=collector)
+    result = _run_with_collector(args, collector)
     # Final frame: the completed run's full dashboard.
     print(view.render())
     summary = collector.summary()
@@ -465,45 +445,76 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_spec(args: argparse.Namespace):
-    """Build the declarative spec of the selected named sweep."""
+def _fig1_sweep(args: argparse.Namespace):
+    from repro.campaign.merge import merge_figure1
+    from repro.experiments.validation import figure1_spec, figure1_table
+
+    spec = figure1_spec(
+        get_system(args.system), tuple(args.cards), num_steps=args.steps, seed=args.seed
+    )
+    return spec, merge_figure1, figure1_table
+
+
+def _fig4_sweep(args: argparse.Namespace):
+    from repro.campaign.merge import merge_figure4
+    from repro.experiments.frequency import BASELINE_MHZ, figure4_spec, figure4_table
+
+    spec = figure4_spec(
+        tuple(args.sides), tuple(args.freqs), num_steps=args.steps, seed=args.seed
+    )
+    return spec, lambda results: merge_figure4(results, BASELINE_MHZ), figure4_table
+
+
+def _fig5_sweep(args: argparse.Namespace):
+    from repro.campaign.merge import merge_figure5
+    from repro.experiments.frequency import BASELINE_MHZ, figure5_spec, figure5_table
+
+    spec = figure5_spec(
+        tuple(args.freqs), cube_side=args.side, num_steps=args.steps, seed=args.seed
+    )
+    return spec, lambda results: merge_figure5(results, BASELINE_MHZ), figure5_table
+
+
+def _weak_scaling_sweep(args: argparse.Namespace):
+    from repro.campaign.merge import merge_weak_scaling
+    from repro.experiments.scaling import weak_scaling_spec, weak_scaling_table
+
+    spec = weak_scaling_spec(
+        get_system(args.system), tuple(args.cards), num_steps=args.steps, seed=args.seed
+    )
+    return spec, merge_weak_scaling, weak_scaling_table
+
+
+#: The named campaign sweeps: each maps the parsed options to the sweep's
+#: spec, merge (results -> figure data) and table (figure data -> text).
+#: The builders import lazily, so building the parser loads no experiments.
+CAMPAIGN_SWEEPS = {
+    "fig1": _fig1_sweep,
+    "fig4": _fig4_sweep,
+    "fig5": _fig5_sweep,
+    "weak-scaling": _weak_scaling_sweep,
+}
+
+
+def _sweep(args: argparse.Namespace):
+    """``(spec, merge, table)`` of the named sweep ``args.sweep``."""
     from dataclasses import replace
 
-    from repro.experiments.frequency import figure4_spec, figure5_spec
-    from repro.experiments.scaling import weak_scaling_spec
-    from repro.experiments.validation import figure1_spec
+    spec, merge, table = CAMPAIGN_SWEEPS[args.sweep](args)
+    if args.governor is not None:
+        spec = replace(spec, governor=args.governor)
+    return spec, merge, table
 
-    if args.sweep == "fig4":
-        spec = figure4_spec(
-            cube_sides=tuple(args.sides),
-            freqs_mhz=tuple(args.freqs),
-            num_steps=args.steps,
-            seed=args.seed,
-        )
-    elif args.sweep == "fig5":
-        spec = figure5_spec(
-            freqs_mhz=tuple(args.freqs),
-            cube_side=args.side,
-            num_steps=args.steps,
-            seed=args.seed,
-        )
-    elif args.sweep == "fig1":
-        spec = figure1_spec(
-            get_system(args.system),
-            tuple(args.cards),
-            num_steps=args.steps,
-            seed=args.seed,
-        )
-    else:  # weak-scaling
-        spec = weak_scaling_spec(
-            get_system(args.system),
-            tuple(args.cards),
-            num_steps=args.steps if args.steps is not None else 100,
-            seed=args.seed,
-        )
-    if args.governor is None:
-        return spec
-    return replace(spec, governor=args.governor)
+
+def _print_sweep(args: argparse.Namespace):
+    """Run ``args.sweep`` without a store, print its table, return its data."""
+    from repro.campaign import execute, expand
+
+    spec, merge, table = _sweep(args)
+    results, _ = execute(expand(spec))
+    merged = merge(results)
+    print(table(merged))
+    return merged
 
 
 def _cache_dir(args: argparse.Namespace) -> str:
@@ -543,37 +554,10 @@ def _progress_printer(total: int):
     return progress
 
 
-def _render_fig4(series: dict[int, dict[float, float]], freqs) -> str:
-    ordered = sorted(freqs, reverse=True)
-    lines = ["side^3  " + " ".join(f"{f:>7.0f}" for f in ordered)]
-    for side, norm in series.items():
-        lines.append(
-            f"{side:>5}^3 " + " ".join(f"{norm[f]:>7.3f}" for f in ordered)
-        )
-    return "\n".join(lines)
-
-
-def _render_fig5(series: dict[str, dict[float, float]], freqs) -> str:
-    ordered = sorted(freqs, reverse=True)
-    lines = [f"{'Function':>24} " + " ".join(f"{f:>7.0f}" for f in ordered)]
-    for fn, norm in series.items():
-        lines.append(f"{fn:>24} " + " ".join(f"{norm[f]:>7.3f}" for f in ordered))
-    return "\n".join(lines)
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import campaign_summary, execute, expand
-    from repro.campaign.merge import (
-        merge_figure1,
-        merge_figure4,
-        merge_figure5,
-        merge_weak_scaling,
-    )
-    from repro.experiments.frequency import BASELINE_MHZ
-    from repro.experiments.scaling import weak_scaling_table
-    from repro.experiments.validation import figure1_table
 
-    spec = _campaign_spec(args)
+    spec, merge, table = _sweep(args)
     keys = expand(spec)
     progress = None if args.quiet else _progress_printer(len(keys))
     audit_mode = _audit_mode(args)
@@ -607,14 +591,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         for failure in exc.failures:
             print(f"  failed: {failure.label}", file=sys.stderr)
         return 1
-    if args.sweep == "fig4":
-        print(_render_fig4(merge_figure4(results, BASELINE_MHZ), spec.freqs_mhz))
-    elif args.sweep == "fig5":
-        print(_render_fig5(merge_figure5(results, BASELINE_MHZ), spec.freqs_mhz))
-    elif args.sweep == "fig1":
-        print(figure1_table(merge_figure1(results)))
-    else:
-        print(weak_scaling_table(merge_weak_scaling(results)))
+    print(table(merge(results)))
     print()
     print(campaign_summary(spec.name, stats, results))
     if stats.audit_reports is not None:
@@ -630,7 +607,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import ResultStore, expand
     from repro.campaign.queue import FailureLog, LeaseQueue
 
-    spec = _campaign_spec(args)
+    spec = _sweep(args)[0]
     keys = expand(spec)
     cache_dir = _cache_dir(args)
     store = ResultStore(cache_dir)
@@ -675,7 +652,7 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
         else settings.worker_systems
     )
     profile = WorkerProfile.local(systems=systems)
-    keys = expand(_campaign_spec(args))
+    keys = expand(_sweep(args)[0])
     store = ResultStore(_cache_dir(args))
     stats = drain(
         keys, store, config=settings.federation(), profile=profile
@@ -717,7 +694,7 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
         removed = store.clean()
         print(f"removed {removed} cache entries from {cache_dir}")
     else:
-        removed = store.clean(expand(_campaign_spec(args)))
+        removed = store.clean(expand(_sweep(args)[0]))
         print(
             f"removed {removed} {args.sweep!r} cache entries "
             f"from {cache_dir}"
@@ -775,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cards", nargs="+", type=int, default=[8, 16, 24, 32, 40, 48])
     _add_steps(p)
-    p.set_defaults(func=_cmd_fig1)
+    p.set_defaults(func=_cmd_fig1, sweep="fig1", seed=0, governor=None)
 
     p = sub.add_parser("fig2", help="device energy breakdown")
     p.add_argument("--plot", action="store_true", help="render ASCII bars")
@@ -794,13 +771,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sides", nargs="+", type=int, default=[200, 300, 450])
     _add_freqs(p)
     _add_steps(p)
-    p.set_defaults(func=_cmd_fig4)
+    p.set_defaults(func=_cmd_fig4, sweep="fig4", seed=0, governor=None)
 
     p = sub.add_parser("fig5", help="per-function EDP vs frequency")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
     _add_freqs(p)
     _add_steps(p)
-    p.set_defaults(func=_cmd_fig5)
+    p.set_defaults(func=_cmd_fig5, sweep="fig5", seed=0, governor=None, side=450)
 
     p = sub.add_parser("report", help="one instrumented run, full reports")
     _add_run_options(p, TEST_CASES, "Subsonic Turbulence", interval=False)

@@ -1,6 +1,6 @@
 """Experiment runners reproducing every table and figure of the paper."""
 
-from repro.experiments.breakdowns import figure2_breakdowns, figure3_breakdowns
+from repro.experiments.breakdowns import figure2_breakdowns, figure2_spec
 from repro.experiments.frequency import (
     figure4_series,
     figure4_spec,
@@ -22,7 +22,7 @@ __all__ = [
     "figure1_series",
     "figure1_spec",
     "figure2_breakdowns",
-    "figure3_breakdowns",
+    "figure2_spec",
     "figure4_series",
     "figure4_spec",
     "figure5_series",

@@ -3,7 +3,8 @@
 The paper's breakdown runs are the largest Figure 1 configurations: 48
 cards per system (96 GCD ranks on LUMI-G, 48 ranks on CSCS-A100), 100
 steps, Subsonic Turbulence at 150 M and Evrard Collapse at 80 M particles
-per rank.
+per rank.  The four cells are one campaign, run on the shared engine
+like every other figure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from repro.analysis.breakdown import (
     device_breakdown,
     function_breakdown,
 )
+from repro.campaign.executor import execute
+from repro.campaign.keys import resolve_test_case
+from repro.campaign.spec import CampaignSpec, expand
+from repro.campaign.store import ResultStore
 from repro.config import (
     CSCS_A100,
     EVRARD_COLLAPSE,
@@ -23,15 +28,7 @@ from repro.config import (
     SUBSONIC_TURBULENCE,
     SystemConfig,
     TestCaseConfig,
-)
-from repro.experiments.runner import ExperimentResult, run_scaled_experiment
-
-#: The four (system, test case) cells of Figures 2/3.
-FIGURE2_CELLS: tuple[tuple[SystemConfig, TestCaseConfig], ...] = (
-    (LUMI_G, SUBSONIC_TURBULENCE),
-    (LUMI_G, EVRARD_COLLAPSE),
-    (CSCS_A100, SUBSONIC_TURBULENCE),
-    (CSCS_A100, EVRARD_COLLAPSE),
+    get_system,
 )
 
 #: Figure 2/3 runs use the largest Figure 1 scale.
@@ -44,7 +41,7 @@ class BreakdownCell:
 
     system: SystemConfig
     test_case: TestCaseConfig
-    result: ExperimentResult
+    num_cards: int
     devices: DeviceBreakdown
     gpu_functions: list[FunctionRow]
     cpu_functions: list[FunctionRow]
@@ -57,24 +54,19 @@ class BreakdownCell:
         return f"{system}-{case}"
 
 
-def run_breakdown_cell(
-    system: SystemConfig,
-    test_case: TestCaseConfig,
+def figure2_spec(
     num_cards: int = FIGURE2_CARDS,
     num_steps: int | None = None,
     seed: int = 0,
-) -> BreakdownCell:
-    """Run one breakdown cell and compute its Figure 2/3 views."""
-    result = run_scaled_experiment(
-        system, test_case, num_cards, num_steps=num_steps, seed=seed
-    )
-    return BreakdownCell(
-        system=system,
-        test_case=test_case,
-        result=result,
-        devices=device_breakdown(result.run),
-        gpu_functions=function_breakdown(result.run, "gpu"),
-        cpu_functions=function_breakdown(result.run, "cpu"),
+) -> CampaignSpec:
+    """The four Figure 2/3 cells: {LUMI-G, CSCS-A100} x {Turbulence, Evrard}."""
+    return CampaignSpec(
+        name="fig2",
+        systems=(LUMI_G.name, CSCS_A100.name),
+        test_cases=(SUBSONIC_TURBULENCE.name, EVRARD_COLLAPSE.name),
+        card_counts=(num_cards,),
+        num_steps=num_steps,
+        seeds=(seed,),
     )
 
 
@@ -82,18 +74,22 @@ def figure2_breakdowns(
     num_cards: int = FIGURE2_CARDS,
     num_steps: int | None = None,
     seed: int = 0,
+    store: ResultStore | None = None,
 ) -> list[BreakdownCell]:
-    """All four Figure 2 cells."""
-    return [
-        run_breakdown_cell(system, case, num_cards, num_steps, seed)
-        for system, case in FIGURE2_CELLS
-    ]
-
-
-def figure3_breakdowns(
-    num_cards: int = FIGURE2_CARDS,
-    num_steps: int | None = None,
-    seed: int = 0,
-) -> list[BreakdownCell]:
-    """Figure 3 uses the same runs as Figure 2."""
-    return figure2_breakdowns(num_cards, num_steps, seed)
+    """All four Figure 2 cells; Figure 3 reads the same cells."""
+    keys = expand(figure2_spec(num_cards, num_steps, seed))
+    results, _ = execute(keys, store=store)
+    cells = []
+    for key in keys:
+        run = results[key].run
+        cells.append(
+            BreakdownCell(
+                system=get_system(key.system),
+                test_case=resolve_test_case(key.test_case),
+                num_cards=num_cards,
+                devices=device_breakdown(run),
+                gpu_functions=function_breakdown(run, "gpu"),
+                cpu_functions=function_breakdown(run, "cpu"),
+            )
+        )
+    return cells

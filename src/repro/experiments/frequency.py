@@ -136,3 +136,22 @@ def figure5_series(
         expand(spec), store=store, workers=workers, progress=progress
     )
     return merge_figure5(results, BASELINE_MHZ)
+
+
+def _edp_table(series: dict, head: str, row_label) -> str:
+    """One row per series, one column per frequency (highest first)."""
+    freqs = sorted({f for norm in series.values() for f in norm}, reverse=True)
+    lines = [head + " ".join(f"{f:>7.0f}" for f in freqs)]
+    for row, norm in series.items():
+        lines.append(row_label(row) + " ".join(f"{norm[f]:>7.3f}" for f in freqs))
+    return "\n".join(lines)
+
+
+def figure4_table(series: dict[int, dict[float, float]]) -> str:
+    """Render Figure 4's normalized EDPs, one row per cube side."""
+    return _edp_table(series, "side^3  ", lambda side: f"{side:>5}^3 ")
+
+
+def figure5_table(series: dict[str, dict[float, float]]) -> str:
+    """Render Figure 5's normalized EDPs, one row per function."""
+    return _edp_table(series, f"{'Function':>24} ", lambda fn: f"{fn:>24} ")

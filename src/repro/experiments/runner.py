@@ -45,7 +45,7 @@ class ExperimentResult:
     run: RunMeasurements
     #: Per-node PMT samplers (power profiles), when sampling was requested.
     power_samplers: tuple = ()
-    #: Retained telemetry timeline (``timeseries=True`` / collector given).
+    #: Retained telemetry timeline (when a collector was given).
     timeseries: object | None = None
     #: :class:`~repro.audit.findings.AuditReport` when auditing was on.
     audit: object | None = None
@@ -128,7 +128,6 @@ def run_scaled_experiment(
     fault_target: str = "gpu0",
     fault_node: int = 0,
     fault_kwargs: dict | None = None,
-    timeseries: bool = False,
     collector=None,
     audit: bool | str | None = None,
     governor=None,
@@ -149,15 +148,15 @@ def run_scaled_experiment(
     ``probability``/``magnitude_watts``/``seed``) to the fault wrapper,
     e.g. to place the fault inside the instrumented window.
 
-    ``timeseries`` (or an explicit
-    :class:`~repro.timeseries.collect.TimeseriesCollector` via
-    ``collector``) retains the full telemetry timeline: one per-node
-    sampler streams every tick into the collector's store, and the
-    profiler's region marks are recorded as spans.  The collector's
-    samplers own *separate* meter and telemetry-counter instances (same
-    ground-truth traces and noise seeds), so measured per-region energies
-    are bit-identical with the collector on or off.  The sampling
-    period defaults to ``power_sample_interval_s`` (or 1 s when unset).
+    A ``collector`` (a
+    :class:`~repro.timeseries.collect.TimeseriesCollector`) retains the
+    full telemetry timeline: one per-node sampler streams every tick
+    into the collector's store, and the profiler's region marks are
+    recorded as spans.  The collector's samplers own *separate* meter
+    and telemetry-counter instances (same ground-truth traces and noise
+    seeds), so measured per-region energies are bit-identical with the
+    collector on or off.  The sampling period defaults to
+    ``power_sample_interval_s`` (or 1 s when unset).
 
     ``audit`` attaches an :class:`~repro.audit.hooks.EnergyAuditor` to
     the whole stack: ``True``/``"record"`` records invariant violations
@@ -251,11 +250,7 @@ def run_scaled_experiment(
 
     perfmodel = SphPerformanceModel(cost_model, n_per_rank, seed=seed)
     profiler = EnergyProfiler(placement, telemetries, system, resilient=resilient)
-    if timeseries or collector is not None:
-        if collector is None:
-            from repro.timeseries import TimeseriesCollector
-
-            collector = TimeseriesCollector()
+    if collector is not None:
         profiler.span_recorder = collector.spans
     profiler.auditor = auditor
     if governor_obj is not None or clock_table is not None:

@@ -62,7 +62,7 @@ def weak_scaling_spec(
     system: SystemConfig,
     card_counts: tuple[int, ...],
     test_case: TestCaseConfig = SUBSONIC_TURBULENCE,
-    num_steps: int = 100,
+    num_steps: int | None = None,
     seed: int = 0,
 ) -> CampaignSpec:
     """The weak-scaling sweep as a declarative campaign."""
@@ -80,7 +80,7 @@ def weak_scaling_series(
     system: SystemConfig,
     card_counts: tuple[int, ...],
     test_case: TestCaseConfig = SUBSONIC_TURBULENCE,
-    num_steps: int = 100,
+    num_steps: int | None = None,
     seed: int = 0,
     workers: int = 1,
     store: ResultStore | None = None,

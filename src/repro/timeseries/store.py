@@ -32,6 +32,7 @@ time-ordered so ``np.searchsorted`` works directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -252,6 +253,9 @@ class ChannelSeries:
                 f"sample at t={float(times[0])!r} is NaN or precedes "
                 f"last stored t={self._last_t!r}"
             )
+        # With the order holding, an infinity can only sit at an end.
+        if not (isfinite(times[0]) and isfinite(times[-1])):
+            raise AnalysisError("sample times must be finite")
         pos = 0
         n = len(times)
         while pos < n:

@@ -31,6 +31,7 @@ from repro.audit import (
 from repro.config import SYSTEMS, TEST_CASES
 from repro.errors import AuditError
 from repro.experiments.runner import run_scaled_experiment
+from repro.timeseries import TimeseriesCollector
 
 CASE = TEST_CASES["Subsonic Turbulence"]
 
@@ -324,7 +325,7 @@ class TestAuditedExperiments:
             system,
             audit="strict",
             power_sample_interval_s=1.0,
-            timeseries=True,
+            collector=TimeseriesCollector(),
         )
         report = result.audit
         assert report.ok and not report.findings

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.analysis.breakdown import device_breakdown, function_breakdown
 from repro.analysis.edp import normalized_edp_series, run_edp
 from repro.campaign import (
     CampaignSpec,
@@ -38,6 +39,7 @@ from repro.config import (
     SUBSONIC_TURBULENCE,
 )
 from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments.breakdowns import figure2_breakdowns
 from repro.experiments.frequency import (
     BASELINE_MHZ,
     figure4_series,
@@ -372,6 +374,24 @@ class TestMerges:
             CSCS_A100, (8, 16), num_steps=STEPS, store=store
         )
         assert serial == warm == cached
+
+    def test_figure2_breakdowns_cached_equal_direct_runs(self, tmp_path):
+        serial = figure2_breakdowns(num_cards=8, num_steps=3)
+        store = ResultStore(tmp_path)
+        cold = figure2_breakdowns(num_cards=8, num_steps=3, store=store)
+        warm = figure2_breakdowns(num_cards=8, num_steps=3, store=store)
+        assert serial == cold == warm
+        assert [cell.label for cell in serial] == [
+            "LUMI-Turb",
+            "LUMI-Evr",
+            "CSCS-A100-Turb",
+            "CSCS-A100-Evr",
+        ]
+        for cell in serial:
+            run = run_scaled_experiment(cell.system, cell.test_case, 8, num_steps=3).run
+            assert cell.devices == device_breakdown(run)
+            assert cell.gpu_functions == function_breakdown(run, "gpu")
+            assert cell.cpu_functions == function_breakdown(run, "cpu")
 
     def test_non_cubic_particle_count_rejected(self, results):
         key, result = next(iter(results.items()))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (reduced step counts)."""
 
 import argparse
+import hashlib
 
 import pytest
 
@@ -26,6 +27,24 @@ class TestStaticCommands:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+#: SHA-256 of each command's stdout at ``--steps 2``.  The ``figN``
+#: commands and ``campaign run`` share one sweep table, so these pin both
+#: paths to the same tables.
+# fmt: off
+GOLDEN_STDOUT = {
+    "fig1 --systems CSCS-A100 LUMI-G --cards 8 16 --plot": "c57cb57e4a381c832f7104c8a1c094757c279056f175d6aab5a4e8665f89cfce",
+    "fig2 --cards 8 --plot": "83c5bfff61de7b51fd1ceafbfcb8d2c65f50e6592de5f66f6bd3ba5186ce127f",
+    "fig3 --cards 8 --top 3": "453e3f2792ac9ea828d178c3207ff842c246229b73a87ff3e0caf5b8879ccc8c",
+    "fig4 --sides 200 300 --freqs 1410 1005 --plot": "d7180c9af7fc04e5f88212fc6d6817ddd98a070928df534a94ea60eedb812bd8",
+    "fig5 --freqs 1410 1005 --plot": "0dafb5d6ec36a4acae1093b35993fe0c4b9f0e611146a1fca230668705c6708d",
+    "campaign run fig1 --no-cache --quiet": "3d6498f49255df8ba66061f0e2f9c8ed5ef1f3e029141c020e42deef17051c3f",
+    "campaign run fig4 --no-cache --quiet": "0e80d8dba0dcda416152565ae971e6c1048a84786e12592eb8e0aeef532174cd",
+    "campaign run fig5 --no-cache --quiet": "90d86168737347e5b9b12400d788d13202c10660306e7ce26df2ba04ff347564",
+    "campaign run weak-scaling --no-cache --quiet": "50f4d7db20507c7fbb7bfb719649596f22dde93de79a4e22e0eb448a39be27b3",
+}
+# fmt: on
 
 
 class TestExperimentCommands:
@@ -96,6 +115,13 @@ class TestExperimentCommands:
         code = main(["fig1", "--systems", "LUMI-G", "--cards", "6", "--steps", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+    def test_stdout_is_unchanged(self, command, capsys):
+        """A figure command and its campaign twin print pinned bytes."""
+        assert main([*command.split(), "--steps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
     def test_compare(self, capsys):
         code = main(

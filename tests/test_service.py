@@ -41,6 +41,7 @@ from repro.service import protocol
 from repro.service.client import http_request
 from repro.service.server import TelemetryService
 from repro.service.protocol import ProtocolError
+from repro.timeseries import TimeseriesCollector
 
 
 def _columns(n=8, t0=0.0, watts=100.0):
@@ -920,8 +921,7 @@ class TestServiceCollectorZeroPerturbation:
             self.CASE,
             4,
             num_steps=6,
-            timeseries=True,
-            collector=collector,
+            collector=collector if collector is not None else TimeseriesCollector(),
         )
 
     def test_publisher_on_off_bit_identical(self, tmp_path):

@@ -77,6 +77,21 @@ class TestChannelSeries:
             ch.extend(np.array([1.0]), np.zeros(1), np.zeros(1))
         assert ch.points()["t"].tolist() == [0.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, np.inf], [-np.inf, 0.0], [np.inf]],
+        ids=["inf-last", "neg-inf-first", "inf-alone"],
+    )
+    def test_rejects_infinite_times(self, times):
+        """An infinite time is refused, and the channel stays writable."""
+        ch = ChannelSeries()
+        zeros = np.zeros(len(times))
+        with pytest.raises(AnalysisError):
+            ch.extend(np.array(times), zeros, zeros)
+        assert ch.total_appended == 0
+        ch.extend(np.array([1.0]), np.zeros(1), np.zeros(1))
+        assert ch.points()["t"].tolist() == [1.0]
+
     def test_rejects_unknown_quality(self):
         ch = ChannelSeries()
         with pytest.raises(AnalysisError):
@@ -627,7 +642,7 @@ class TestRunnerIntegration:
         from repro.experiments.runner import run_scaled_experiment
 
         result = run_scaled_experiment(
-            CSCS_A100, SEDOV_BLAST, 8, num_steps=2, timeseries=True
+            CSCS_A100, SEDOV_BLAST, 8, num_steps=2, collector=TimeseriesCollector()
         )
         collector = result.timeseries
         assert collector is not None
@@ -645,7 +660,7 @@ class TestRunnerIntegration:
 
         base = run_scaled_experiment(CSCS_A100, SEDOV_BLAST, 8, num_steps=2)
         with_ts = run_scaled_experiment(
-            CSCS_A100, SEDOV_BLAST, 8, num_steps=2, timeseries=True
+            CSCS_A100, SEDOV_BLAST, 8, num_steps=2, collector=TimeseriesCollector()
         )
         assert base.timeseries is None
         assert with_ts.timeseries is not None

@@ -306,7 +306,11 @@ class TestEndToEndExport:
 
         def run(out):
             result = run_scaled_experiment(
-                CSCS_A100, SEDOV_BLAST, 8, num_steps=2, timeseries=True
+                CSCS_A100,
+                SEDOV_BLAST,
+                8,
+                num_steps=2,
+                collector=TimeseriesCollector(),
             )
             coll = result.timeseries
             out.mkdir(exist_ok=True)

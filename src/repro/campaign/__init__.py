@@ -51,7 +51,6 @@ from repro.campaign.queue import (
     WorkerStats,
     drain,
     gc_sweep,
-    placement_order,
 )
 from repro.campaign.report import campaign_summary
 from repro.campaign.spec import CampaignSpec, expand
@@ -88,7 +87,6 @@ __all__ = [
     "merge_figure4",
     "merge_figure5",
     "merge_weak_scaling",
-    "placement_order",
     "run_key_hash",
     "sort_key",
 ]

@@ -163,17 +163,11 @@ def _raise_failures(
     )
 
 
-def _federated_child(
-    keys: tuple[RunKey, ...],
-    root: str,
-    config,
-    systems: tuple[str, ...],
-    token: str,
-) -> None:
+def _federated_child(keys: tuple[RunKey, ...], root: str, config, token: str) -> None:
     """One local queue worker process (module-level: picklable)."""
     from repro.campaign.queue import WorkerProfile, drain
 
-    profile = WorkerProfile.local(systems=systems, token=token)
+    profile = WorkerProfile.local(token=token)
     drain(keys, ResultStore(root), config=config, profile=profile)
 
 
@@ -182,7 +176,6 @@ def _execute_federated(
     store: ResultStore,
     workers: int,
     federation,
-    profile_systems: tuple[str, ...],
     collect: Callable[[RunKey, CampaignResult], None],
 ) -> tuple[tuple, str | None]:
     """Drain the misses through ``min(workers, misses)`` local queue workers.
@@ -203,7 +196,7 @@ def _execute_federated(
     procs = [
         ctx.Process(
             target=_federated_child,
-            args=(tuple(misses), str(store.root), config, profile_systems, tok),
+            args=(tuple(misses), str(store.root), config, tok),
             daemon=False,
         )
         for tok in tokens
@@ -258,7 +251,6 @@ def execute(
     progress: ProgressFn | None = None,
     audit: bool | str | None = None,
     federation=None,
-    profile_systems: tuple[str, ...] = (),
 ) -> tuple[dict[RunKey, CampaignResult], CampaignStats]:
     """Execute a campaign's keys, reusing every cached result.
 
@@ -275,8 +267,7 @@ def execute(
     Results are collected in completion order but keyed by
     :class:`RunKey`, so downstream merges are order-independent.
     ``federation`` (a :class:`~repro.campaign.queue.FederationConfig`)
-    tunes lease TTL and retry policy; ``profile_systems`` sets the
-    spawned workers' placement preference.
+    tunes lease TTL and retry policy.
 
     Failed keys never abort the drain: the rest of the sweep completes
     and one :class:`~repro.errors.CampaignExecutionError` is raised at
@@ -349,7 +340,6 @@ def execute(
                 store if store is not None else ResultStore(root),
                 workers,
                 federation,
-                profile_systems,
                 _collect,
             )
         if crash is not None:

@@ -54,6 +54,7 @@ from pathlib import Path
 
 from repro.campaign.keys import RunKey, run_key_hash
 from repro.campaign.store import MISS, ResultStore
+from repro.config import env_number
 from repro.errors import ConfigurationError
 
 
@@ -98,55 +99,40 @@ class FederationConfig:
         if self.poll_s <= 0:
             raise ConfigurationError("poll_s must be positive")
 
+    @classmethod
+    def from_env(cls) -> "FederationConfig":
+        """Defaults with ``REPRO_LEASE_TTL_S`` and ``REPRO_MAX_ATTEMPTS``.
+
+        The heartbeat stays at a third of the TTL or less, so a short TTL
+        cannot outrun its own refreshes.
+        """
+        lease_ttl_s = env_number("REPRO_LEASE_TTL_S", cls.lease_ttl_s, float)
+        return cls(
+            lease_ttl_s=lease_ttl_s,
+            heartbeat_s=min(cls.heartbeat_s, lease_ttl_s / 3.0),
+            max_attempts=env_number("REPRO_MAX_ATTEMPTS", cls.max_attempts, int),
+        )
+
 
 @dataclass(frozen=True)
 class WorkerProfile:
-    """Identity and machine profile one drain worker advertises.
-
-    ``systems`` is the placement preference: keys whose
-    :attr:`~repro.campaign.keys.RunKey.system` appears there are scanned
-    (and therefore leased) first, so a worker on A100-class hardware
-    drains the A100 keys while an MI250X-profiled peer starts from the
-    LUMI-G end of the matrix.  Preference never partitions: once its
-    preferred keys are done a worker takes anything, so a campaign
-    always drains even when profiles and keys disagree.
-    """
+    """Identity one drain worker advertises (cosmetic: never enters results)."""
 
     host: str
     pid: int
     token: str
-    systems: tuple[str, ...] = ()
 
     @classmethod
-    def local(
-        cls, systems: tuple[str, ...] = (), token: str | None = None
-    ) -> "WorkerProfile":
+    def local(cls, token: str | None = None) -> "WorkerProfile":
         return cls(
             host=socket.gethostname(),
             pid=os.getpid(),
             token=token if token is not None else _worker_token(),
-            systems=tuple(systems),
         )
 
     @property
     def worker_id(self) -> str:
         return f"{self.host}:{self.pid}:{self.token}"
-
-
-def placement_order(
-    keys: tuple[RunKey, ...], profile: WorkerProfile | None
-) -> tuple[RunKey, ...]:
-    """Keys reordered for one worker: preferred systems first.
-
-    A stable partition — spec order is preserved inside each group — so
-    the scan order stays deterministic given the profile.
-    """
-    if profile is None or not profile.systems:
-        return tuple(keys)
-    wanted = set(profile.systems)
-    preferred = [k for k in keys if k.system in wanted]
-    rest = [k for k in keys if k.system not in wanted]
-    return tuple(preferred + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +545,12 @@ def drain(
     log = Journal(store.root, profile.token) if journal else None
 
     stats = WorkerStats(worker=profile.worker_id)
-    ordered = placement_order(keys, profile)
-    digests = {key: run_key_hash(key) for key in ordered}
-    unresolved = set(ordered)
+    digests = {key: run_key_hash(key) for key in keys}
+    unresolved = set(keys)
 
     while unresolved:
         progressed = False
-        for key in ordered:
+        for key in keys:
             if key not in unresolved:
                 continue
             digest = digests[key]
@@ -667,5 +652,4 @@ __all__ = [
     "drain",
     "failure_backoff_s",
     "gc_sweep",
-    "placement_order",
 ]

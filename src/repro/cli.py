@@ -33,10 +33,21 @@ def _add_steps(parser: argparse.ArgumentParser, default: int = 100) -> None:
     )
 
 
-def _add_freqs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--freqs", nargs="+", type=float, default=[1410.0, 1230.0, 1005.0]
-    )
+#: The sweep-axis options, each declared once with its default.  A named
+#: campaign sweep takes only the axes its builder reads (``CAMPAIGN_SWEEPS``);
+#: the figure, ``tune`` and one-run commands take their rows from here too.
+AXES = {
+    "system": dict(default="CSCS-A100", choices=sorted(SYSTEMS)),
+    "cards": dict(nargs="+", type=int, default=[8, 16, 24, 32, 40, 48]),
+    "sides": dict(nargs="+", type=int, default=[200, 300, 450]),
+    "freqs": dict(nargs="+", type=float, default=[1410.0, 1230.0, 1005.0]),
+    "side": dict(type=int, default=450),
+}
+
+
+def _add_axes(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **AXES[name])
 
 
 def _add_run_options(
@@ -46,7 +57,7 @@ def _add_run_options(
     interval: bool = True,
 ) -> None:
     """The ``--system/--case/--cards[/--interval]`` block of one run."""
-    parser.add_argument("--system", default="CSCS-A100", choices=sorted(SYSTEMS))
+    _add_axes(parser, "system")
     parser.add_argument("--case", default=default_case, choices=sorted(cases))
     parser.add_argument("--cards", type=int, default=8)
     if interval:
@@ -388,9 +399,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if args.url:
         return _watch_remote(args)
     collector = TimeseriesCollector()
-    view = attach_live_printer(
-        collector, every_ticks=args.every, width=args.width
-    )
+    view = attach_live_printer(collector, every_ticks=args.every, width=args.width)
     result = _run_with_collector(args, collector)
     # Final frame: the completed run's full dashboard.
     print(view.render())
@@ -485,14 +494,15 @@ def _weak_scaling_sweep(args: argparse.Namespace):
     return spec, merge_weak_scaling, weak_scaling_table
 
 
-#: The named campaign sweeps: each maps the parsed options to the sweep's
-#: spec, merge (results -> figure data) and table (figure data -> text).
+#: The named campaign sweeps: each maps to its builder, which turns the
+#: parsed options into the sweep's spec, merge (results -> figure data) and
+#: table (figure data -> text), and to the ``AXES`` that builder reads.
 #: The builders import lazily, so building the parser loads no experiments.
 CAMPAIGN_SWEEPS = {
-    "fig1": _fig1_sweep,
-    "fig4": _fig4_sweep,
-    "fig5": _fig5_sweep,
-    "weak-scaling": _weak_scaling_sweep,
+    "fig1": (_fig1_sweep, ("system", "cards")),
+    "fig4": (_fig4_sweep, ("sides", "freqs")),
+    "fig5": (_fig5_sweep, ("freqs", "side")),
+    "weak-scaling": (_weak_scaling_sweep, ("system", "cards")),
 }
 
 
@@ -500,7 +510,7 @@ def _sweep(args: argparse.Namespace):
     """``(spec, merge, table)`` of the named sweep ``args.sweep``."""
     from dataclasses import replace
 
-    spec, merge, table = CAMPAIGN_SWEEPS[args.sweep](args)
+    spec, merge, table = CAMPAIGN_SWEEPS[args.sweep][0](args)
     if args.governor is not None:
         spec = replace(spec, governor=args.governor)
     return spec, merge, table
@@ -555,27 +565,24 @@ def _progress_printer(total: int):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import campaign_summary, execute, expand
+    import os
+
+    from repro.audit import AUDIT_ENV
+    from repro.campaign import FederationConfig, campaign_summary, execute, expand
+    from repro.config import CampaignSettings
+    from repro.errors import CampaignExecutionError
 
     spec, merge, table = _sweep(args)
     keys = expand(spec)
     progress = None if args.quiet else _progress_printer(len(keys))
     audit_mode = _audit_mode(args)
+    settings = CampaignSettings.from_env()
+    previous = os.environ.get(AUDIT_ENV)
     if audit_mode:
         # Worker processes inherit the env, so cache misses also run the
         # *runtime* audit hooks in situ (strict mode aborts the worker on
         # the first broken invariant, not just the post-hoc sweep).
-        import os
-
-        from repro.audit import AUDIT_ENV
-
-        os.environ[AUDIT_ENV] = (
-            "strict" if audit_mode == "strict" else "record"
-        )
-    from repro.config import CampaignSettings
-    from repro.errors import CampaignExecutionError
-
-    settings = CampaignSettings.from_env()
+        os.environ[AUDIT_ENV] = "strict" if audit_mode == "strict" else "record"
     try:
         results, stats = execute(
             keys,
@@ -583,14 +590,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             workers=args.workers if args.workers is not None else settings.workers,
             progress=progress,
             audit=audit_mode,
-            federation=settings.federation(),
-            profile_systems=settings.worker_systems,
+            federation=FederationConfig.from_env(),
         )
     except CampaignExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for failure in exc.failures:
             print(f"  failed: {failure.label}", file=sys.stderr)
         return 1
+    finally:
+        # The flag covers this sweep only, not later runs in this process.
+        if previous is None:
+            os.environ.pop(AUDIT_ENV, None)
+        else:
+            os.environ[AUDIT_ENV] = previous
     print(table(merge(results)))
     print()
     print(campaign_summary(spec.name, stats, results))
@@ -641,22 +653,11 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
     Start any number of these (any hosts sharing the cache root): they
     coordinate through lease files alone and together drain the spec.
     """
-    from repro.campaign import ResultStore, expand
-    from repro.campaign.queue import WorkerProfile, drain
-    from repro.config import CampaignSettings
+    from repro.campaign import FederationConfig, ResultStore, drain, expand
 
-    settings = CampaignSettings.from_env()
-    systems = (
-        tuple(args.profile_systems)
-        if args.profile_systems
-        else settings.worker_systems
-    )
-    profile = WorkerProfile.local(systems=systems)
     keys = expand(_sweep(args)[0])
     store = ResultStore(_cache_dir(args))
-    stats = drain(
-        keys, store, config=settings.federation(), profile=profile
-    )
+    stats = drain(keys, store, config=FederationConfig.from_env())
     print(
         f"Worker {stats.worker}: {stats.executed} executed "
         f"({stats.executed_steps} steps), {stats.hits_observed} taken by "
@@ -669,13 +670,11 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_gc(args: argparse.Namespace) -> int:
     """Reap federation debris: orphan temps, stale leases and entries, rot."""
-    from repro.campaign import ResultStore
-    from repro.campaign.queue import gc_sweep
-    from repro.config import CampaignSettings
+    from repro.campaign import FederationConfig, ResultStore, gc_sweep
 
     cache_dir = _cache_dir(args)
     store = ResultStore(cache_dir)
-    counts = gc_sweep(store, config=CampaignSettings.from_env().federation())
+    counts = gc_sweep(store, config=FederationConfig.from_env())
     print(
         f"gc {cache_dir}: {counts['tmp_reaped']} temp files reaped, "
         f"{counts['leases_swept']} stale leases swept, "
@@ -695,10 +694,7 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
         print(f"removed {removed} cache entries from {cache_dir}")
     else:
         removed = store.clean(expand(_sweep(args)[0]))
-        print(
-            f"removed {removed} {args.sweep!r} cache entries "
-            f"from {cache_dir}"
-        )
+        print(f"removed {removed} {args.sweep!r} cache entries from {cache_dir}")
     return 0
 
 
@@ -747,10 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig1", help="PMT vs Slurm validation series")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
     p.add_argument(
-        "--systems", nargs="+", default=["LUMI-G", "CSCS-A100"],
+        "--systems",
+        nargs="+",
+        default=["LUMI-G", "CSCS-A100"],
         choices=sorted(SYSTEMS),
     )
-    p.add_argument("--cards", nargs="+", type=int, default=[8, 16, 24, 32, 40, 48])
+    _add_axes(p, "cards")
     _add_steps(p)
     p.set_defaults(func=_cmd_fig1, sweep="fig1", seed=0, governor=None)
 
@@ -768,16 +766,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig4", help="EDP vs frequency per problem size")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
-    p.add_argument("--sides", nargs="+", type=int, default=[200, 300, 450])
-    _add_freqs(p)
+    _add_axes(p, "sides", "freqs")
     _add_steps(p)
     p.set_defaults(func=_cmd_fig4, sweep="fig4", seed=0, governor=None)
 
     p = sub.add_parser("fig5", help="per-function EDP vs frequency")
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
-    _add_freqs(p)
+    _add_axes(p, "freqs")
     _add_steps(p)
-    p.set_defaults(func=_cmd_fig5, sweep="fig5", seed=0, governor=None, side=450)
+    side = AXES["side"]["default"]
+    p.set_defaults(func=_cmd_fig5, sweep="fig5", seed=0, governor=None, side=side)
 
     p = sub.add_parser("report", help="one instrumented run, full reports")
     _add_run_options(p, TEST_CASES, "Subsonic Turbulence", interval=False)
@@ -825,9 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a case, export Chrome-trace/Prometheus/CSV artifacts",
     )
     _add_run_options(p)
-    p.add_argument(
-        "--out-dir", default="artifacts", help="artifact directory"
-    )
+    p.add_argument("--out-dir", default="artifacts", help="artifact directory")
     _add_steps(p)
     p.set_defaults(func=_cmd_export_trace)
 
@@ -836,7 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(p)
     p.add_argument(
-        "--every", type=int, default=50,
+        "--every",
+        type=int,
+        default=50,
         help="render a frame every N sampler ticks (default 50)",
     )
     p.add_argument("--width", type=int, default=48, help="sparkline width")
@@ -846,9 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach to a running service's HTTP port (host:port) "
         "instead of running a local experiment",
     )
-    p.add_argument(
-        "--tenant", default=None, help="tenant to watch (with --url)"
-    )
+    p.add_argument("--tenant", default=None, help="tenant to watch (with --url)")
     p.add_argument(
         "--frames",
         type=int,
@@ -864,11 +860,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--port", type=int, default=0,
+        "--port",
+        type=int,
+        default=0,
         help="stream (framed protocol) port; 0 binds an ephemeral port",
     )
     p.add_argument(
-        "--http-port", type=int, default=0,
+        "--http-port",
+        type=int,
+        default=0,
         help="query/metrics/watch HTTP port; 0 binds an ephemeral port",
     )
     p.add_argument(
@@ -898,7 +898,9 @@ def build_parser() -> argparse.ArgumentParser:
         "service shed with accounting (shed)",
     )
     p.add_argument(
-        "--batch-ticks", type=int, default=32,
+        "--batch-ticks",
+        type=int,
+        default=32,
         help="sampler ticks buffered per published batch (default 32)",
     )
     _add_run_options(p)
@@ -910,9 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system-a", default="CSCS-A100", choices=sorted(SYSTEMS))
     p.add_argument("--system-b", default="LUMI-G", choices=sorted(SYSTEMS))
-    p.add_argument(
-        "--case", default="Subsonic Turbulence", choices=sorted(TEST_CASES)
-    )
+    p.add_argument("--case", default="Subsonic Turbulence", choices=sorted(TEST_CASES))
     p.add_argument("--cards", type=int, default=8)
     p.add_argument("--counter", default="gpu", choices=["gpu", "cpu", "node"])
     _add_steps(p)
@@ -924,44 +924,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     action = p.add_subparsers(dest="action", required=True)
 
-    def _add_cache_dir(cp) -> None:
+    def _add_cache_dir(cp, default=None) -> None:
         cp.add_argument(
             "--cache-dir",
-            default=None,
+            default=default,
             help="result cache root (default: $REPRO_CACHE_DIR or "
             f"{DEFAULT_CAMPAIGN.cache_dir})",
         )
 
-    def _add_campaign_options(cp, **sweep) -> None:
-        sweep.setdefault("help", "the named sweep to operate on")
-        cp.add_argument("sweep", choices=CAMPAIGN_SWEEPS, **sweep)
-        _add_cache_dir(cp)
-        cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument(
-            "--steps",
-            type=int,
-            default=None,
-            help="time-steps per run (default: the case's paper value)",
-        )
-        # Sweep-axis options (each sweep reads the ones it understands).
-        cp.add_argument("--sides", nargs="+", type=int, default=[200, 300, 450])
-        _add_freqs(cp)
-        cp.add_argument("--side", type=int, default=450)
-        cp.add_argument(
-            "--system", default="CSCS-A100", choices=sorted(SYSTEMS)
-        )
-        cp.add_argument(
-            "--cards", nargs="+", type=int, default=[8, 16, 24, 32, 40, 48]
-        )
-        _add_governor(
-            cp,
-            "run every point under the online governor (part of the cache "
-            "identity)",
-        )
+    def _options() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
 
-    cp = action.add_parser("run", help="execute a sweep (cache misses only)")
-    _add_campaign_options(cp)
-    cp.add_argument(
+    cache_dir = _options()
+    _add_cache_dir(cache_dir)
+    sweep_options = _options()
+    sweep_options.add_argument("--seed", type=int, default=0)
+    sweep_options.add_argument(
+        "--steps",
+        type=int,
+        default=None,
+        help="time-steps per run (default: the case's paper value)",
+    )
+    _add_governor(
+        sweep_options,
+        "run every point under the online governor (part of the cache identity)",
+    )
+
+    def _add_sweeps(cp, cache, *extra, required=True, help="the sweep to operate on"):
+        """One sub-parser per named sweep: the shared options plus its axes.
+
+        An axis option the sweep does not read is then an argparse error.
+        """
+        sweeps = cp.add_subparsers(dest="sweep", required=required, help=help)
+        for name, (_, axes) in CAMPAIGN_SWEEPS.items():
+            sp = sweeps.add_parser(name, parents=[cache, sweep_options, *extra])
+            _add_axes(sp, *axes)
+
+    run_options = _options()
+    run_options.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -969,36 +969,28 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_CAMPAIGN_WORKERS or serial; byte-identical "
         "results either way)",
     )
-    cp.add_argument(
+    run_options.add_argument(
         "--no-cache",
         action="store_true",
         help="execute every point without reading or writing the cache",
     )
-    cp.add_argument(
+    run_options.add_argument(
         "--quiet", action="store_true", help="suppress the progress line"
     )
-    _add_audit(cp)
+    _add_audit(run_options)
+    cp = action.add_parser("run", help="execute a sweep (cache misses only)")
+    _add_sweeps(cp, cache_dir, run_options)
     cp.set_defaults(func=_cmd_campaign_run)
 
     cp = action.add_parser(
         "work",
         help="run one federated worker draining a sweep (start any number)",
     )
-    _add_campaign_options(cp)
-    cp.add_argument(
-        "--profile-systems",
-        nargs="*",
-        default=None,
-        choices=sorted(SYSTEMS),
-        help="systems this worker prefers to execute "
-        "(default: $REPRO_WORKER_SYSTEMS)",
-    )
+    _add_sweeps(cp, cache_dir)
     cp.set_defaults(func=_cmd_campaign_work)
 
-    cp = action.add_parser(
-        "status", help="cached/missing point counts of a sweep"
-    )
-    _add_campaign_options(cp)
+    cp = action.add_parser("status", help="cached/missing point counts of a sweep")
+    _add_sweeps(cp, cache_dir)
     cp.set_defaults(func=_cmd_campaign_status)
 
     cp = action.add_parser(
@@ -1009,17 +1001,22 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=_cmd_campaign_gc)
 
     cp = action.add_parser("clean", help="drop cache entries")
-    _add_campaign_options(
+    _add_cache_dir(cp)
+    # A sweep sub-parser writes its defaults over what ``clean`` parsed
+    # before the sweep name, so its --cache-dir has none of its own and
+    # ``clean --cache-dir D fig4`` cleans D.
+    sweep_cache_dir = _options()
+    _add_cache_dir(sweep_cache_dir, default=argparse.SUPPRESS)
+    _add_sweeps(
         cp,
-        nargs="?",
-        default=None,
+        sweep_cache_dir,
+        required=False,
         help="only this sweep's entries (default: the whole cache)",
     )
     cp.set_defaults(func=_cmd_campaign_clean)
 
     p = sub.add_parser("tune", help="dynamic per-function DVFS (extension)")
-    _add_freqs(p)
-    p.add_argument("--side", type=int, default=450)
+    _add_axes(p, "freqs", "side")
     p.add_argument("--objective", default="edp", choices=["edp", "energy"])
     p.add_argument("--max-slowdown", type=float, default=None)
     _add_steps(p, default=40)

@@ -425,18 +425,33 @@ OBSERVABILITY_CASES: dict[str, TestCaseConfig] = {
 # ---------------------------------------------------------------------------
 
 
+def env_number(name: str, default, parse):
+    """``parse`` of environment variable ``name``, or ``default`` if unset.
+
+    Junk raises a :class:`ConfigurationError` naming the variable.
+    """
+    import os
+
+    text = os.environ.get(name, "")
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigurationError(f"{name}={text!r} is not a number") from None
+
+
 @dataclass(frozen=True)
 class CampaignSettings:
     """Execution defaults of the campaign engine (``repro campaign``).
 
     These are deliberately *cosmetic* with respect to results: none of
     them enters the content-addressed run identity, so changing the
-    cache location, the worker count, or any federation tunable can
-    never invalidate (or corrupt) a cached result.  Environment
-    overrides: ``REPRO_CACHE_DIR``, ``REPRO_CAMPAIGN_WORKERS``,
-    ``REPRO_LEASE_TTL_S``, ``REPRO_MAX_ATTEMPTS``, and
-    ``REPRO_WORKER_SYSTEMS`` (comma-separated system names this worker
-    prefers to execute, for federated placement).
+    cache location or the worker count can never invalidate (or
+    corrupt) a cached result.  Environment overrides:
+    ``REPRO_CACHE_DIR`` and ``REPRO_CAMPAIGN_WORKERS``.  The lease
+    queue's own settings are
+    :meth:`repro.campaign.queue.FederationConfig.from_env`.
     """
 
     #: Root directory of the content-addressed result cache.
@@ -444,63 +459,21 @@ class CampaignSettings:
     #: Local lease-queue workers draining cache misses; 1 is the serial
     #: reference path (bit-identical to any parallel drain by construction).
     workers: int = 1
-    #: Federated lease time-to-live: a lease whose heartbeat is older
-    #: than this is considered abandoned and may be stolen.
-    lease_ttl_s: float = 30.0
-    #: Failed attempts per key before it is quarantined as poisoned.
-    max_attempts: int = 3
-    #: System names this worker advertises as preferred (federated
-    #: placement); empty means no preference.
-    worker_systems: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("campaign workers must be >= 1")
         if not self.cache_dir:
             raise ConfigurationError("campaign cache_dir must be non-empty")
-        if self.lease_ttl_s <= 0:
-            raise ConfigurationError("campaign lease_ttl_s must be > 0")
-        if self.max_attempts < 1:
-            raise ConfigurationError("campaign max_attempts must be >= 1")
-
-    def federation(self):
-        """The :class:`~repro.campaign.queue.FederationConfig` view."""
-        from repro.campaign.queue import FederationConfig
-
-        return FederationConfig(
-            lease_ttl_s=self.lease_ttl_s,
-            heartbeat_s=min(
-                FederationConfig.heartbeat_s, self.lease_ttl_s / 3.0
-            ),
-            max_attempts=self.max_attempts,
-        )
 
     @classmethod
     def from_env(cls) -> "CampaignSettings":
         """Settings with environment overrides applied."""
         import os
 
-        def _number(name, default, parse):
-            text = os.environ.get(name, "")
-            if not text:
-                return default
-            try:
-                return parse(text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{name}={text!r} is not a number"
-                ) from None
-
-        systems_text = os.environ.get("REPRO_WORKER_SYSTEMS", "")
-        worker_systems = tuple(
-            name.strip() for name in systems_text.split(",") if name.strip()
-        )
         return cls(
             cache_dir=os.environ.get("REPRO_CACHE_DIR", cls.cache_dir),
-            workers=_number("REPRO_CAMPAIGN_WORKERS", cls.workers, int),
-            lease_ttl_s=_number("REPRO_LEASE_TTL_S", cls.lease_ttl_s, float),
-            max_attempts=_number("REPRO_MAX_ATTEMPTS", cls.max_attempts, int),
-            worker_systems=worker_systems,
+            workers=env_number("REPRO_CAMPAIGN_WORKERS", cls.workers, int),
         )
 
 

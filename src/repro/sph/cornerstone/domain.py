@@ -46,10 +46,6 @@ class SyncResult:
 
     #: Per-rank [start, end) particle index ranges (into the sorted set).
     rank_ranges: list[tuple[int, int]]
-    #: Per-rank [start, end) SFC key ranges.
-    rank_key_ranges: list[tuple[int, int]]
-    #: The cornerstone leaf array of the global tree.
-    leaves: np.ndarray
     #: The SFC sort permutation applied to the particle set
     #: (``new[k] = old[order[k]]``), so per-particle caches — e.g. the
     #: Verlet neighbor list — can follow the relabeling.
@@ -95,16 +91,7 @@ class DomainDecomposition:
             (int(particle_bounds[r]), int(particle_bounds[r + 1]))
             for r in range(self.n_ranks)
         ]
-        rank_key_ranges = [
-            (int(boundary_keys[r]), int(boundary_keys[r + 1]))
-            for r in range(self.n_ranks)
-        ]
-        self.last_sync = SyncResult(
-            rank_ranges=rank_ranges,
-            rank_key_ranges=rank_key_ranges,
-            leaves=leaves,
-            order=order,
-        )
+        self.last_sync = SyncResult(rank_ranges=rank_ranges, order=order)
         return self.last_sync
 
     def halo_indices(self, ps: ParticleSet, rank: int) -> np.ndarray:

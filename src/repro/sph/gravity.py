@@ -26,9 +26,8 @@ G_CODE = 1.0
 
 @dataclass
 class _BhNode:
-    """One Barnes-Hut node (center/half_width define its cube)."""
+    """One Barnes-Hut node (a cube of ``2 * half_width`` on a side)."""
 
-    center: np.ndarray
     half_width: float
     indices: np.ndarray  # source particles inside the cube
     mass: float = 0.0
@@ -93,7 +92,7 @@ class BarnesHutGravity:
 
     def _build(self, indices: np.ndarray, center: np.ndarray, half: float) -> int:
         node_id = len(self.nodes)
-        node = _BhNode(center=center.copy(), half_width=half, indices=indices)
+        node = _BhNode(half_width=half, indices=indices)
         self.nodes.append(node)
         pts = self._pos[indices]
         m = self._mass[indices]

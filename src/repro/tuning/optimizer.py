@@ -125,7 +125,6 @@ class TuningReport:
     #: Function -> MHz the dynamic run applied (mirrors
     #: :attr:`~repro.tuning.governor.GovernorReport.clock_table`).
     clock_table: dict[str, float]
-    baseline_mhz: float
     baseline_edp: float
     baseline_seconds: float
     best_static_mhz: float
@@ -226,7 +225,6 @@ def tune_per_function(
     best_static_mhz = min(static_edp, key=static_edp.get)
     return TuningReport(
         clock_table=clock_table,
-        baseline_mhz=baseline_mhz,
         baseline_edp=static_edp[baseline_mhz],
         baseline_seconds=baseline_seconds,
         best_static_mhz=best_static_mhz,

@@ -57,6 +57,7 @@ STEPS = 4
 SIDES = (100, 140)
 FREQS = (1410.0, 1005.0)
 
+
 def small_fig4_spec(**overrides) -> CampaignSpec:
     kwargs = dict(cube_sides=SIDES, freqs_mhz=FREQS, num_steps=STEPS)
     kwargs.update(overrides)

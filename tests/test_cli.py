@@ -2,10 +2,12 @@
 
 import argparse
 import hashlib
+import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.audit import AUDIT_ENV
+from repro.cli import AXES, CAMPAIGN_SWEEPS, _sweep, build_parser, main
 
 
 class TestStaticCommands:
@@ -182,68 +184,85 @@ class TestOptionSurface:
             main(["campaign", "gc", "--cache-dir", str(tmp_path), "--seed", "1"])
 
 
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestCampaignAxes:
+    @pytest.mark.parametrize("sweep", sorted(CAMPAIGN_SWEEPS))
+    def test_declared_axes_are_the_axes_the_builder_reads(self, sweep):
+        args = build_parser().parse_args(
+            ["campaign", "status", sweep], namespace=_ReadLog()
+        )
+        object.__getattribute__(args, "reads").clear()
+        _sweep(args)
+        reads = object.__getattribute__(args, "reads") & set(AXES)
+        assert reads == set(CAMPAIGN_SWEEPS[sweep][1])
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("campaign status fig1 --sides 999", "--sides"),
+            ("campaign work fig4 --cards 3", "--cards"),
+            ("campaign run fig5 --system LUMI-G", "--system"),
+        ],
+    )
+    def test_axis_the_sweep_does_not_read_is_rejected(
+        self, command, option, tmp_path, capsys
+    ):
+        argv = [*command.split(), "--steps", "1", "--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code != 0
+        assert option in capsys.readouterr().err
+
+    def test_clean_cache_dir_before_the_sweep_name(self, tmp_path, capsys, monkeypatch):
+        """``clean --cache-dir D fig4`` cleans D, not the default cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        sweep = ["fig4", "--sides", "30", "--freqs", "1410", "--steps", "2"]
+        cache = ["--cache-dir", str(tmp_path / "D")]
+        assert main(["campaign", "work", *sweep, *cache]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "clean", *cache, *sweep]) == 0
+        out = capsys.readouterr().out
+        assert out == f"removed 1 'fig4' cache entries from {tmp_path / 'D'}\n"
+        assert not (tmp_path / "default").exists()
+
+    @pytest.mark.parametrize("previous", [None, "record"])
+    def test_audit_flag_does_not_outlive_the_command(self, previous, monkeypatch):
+        """``--audit`` sets ``REPRO_AUDIT`` for its sweep only."""
+        if previous is None:
+            monkeypatch.delenv(AUDIT_ENV, raising=False)
+        else:
+            monkeypatch.setenv(AUDIT_ENV, previous)
+        for flag in ("--audit", "--audit-strict"):
+            argv = ["campaign", "run", "fig1", "--cards", "8", "--steps", "1"]
+            assert main([*argv, "--no-cache", "--quiet", flag]) == 0
+            assert os.environ.get(AUDIT_ENV) == previous
+
+
 # fmt: off
 CLI_OPTIONS = {
     "": [],
     "backends": [],
     "campaign": [],
     "campaign clean": [
-        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), "?", False, None),
         (("--cache-dir",), "cache_dir", None, None, None, False, None),
-        (("--seed",), "seed", 0, None, None, False, "int"),
-        (("--steps",), "steps", None, None, None, False, "int"),
-        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
-        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
-        (("--side",), "side", 450, None, None, False, "int"),
-        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
-        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
-        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
     ],
     "campaign gc": [
         (("--cache-dir",), "cache_dir", None, None, None, False, None),
     ],
-    "campaign run": [
-        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
-        (("--cache-dir",), "cache_dir", None, None, None, False, None),
-        (("--seed",), "seed", 0, None, None, False, "int"),
-        (("--steps",), "steps", None, None, None, False, "int"),
-        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
-        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
-        (("--side",), "side", 450, None, None, False, "int"),
-        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
-        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
-        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
-        (("--workers",), "workers", None, None, None, False, "int"),
-        (("--no-cache",), "no_cache", False, None, 0, False, None),
-        (("--quiet",), "quiet", False, None, 0, False, None),
-        (("--audit",), "audit", False, None, 0, False, None),
-        (("--audit-strict",), "audit_strict", False, None, 0, False, None),
-    ],
-    "campaign status": [
-        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
-        (("--cache-dir",), "cache_dir", None, None, None, False, None),
-        (("--seed",), "seed", 0, None, None, False, "int"),
-        (("--steps",), "steps", None, None, None, False, "int"),
-        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
-        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
-        (("--side",), "side", 450, None, None, False, "int"),
-        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
-        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
-        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
-    ],
-    "campaign work": [
-        ((), "sweep", None, ("fig1", "fig4", "fig5", "weak-scaling"), None, True, None),
-        (("--cache-dir",), "cache_dir", None, None, None, False, None),
-        (("--seed",), "seed", 0, None, None, False, "int"),
-        (("--steps",), "steps", None, None, None, False, "int"),
-        (("--sides",), "sides", [200, 300, 450], None, "+", False, "int"),
-        (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float"),
-        (("--side",), "side", 450, None, None, False, "int"),
-        (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
-        (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int"),
-        (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
-        (("--profile-systems",), "profile_systems", None, ("CSCS-A100", "LUMI-G", "miniHPC"), "*", False, None),
-    ],
+    "campaign run": [],
+    "campaign status": [],
+    "campaign work": [],
     "compare": [
         (("--system-a",), "system_a", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
         (("--system-b",), "system_b", "LUMI-G", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None),
@@ -342,3 +361,54 @@ CLI_OPTIONS = {
     ],
 }
 # fmt: on
+
+#: ``campaign <action> <sweep>`` takes its action's options, then the axes
+#: its sweep reads.  ``clean <sweep>``'s --cache-dir has no default of its
+#: own: ``campaign clean`` supplies it, whichever side of the sweep name
+#: the option is given.
+# fmt: off
+CAMPAIGN_SWEEP_OPTIONS = [
+    (("--seed",), "seed", 0, None, None, False, "int"),
+    (("--steps",), "steps", None, None, None, False, "int"),
+    (("--governor",), "governor", None, ("min-energy", "min-edp", "power-cap"), None, False, None),
+]
+CAMPAIGN_ACTION_OPTIONS = {
+    "clean": [
+        (("--cache-dir",), "cache_dir", argparse.SUPPRESS, None, None, False, None),
+        *CAMPAIGN_SWEEP_OPTIONS,
+    ],
+    "run": [
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        *CAMPAIGN_SWEEP_OPTIONS,
+        (("--workers",), "workers", None, None, None, False, "int"),
+        (("--no-cache",), "no_cache", False, None, 0, False, None),
+        (("--quiet",), "quiet", False, None, 0, False, None),
+        (("--audit",), "audit", False, None, 0, False, None),
+        (("--audit-strict",), "audit_strict", False, None, 0, False, None),
+    ],
+    "status": [
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        *CAMPAIGN_SWEEP_OPTIONS,
+    ],
+    "work": [
+        (("--cache-dir",), "cache_dir", None, None, None, False, None),
+        *CAMPAIGN_SWEEP_OPTIONS,
+    ],
+}
+SYSTEM_AXIS = (("--system",), "system", "CSCS-A100", ("CSCS-A100", "LUMI-G", "miniHPC"), None, False, None)
+CARDS_AXIS = (("--cards",), "cards", [8, 16, 24, 32, 40, 48], None, "+", False, "int")
+FREQS_AXIS = (("--freqs",), "freqs", [1410.0, 1230.0, 1005.0], None, "+", False, "float")
+SWEEP_AXES = {
+    "fig1": [SYSTEM_AXIS, CARDS_AXIS],
+    "fig4": [(("--sides",), "sides", [200, 300, 450], None, "+", False, "int"), FREQS_AXIS],
+    "fig5": [FREQS_AXIS, (("--side",), "side", 450, None, None, False, "int")],
+    "weak-scaling": [SYSTEM_AXIS, CARDS_AXIS],
+}
+# fmt: on
+CLI_OPTIONS.update(
+    {
+        f"campaign {action} {sweep}": [*options, *axes]
+        for action, options in CAMPAIGN_ACTION_OPTIONS.items()
+        for sweep, axes in SWEEP_AXES.items()
+    }
+)

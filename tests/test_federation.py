@@ -44,10 +44,8 @@ from repro.campaign.queue import (
     drain,
     failure_backoff_s,
     gc_sweep,
-    placement_order,
 )
 from repro.cli import main
-from repro.config import CampaignSettings
 from repro.errors import CampaignExecutionError, ConfigurationError
 
 STEPS = 2
@@ -176,26 +174,6 @@ class TestLeaseQueue:
             FederationConfig(lease_ttl_s=1.0, heartbeat_s=2.0)
         with pytest.raises(ConfigurationError):
             FederationConfig(max_attempts=0)
-
-
-class TestPlacement:
-    def test_preferred_systems_first_stable(self):
-        keys = tuple(
-            a_key(system=s, seed=i)
-            for i, s in enumerate(
-                ["CSCS-A100", "miniHPC", "CSCS-A100", "miniHPC"]
-            )
-        )
-        profile = WorkerProfile.local(systems=("miniHPC",))
-        ordered = placement_order(keys, profile)
-        assert [k.system for k in ordered] == [
-            "miniHPC", "miniHPC", "CSCS-A100", "CSCS-A100",
-        ]
-        assert [k.seed for k in ordered] == [1, 3, 0, 2]
-
-    def test_no_profile_preserves_spec_order(self):
-        keys = tuple(a_key(seed=i) for i in range(3))
-        assert placement_order(keys, None) == keys
 
 
 class TestStoreFederation:
@@ -508,12 +486,10 @@ def _drain_child(root: str, keys, config, token):
     drain(keys, ResultStore(root), config=config, profile=profile)
 
 
-def _crashing_child(keys, root, config, systems, token):
+def _crashing_child(keys, root, config, token):
     """A local queue worker that drains one key, then dies unrecorded."""
-    drain(
-        keys[:1], ResultStore(root), config=config,
-        profile=WorkerProfile.local(systems=systems, token=token),
-    )
+    profile = WorkerProfile.local(token=token)
+    drain(keys[:1], ResultStore(root), config=config, profile=profile)
     os._exit(3)
 
 
@@ -699,27 +675,37 @@ class TestGcSweep:
 
 
 class TestCampaignSettings:
+    """The lease settings' environment overrides (``FederationConfig``)."""
+
     def test_federation_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEASE_TTL_S", "9")
         monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_WORKER_SYSTEMS", "miniHPC, LUMI-G")
-        settings_ = CampaignSettings.from_env()
-        assert settings_.lease_ttl_s == 9.0
-        assert settings_.max_attempts == 7
-        assert settings_.worker_systems == ("miniHPC", "LUMI-G")
-        config = settings_.federation()
+        config = FederationConfig.from_env()
         assert config.lease_ttl_s == 9.0
         assert config.max_attempts == 7
         assert config.heartbeat_s < config.lease_ttl_s
+        assert config.heartbeat_s == FederationConfig.heartbeat_s
+        monkeypatch.setenv("REPRO_LEASE_TTL_S", "0.3")
+        assert FederationConfig.from_env().heartbeat_s == pytest.approx(0.1)
+        monkeypatch.delenv("REPRO_LEASE_TTL_S")
+        monkeypatch.delenv("REPRO_MAX_ATTEMPTS")
+        assert FederationConfig.from_env() == FederationConfig()
 
     def test_bad_values_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEASE_TTL_S", "soon")
         with pytest.raises(ConfigurationError):
-            CampaignSettings.from_env()
+            FederationConfig.from_env()
+        monkeypatch.setenv("REPRO_LEASE_TTL_S", "0")
         with pytest.raises(ConfigurationError):
-            CampaignSettings(lease_ttl_s=0.0)
+            FederationConfig.from_env()
+        monkeypatch.delenv("REPRO_LEASE_TTL_S")
+        monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "few")
         with pytest.raises(ConfigurationError):
-            CampaignSettings(max_attempts=0)
+            FederationConfig.from_env()
+        with pytest.raises(ConfigurationError):
+            FederationConfig(lease_ttl_s=0.0)
+        with pytest.raises(ConfigurationError):
+            FederationConfig(max_attempts=0)
 
 
 class TestCli:

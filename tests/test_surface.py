@@ -133,7 +133,6 @@ ENV_VARS = {
     "REPRO_CAMPAIGN_WORKERS",
     "REPRO_LEASE_TTL_S",
     "REPRO_MAX_ATTEMPTS",
-    "REPRO_WORKER_SYSTEMS",
 }
 
 

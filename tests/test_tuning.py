@@ -285,7 +285,6 @@ class TestReportGuards:
     def make_report(self, baseline_edp=100.0, best_static_edp=90.0):
         return TuningReport(
             clock_table={},
-            baseline_mhz=1410.0,
             baseline_edp=baseline_edp,
             baseline_seconds=10.0,
             best_static_mhz=1005.0,
